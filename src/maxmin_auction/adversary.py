@@ -15,8 +15,21 @@ the CDF value with leading coefficient H(x) - x H'(x):
 
 The outer bisection moves the multiplier until the constraint holds; the
 constraint value of the pointwise minimizer is monotone in the multiplier.
+Three things keep it cheap without changing a bit of its output:
+
+* it stops at the first step that leaves the bracket (lam_lo, lam_hi)
+  unchanged, since each step is a function of the bracket alone and every
+  later step would leave it unchanged as well (after about 55 steps, when
+  the ends are adjacent doubles);
+* each step decides ``moment < target`` from a plain numpy sum, and only
+  when that sum lies within its rigorous error bound of the target does it
+  recompute the moment exactly with ``math.fsum``;
+* the convexity split and the multiplier-free factors of the pointwise
+  argmin are computed once per solve, not once per step.
+
 A pool-adjacent-violators pass enforces monotonicity afterwards (a no-op at
-the solved reserve, where the pointwise minimizer is already a CDF).
+the solved reserve, where the pointwise minimizer is already a CDF; input
+that is already nondecreasing is returned as a copy without the loop).
 """
 
 from __future__ import annotations
@@ -51,6 +64,9 @@ __all__ = [
 ]
 
 _COEF_TOL = 1e-12
+# Cap on the multiplier bisection.  The loop leaves earlier, exactly, at the
+# first step that leaves the bracket unchanged: about 55 steps from the
+# initial bracket [0, 2 H(1)].  The count taken is AdversaryResult.bisect_steps.
 _BISECT_STEPS = 100
 
 
@@ -72,7 +88,12 @@ class GridDistribution:
 
 @dataclass(frozen=True)
 class AdversaryResult:
-    """Output of the constrained minimization."""
+    """Output of the constrained minimization.
+
+    ``bisect_steps`` counts the multiplier bisection steps taken, and
+    ``exact_sums`` the steps whose plain moment sum lay too close to the
+    target to decide the comparison, so ``math.fsum`` decided it.
+    """
 
     grid: GridDistribution
     value: float
@@ -82,6 +103,8 @@ class AdversaryResult:
     constraint_residual: float
     projection_delta: float
     lagrangian_bound: float
+    bisect_steps: int
+    exact_sums: int
 
 
 @dataclass(frozen=True)
@@ -113,11 +136,15 @@ def pav_nondecreasing(y: np.ndarray) -> np.ndarray:
     """Pool-adjacent-violators projection onto nondecreasing sequences (L2).
 
     Violating neighbours are merged into blocks carrying their running mean;
-    merging cascades backwards until the block means are sorted.
+    merging cascades backwards until the block means are sorted.  Input that
+    is already nondecreasing comes back as a float copy at once.
     """
+    arr = y.astype(float)
+    if not (arr[1:] < arr[:-1]).any():
+        return arr
     means: list[float] = []
     counts: list[int] = []
-    for v in y.astype(float):
+    for v in arr:
         means.append(v)
         counts.append(1)
         while len(means) > 1 and means[-2] > means[-1]:
@@ -140,19 +167,39 @@ def _grid_objective(
     return math.fsum(terms.tolist())
 
 
-def _pointwise_argmin(
-    lam: float, h: np.ndarray, coef: np.ndarray, w: np.ndarray
-) -> np.ndarray:
-    """Minimizer of coef*g^2 + (lam*w - 2h)*g + const over g in [0, 1]."""
-    g = np.empty_like(h)
+def _pointwise_argmin(h: np.ndarray, coef: np.ndarray, w):
+    """Minimizer of coef*g^2 + (lam*w - 2h)*g + const over g in [0, 1].
+
+    Returns ``argmin(lam, out)``, which fills ``out`` with the minimizer at
+    multiplier ``lam`` and returns it.  The split into convex and linear
+    points and the multiplier-free factors 2h and 2coef are computed once
+    here; when every point is convex, as for every reserve of the solved
+    family, the convex arrays are the full arrays and no masked copy is made.
+    ``w`` is the constraint weight, an array or a scalar.
+    """
     convex = coef > _COEF_TOL
-    g[convex] = np.clip(
-        (2.0 * h[convex] - lam * w[convex]) / (2.0 * coef[convex]), 0.0, 1.0
-    )
-    lin = ~convex
-    slope = lam * w[lin] - 2.0 * h[lin]
-    g[lin] = np.where(slope < 0.0, 1.0, 0.0)
-    return g
+    lin = np.flatnonzero(~convex)
+    if lin.size == 0:
+        convex = slice(None)
+    two_h = 2.0 * h
+    two_h_c, two_coef_c = two_h[convex], 2.0 * coef[convex]
+    two_h_lin = two_h[lin]
+    w_c, w_lin = (w, w) if np.ndim(w) == 0 else (w[convex], w[lin])
+    buf = np.empty_like(two_h_c) if lin.size else None
+
+    def argmin(lam: float, out: np.ndarray) -> np.ndarray:
+        g_c = out if buf is None else buf
+        np.multiply(w_c, lam, out=g_c)
+        np.subtract(two_h_c, g_c, out=g_c)
+        np.divide(g_c, two_coef_c, out=g_c)
+        np.clip(g_c, 0.0, 1.0, out=g_c)
+        if buf is not None:
+            out[convex] = g_c
+            slope = lam * w_lin - two_h_lin
+            out[lin] = np.where(slope < 0.0, 1.0, 0.0)
+        return out
+
+    return argmin
 
 
 def minimize_revenue(
@@ -200,34 +247,70 @@ def minimize_revenue(
             f"quadratic coefficient H - xH' is negative (min {worst:.3e}); "
             "the reserve distribution is invalid for this minimization"
         )
-    w = np.ones_like(x) if constraint == "mean" else 2.0 * x
+    # Constraint weight: the moment is the grid sum of w * (1 - G) * dx.
+    w = 1.0 if constraint == "mean" else 2.0 * x
+    argmin = _pointwise_argmin(h, coef, w)
+    g = np.empty_like(x)
+    terms = np.empty_like(x)
+
+    def moment_terms(g: np.ndarray) -> np.ndarray:
+        np.subtract(1.0, g, out=terms)
+        np.multiply(w, terms, out=terms)
+        return np.multiply(terms, dx, out=terms)
 
     def moment(g: np.ndarray) -> float:
-        return math.fsum((w * (1.0 - g) * dx).tolist())
+        return math.fsum(moment_terms(g).tolist())
+
+    # Any-order float summation of K non-negative terms is off by at most
+    # about K * 2**-53 times the sum; twice that plus a few ulps of the target
+    # keeps the comparison below exact.
+    sum_err = 2.0 * K * 2.0**-53
+    target_ulps = 4.0 * math.ulp(target)
+    exact_sums = 0
+
+    def below_target(g: np.ndarray) -> bool:
+        """moment(g) < target, from a plain sum unless it falls within its
+        error bound of the target."""
+        nonlocal exact_sums
+        t = moment_terms(g)
+        s = float(t.sum())
+        slack = sum_err * s + target_ulps
+        if s < target - slack:
+            return True
+        if s > target + slack:
+            return False
+        exact_sums += 1
+        return math.fsum(t.tolist()) < target
 
     lam_lo, lam_hi = 0.0, 2.0 * float(h_dist.cdf(1.0))
-    m_lo = moment(_pointwise_argmin(lam_lo, h, coef, w))
-    m_hi = moment(_pointwise_argmin(lam_hi, h, coef, w))
+    m_lo = moment(argmin(lam_lo, g))
+    m_hi = moment(argmin(lam_hi, g))
     if not (m_lo <= target + tol_mean and m_hi >= target - tol_mean):
         raise ConvergenceError(
             f"multiplier bracket [0, {lam_hi}] does not enclose the constraint "
             f"target {target} (endpoint moments {m_lo}, {m_hi})"
         )
-    for _ in range(_BISECT_STEPS):
+    bisect_steps = 0
+    while bisect_steps < _BISECT_STEPS:
+        bisect_steps += 1
         lam_mid = 0.5 * (lam_lo + lam_hi)
-        if moment(_pointwise_argmin(lam_mid, h, coef, w)) < target:
+        if below_target(argmin(lam_mid, g)):
+            if lam_mid == lam_lo:
+                break
             lam_lo = lam_mid
         else:
+            if lam_mid == lam_hi:
+                break
             lam_hi = lam_mid
     lam_hat = 0.5 * (lam_lo + lam_hi)
-    g_raw = _pointwise_argmin(lam_hat, h, coef, w)
+    g_raw = argmin(lam_hat, g)
     residual = moment(g_raw) - target
     if abs(residual) > tol_mean:
         # Indifference at the limiting multiplier: mix the two bracket-end
         # minimizers so the constraint binds exactly.  Both ends minimize the
         # same limiting integrand wherever they disagree.
-        g_lo = _pointwise_argmin(lam_lo, h, coef, w)
-        g_hi = _pointwise_argmin(lam_hi, h, coef, w)
+        g_lo = argmin(lam_lo, np.empty_like(x))
+        g_hi = argmin(lam_hi, g)
         m0, m1 = moment(g_lo), moment(g_hi)
         if abs(m1 - m0) < 1e-30:
             raise ConvergenceError(
@@ -236,13 +319,16 @@ def minimize_revenue(
         theta = (target - m0) / (m1 - m0)
         theta = min(1.0, max(0.0, theta))
         g_raw = (1.0 - theta) * g_lo + theta * g_hi
+        del g_lo, g_hi
         residual = moment(g_raw) - target
+    del argmin, g  # release the loop buffers before the projection stage
 
     lag_terms = (
         (coef * g_raw * g_raw + (lam_hat * w - 2.0 * h) * g_raw + xhp + h - lam_hat * w)
         * dx
     )
     lagrangian_bound = math.fsum(lag_terms.tolist()) + lam_hat * target
+    del lag_terms
 
     g_proj = np.clip(pav_nondecreasing(g_raw), 0.0, 1.0)
     projection_delta = float(np.max(np.abs(g_proj - g_raw)))
@@ -257,6 +343,8 @@ def minimize_revenue(
         constraint_residual=moment(g_proj) - target,
         projection_delta=projection_delta,
         lagrangian_bound=lagrangian_bound,
+        bisect_steps=bisect_steps,
+        exact_sums=exact_sums,
     )
 
 

@@ -392,12 +392,15 @@ def run_verification(config: RunConfig) -> dict:
 
     result = adv.minimize_revenue(h_bar, ModelParams(mu=c.mu), config.grid_k)
     adv_gap = abs(result.value - c.revenue_guarantee)
+    # The window is empty once a > 0.96; window_points shows when the
+    # sup-distance part of the check is vacuous.
     window = (result.grid.x >= c.a + 0.02) & (result.grid.x <= 0.98)
     sup_dist = float(
         np.max(
             np.abs(
                 result.grid.values[window] - signal_cdf(c, result.grid.x[window])
-            )
+            ),
+            initial=0.0,
         )
     )
     record(
@@ -405,6 +408,7 @@ def run_verification(config: RunConfig) -> dict:
         adv_gap <= 2e-3 and sup_dist <= 0.01,
         value_gap=adv_gap,
         sup_distance=sup_dist,
+        window_points=int(np.count_nonzero(window)),
         lambda_hat=result.lambda_hat,
     )
 

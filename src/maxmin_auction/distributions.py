@@ -36,6 +36,7 @@ from .quadrature import adaptive_simpson
 __all__ = ["PiecewiseCdf", "read_cdf_csv", "write_cdf_csv"]
 
 _VAL_TOL = 1e-9
+_CSV_BLOCK_ROWS = 65536
 
 
 def _as_array(x) -> tuple[np.ndarray, bool]:
@@ -387,20 +388,26 @@ def write_cdf_csv(
     values: Sequence[float],
     masses: Sequence[float] | None = None,
 ) -> None:
-    """Write a CDF curve as CSV; the atom column is included when any mass is set."""
-    x = np.asarray(x, dtype=float)
-    values = np.asarray(values, dtype=float)
-    has_atoms = masses is not None and np.any(np.asarray(masses) != 0.0)
+    """Write a CDF curve as CSV; the atom column is included when any mass is set.
+
+    The bytes are those ``csv.writer`` writes in its default dialect: fields
+    joined by commas, ``\\r\\n`` line ends, numbers as ``%.17g``.  Rows are
+    formatted in blocks of ``_CSV_BLOCK_ROWS``, one format string per block,
+    so memory stays flat however long the curve is.
+    """
+    columns = [np.asarray(x, dtype=float), np.asarray(values, dtype=float)]
+    header = ["x", "F"]
+    if masses is not None and np.any(np.asarray(masses) != 0.0):
+        columns.append(np.asarray(masses, dtype=float))
+        header.append("atom_mass")
+    rows = min(col.size for col in columns)
+    line = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if has_atoms:
-            writer.writerow(["x", "F", "atom_mass"])
-            for xi, vi, mi in zip(x, values, np.asarray(masses, dtype=float)):
-                writer.writerow([f"{xi:.17g}", f"{vi:.17g}", f"{mi:.17g}"])
-        else:
-            writer.writerow(["x", "F"])
-            for xi, vi in zip(x, values):
-                writer.writerow([f"{xi:.17g}", f"{vi:.17g}"])
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, rows, _CSV_BLOCK_ROWS):
+            stop = min(start + _CSV_BLOCK_ROWS, rows)
+            block = np.column_stack([col[start:stop] for col in columns])
+            fh.write((line * (stop - start)) % tuple(block.ravel().tolist()))
 
 
 def read_cdf_csv(path: str | Path) -> PiecewiseCdf:

@@ -1,5 +1,6 @@
 """Constrained revenue minimization over signal CDFs."""
 
+import adversary_reference as reference
 import numpy as np
 import pytest
 
@@ -17,6 +18,14 @@ from maxmin_auction import (
     solve_a,
     verify_pointwise_saddle,
 )
+
+
+RESERVES = {
+    "optimal": PiecewiseCdf.reserve,
+    "linear-ramp": reserve_with_linear_ramp,
+    "zero-atom": reserve_with_zero_atom,
+    "uniform": lambda c: PiecewiseCdf.uniform(),
+}
 
 
 def sup_distance_to_signal(result, c, lo_pad=0.02, hi=0.98):
@@ -62,6 +71,49 @@ class TestSolvedReserve:
         assert np.all(np.diff(g) >= 0.0)
         assert np.all((g >= 0.0) & (g <= 1.0))
         assert abs(res.grid.mean() - 0.5) <= 1e-9
+
+
+class TestMatchesFixedStepReference:
+    """The early exit, the guarded sum and the hoisted argmin change no bit."""
+
+    @staticmethod
+    def assert_bitwise(res, ref):
+        assert res.grid.values.tobytes() == ref["values"].tobytes()
+        for name in (
+            "value",
+            "lambda_hat",
+            "constraint_residual",
+            "projection_delta",
+            "lagrangian_bound",
+        ):
+            got = np.float64(getattr(res, name)).tobytes()
+            assert got == np.float64(ref[name]).tobytes(), name
+
+    @pytest.mark.parametrize("K", [100, 4096, 65537])
+    @pytest.mark.parametrize("mu", [1e-6, 0.5, 0.99])
+    @pytest.mark.parametrize("reserve", sorted(RESERVES))
+    def test_mean_constraint(self, reserve, mu, K):
+        h_dist = RESERVES[reserve](solve_a(ModelParams(mu=mu)))
+        res = minimize_revenue(h_dist, ModelParams(mu=mu), K)
+        self.assert_bitwise(res, reference.minimize_revenue(h_dist, K, "mean", mu))
+
+    @pytest.mark.parametrize("K", [100, 4096, 65537])
+    @pytest.mark.parametrize("delta", [1e-6, 0.5, 0.99])
+    def test_second_moment_constraint(self, delta, K):
+        h_dist = PiecewiseCdf.uniform()
+        res = minimize_revenue(
+            h_dist, None, K, constraint="second-moment", target=delta
+        )
+        ref = reference.minimize_revenue(h_dist, K, "second-moment", delta)
+        self.assert_bitwise(res, ref)
+
+
+class TestBisectionDiagnostics:
+    def test_early_exit_at_fine_grid(self, c05):
+        res = minimize_revenue(PiecewiseCdf.reserve(c05), ModelParams(mu=0.5), 400_000)
+        # the bracket ends are adjacent doubles after about 55 halvings
+        assert res.bisect_steps <= 64
+        assert 0 <= res.exact_sums <= res.bisect_steps
 
 
 class TestUniformReserveMeanConstraint:
@@ -160,7 +212,16 @@ class TestPav:
 
     def test_identity_on_monotone(self):
         y = np.array([0.0, 0.1, 0.1, 0.4, 0.9])
-        assert np.array_equal(pav_nondecreasing(y), y)
+        out = pav_nondecreasing(y)
+        assert np.array_equal(out, y)
+        assert out is not y
+
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(2)
+        for y in (rng.random(300), np.sort(rng.random(300)), np.arange(5)):
+            out = pav_nondecreasing(y)
+            assert out.dtype == np.float64
+            assert out.tobytes() == reference.pav_loop(y).tobytes()
 
     def test_simple_violation(self):
         assert np.allclose(pav_nondecreasing(np.array([1.0, 0.0])), [0.5, 0.5])

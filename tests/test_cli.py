@@ -261,3 +261,24 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert json.loads(out)["all_passed"] is True
+
+    def test_high_mean_empty_window(self, capsys):
+        # a > 0.96 leaves the adversary's sup-distance window [a+0.02, 0.98]
+        # empty; the check reports that instead of crashing
+        code, out = run_cli(
+            capsys,
+            "verify",
+            "--mu",
+            "0.9999",
+            "--seed",
+            "1",
+            "--samples",
+            "30000",
+            "--grid-n",
+            "20",
+        )
+        payload = json.loads(out)
+        adversary = {ch["name"]: ch for ch in payload["checks"]}["adversary_minimum"]
+        assert adversary["window_points"] == 0
+        assert adversary["sup_distance"] == 0.0
+        assert code == 0 and payload["all_passed"] is True

@@ -1,12 +1,14 @@
 """PiecewiseCdf container tests: grids, atoms, CSV round trips."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from maxmin_auction import DomainError, PiecewiseCdf
+from maxmin_auction import DomainError, PiecewiseCdf, write_cdf_csv
 
 import oracles
 
@@ -168,3 +170,34 @@ class TestCsv:
     def test_csv_only_for_grids(self, c05, tmp_path):
         with pytest.raises(DomainError):
             PiecewiseCdf.reserve(c05).to_csv(tmp_path / "h.csv")
+
+
+def csv_writer_reference(path, x, values, masses=None):
+    """The row-by-row ``csv.writer`` output that ``write_cdf_csv`` reproduces."""
+    columns = [np.asarray(x, dtype=float), np.asarray(values, dtype=float)]
+    header = ["x", "F"]
+    if masses is not None and np.any(np.asarray(masses) != 0.0):
+        columns.append(np.asarray(masses, dtype=float))
+        header.append("atom_mass")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([f"{v:.17g}" for v in row])
+
+
+class TestCsvBytes:
+    EDGE = [0.0, -0.0, 5e-324, 2.2e-308, 0.1, 1.0 / 3.0, 1.0, 1e300, np.nan, np.inf, 1e17]
+
+    @pytest.mark.parametrize("rows", [0, 1, 65536, 65537])
+    @pytest.mark.parametrize("atoms", [None, "zero", "set"])
+    def test_matches_csv_writer(self, tmp_path, rows, atoms):
+        rng = np.random.default_rng(rows)
+        x = rng.random(rows)
+        x[: len(self.EDGE)] = self.EDGE[:rows]
+        values = rng.random(rows) ** 3
+        masses = {None: None, "zero": np.zeros(rows), "set": rng.random(rows)}[atoms]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_cdf_csv(got, x, values, masses)
+        csv_writer_reference(want, x, values, masses)
+        assert got.read_bytes() == want.read_bytes()
