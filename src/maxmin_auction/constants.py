@@ -52,8 +52,11 @@ _BRACKET_EPS = 1e-12
 _BISECT_BUDGET = 200
 # Half-width around a inside which the CDF ratio switches to its Taylor form.
 _CDF_SERIES_HALFWIDTH = 1e-8
-# (u - log1p(u))/u^2 switches to its series below this |u|.
-_PDF_SERIES_CUT = 1e-3
+# (u - log1p(u))/u^2 is summed from its series below this |u|.  The direct
+# form cancels to a relative error of about 2 eps/|u|, so it is kept only
+# where that is near eps; at the cut the series needs _PDF_SERIES_TERMS terms.
+_PDF_SERIES_CUT = 0.2
+_PDF_SERIES_TERMS = 24
 # Below x = LOW_Z * a the closed forms take ln(x/a) as ln x - ln a: there
 # log1p(u) has lost the low bits of x/a, and all of them once x/a < 2**-54.
 # Each function runs its log1p form on the whole array and then overwrites
@@ -158,11 +161,19 @@ def _log_ratio_over_u(u: np.ndarray) -> np.ndarray:
 
 
 def _one_minus_log_ratio_over_u2(u: np.ndarray) -> np.ndarray:
-    """(u - log1p(u))/u^2, series-stabilised for small |u|; equals 1/2 at u = 0."""
+    """(u - log1p(u))/u^2; equals 1/2 at u = 0.
+
+    Below |u| = _PDF_SERIES_CUT it is the series sum_j (-u)^j/(j+2), summed
+    by Horner's rule.
+    """
     out = np.empty_like(u)
     small = np.abs(u) < _PDF_SERIES_CUT
-    us = u[small]
-    out[small] = 0.5 - us / 3.0 + us * us / 4.0 - us**3 / 5.0 + us**4 / 6.0
+    if small.any():
+        neg_us = -u[small]
+        acc = np.zeros_like(neg_us)
+        for j in range(_PDF_SERIES_TERMS - 1, -1, -1):
+            acc = acc * neg_us + 1.0 / (j + 2)
+        out[small] = acc
     ub = u[~small]
     out[~small] = (ub - np.log1p(ub)) / (ub * ub)
     return out

@@ -1,4 +1,4 @@
-"""Regenerate the small-x reserve oracles in ``oracles.py`` with mpmath.
+"""Regenerate the small-x and near-a reserve oracles in ``oracles.py`` with mpmath.
 
 Run from the repository root:
 
@@ -32,11 +32,15 @@ MU = "0.5"
 SMALL_X = ("1e-300", "1e-100", "1e-38", "1e-17", "1e-15", "1e-10", "1e-5")
 # K is quoted only where its true value is a normal double (>= 2**-1022).
 NORMAL_MIN = mp.mpf(2) ** -1022
+# H' just outside the old series cut of its (u - log1p(u))/u^2 factor, where
+# the direct form cancelled, at three means.
+NEAR_A_MU = ("0.5", "0.05", "2e-8")
+NEAR_A_OFFSETS = ("1.1e-3", "2e-3", "1e-2")
 
 
 def model(mu):
     """The root a of a(1 - ln a) = mu, h(a) = -(1-a)/ln a and R(t) = H(t)/t."""
-    a = mp.findroot(lambda t: t * (1 - mp.log(t)) - mu, (mp.mpf("1e-6"), 1 - mp.mpf("1e-6")), solver="anderson")
+    a = mp.findroot(lambda t: t * (1 - mp.log(t)) - mu, (mu / 1000, 1 - mp.mpf("1e-6")), solver="anderson")
     scale = -(1 - a) / mp.log(a)
     return a, scale, lambda t: scale * mp.log(t / a) / (t - a)
 
@@ -76,6 +80,33 @@ def stable_values(x_text):
     return out[1]
 
 
+def near_a_points(mu_text):
+    """The doubles nearest a (1 +- d), d in NEAR_A_OFFSETS, with H' at each.
+
+    mu is the double nearest ``mu_text``, as the package sees it, and H' is
+    taken at the double x itself, so the value is exact for that input.
+    """
+    rows = []
+    for sign in (-1, 1):
+        for d in NEAR_A_OFFSETS:
+            with mp.workdps(70):
+                a = model(mp.mpf(float(mu_text)))[0]
+                x = float(a * (1 + sign * mp.mpf(d)))
+            values = []
+            for dps in (70, 90):
+                with mp.workdps(dps):
+                    a, scale, ratio = model(mp.mpf(float(mu_text)))
+                    xm = mp.mpf(x)
+                    values.append(scale * (xm - a - a * mp.log(xm / a)) / (xm - a) ** 2)
+                    if dps == 70:
+                        fd = mp.diff(lambda t: t * ratio(t), xm)
+                        assert abs(fd - values[0]) <= mp.mpf(10) ** -30 * fd, (mu_text, x)
+            with mp.workdps(70):
+                assert abs(values[0] - values[1]) <= mp.mpf(10) ** -45 * values[1]
+            rows.append((x, values[1]))
+    return sorted(rows)
+
+
 def main():
     rows = {x: stable_values(x) for x in SMALL_X}
     for name, col in (("H", 0), ("HPRIME", 1), ("K", 2)):
@@ -86,6 +117,11 @@ def main():
                 continue
             print(f"    {x}: {mp.nstr(value, 40, min_fixed=1, max_fixed=0)},")
         print("}")
+    print("HPRIME_NEAR_A = {")
+    for mu_text in NEAR_A_MU:
+        for x, value in near_a_points(mu_text):
+            print(f"    ({mu_text}, {x!r}): {mp.nstr(value, 40, min_fixed=1, max_fixed=0)},")
+    print("}")
 
 
 if __name__ == "__main__":

@@ -130,6 +130,13 @@ class TestReservePdf:
         with pytest.raises(DomainError):
             reserve_pdf(c05, 0.0)
 
+    @pytest.mark.parametrize("mu, x", sorted(oracles.HPRIME_NEAR_A))
+    def test_near_removable_point_matches_oracles(self, mu, x):
+        c = solve_a(ModelParams(mu=mu))
+        assert reserve_pdf(c, x) == pytest.approx(
+            oracles.HPRIME_NEAR_A[(mu, x)], rel=5e-15, abs=0.0
+        )
+
     def test_matches_finite_differences(self, c05):
         eps = 1e-6
         x = np.linspace(0.02, 1.0 - eps, 400)
