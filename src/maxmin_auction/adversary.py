@@ -290,9 +290,8 @@ def minimize_revenue(
             f"multiplier bracket [0, {lam_hi}] does not enclose the constraint "
             f"target {target} (endpoint moments {m_lo}, {m_hi})"
         )
-    bisect_steps = 0
-    while bisect_steps < _BISECT_STEPS:
-        bisect_steps += 1
+    for bisect_steps in range(1, _BISECT_STEPS + 1):
+        # break where the update would leave the bracket as it is
         lam_mid = 0.5 * (lam_lo + lam_hi)
         if below_target(argmin(lam_mid, g)):
             if lam_mid == lam_lo:
