@@ -23,6 +23,7 @@ from .adversary import (
 from .constants import (
     ModelParams,
     SolvedConstants,
+    constants_from_a,
     reserve_cdf,
     reserve_cdf_integral,
     reserve_pdf,
@@ -57,6 +58,7 @@ from .mechanism import (
     outcome,
     sample_reserve,
     uniform_pairs,
+    winner_payment,
 )
 from .upper_bound import (
     DiscreteDirectMechanism,

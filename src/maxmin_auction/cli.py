@@ -7,7 +7,7 @@ printed with 12 significant digits, and repeated runs are byte-identical.
 Exit codes: 0 success; 1 a verification check failed; 2 invalid input or
 domain error; 3 an iterative routine failed to converge; 4 file I/O error.
 The environment variable ``MAXMIN_SEED`` supplies the seed when ``--seed``
-is absent.
+is absent; a seed must be an integer in [0, 2**128), or the exit code is 2.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,28 +50,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 EXIT_IO = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command, one of mu/delta, sizes, seed, paths."""
-
-    command: str
-    mu: float | None = None
-    delta: float | None = None
-    grid: int = 1000
-    grid_k: int = 500
-    grid_n: int = 50
-    n_samples: int = 1_000_000
-    seed: int = 0
-    out: str | None = None
-    prior: str | None = None
-    signal_csv: str | None = None
-    which: str = "reserve"
-    reserve: str = "optimal"
-    dump_mechanism: str | None = None
-    tol_root: float = 1e-12
-    tol_quad: float = 1e-9
 
 
 # --------------------------------------------------------------------- #
@@ -119,12 +96,10 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(dump_json(payload) + "\n")
 
 
-def _constants(config: RunConfig) -> SolvedConstants:
-    if config.mu is None:
+def _constants(args: argparse.Namespace) -> SolvedConstants:
+    if args.mu is None:
         raise DomainError("this command requires --mu")
-    return solve_a(
-        ModelParams(mu=config.mu, tol_root=config.tol_root, tol_quad=config.tol_quad)
-    )
+    return solve_a(ModelParams(mu=args.mu, tol_root=args.tol_root))
 
 
 # --------------------------------------------------------------------- #
@@ -132,8 +107,8 @@ def _constants(config: RunConfig) -> SolvedConstants:
 # --------------------------------------------------------------------- #
 
 
-def cmd_solve(config: RunConfig) -> int:
-    c = _constants(config)
+def cmd_solve(args: argparse.Namespace) -> int:
+    c = _constants(args)
     _emit(
         {
             "schema": SCHEMA_VERSION,
@@ -149,8 +124,8 @@ def cmd_solve(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_dominated(config: RunConfig) -> int:
-    c = _constants(config)
+def cmd_dominated(args: argparse.Namespace) -> int:
+    c = _constants(args)
     value = mech.dominated_equilibrium_revenue(c)
     _emit(
         {
@@ -165,28 +140,28 @@ def cmd_dominated(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    c = _constants(config)
-    if config.signal_csv is not None:
-        signal = read_cdf_csv(config.signal_csv)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    c = _constants(args)
+    if args.signal_csv is not None:
+        signal = read_cdf_csv(args.signal_csv)
     else:
         signal = PiecewiseCdf.signal(c)
-    report = mech.mc_revenue(c, signal, config.n_samples, config.seed)
+    report = mech.mc_revenue(c, signal, args.n_samples, args.seed)
     payload = {"schema": SCHEMA_VERSION, "command": "simulate"}
     payload.update(report.to_json_dict())
     _emit(payload)
     return EXIT_OK
 
 
-def cmd_second_moment(config: RunConfig) -> int:
-    if config.delta is None:
+def cmd_second_moment(args: argparse.Namespace) -> int:
+    if args.delta is None:
         raise DomainError("second-moment requires --delta")
-    sol = ext.second_moment_solution(ext.SecondMomentParams(delta=config.delta))
+    sol = ext.second_moment_solution(ext.SecondMomentParams(delta=args.delta))
     _emit(
         {
             "schema": SCHEMA_VERSION,
             "command": "second-moment",
-            "delta": config.delta,
+            "delta": args.delta,
             "a": sol.a,
             "guarantee": sol.guarantee,
             "reserve_kind": sol.reserve.kind,
@@ -196,12 +171,12 @@ def cmd_second_moment(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_mps_check(config: RunConfig) -> int:
-    if config.prior is None:
+def cmd_mps_check(args: argparse.Namespace) -> int:
+    if args.prior is None:
         raise DomainError("mps-check requires --prior CSV")
-    c = _constants(config)
-    prior = read_cdf_csv(config.prior)
-    report = ext.mps_check(prior, c, grid=config.grid)
+    c = _constants(args)
+    prior = read_cdf_csv(args.prior)
+    report = ext.mps_check(prior, c, grid=args.grid)
     _emit(
         {
             "schema": SCHEMA_VERSION,
@@ -217,42 +192,42 @@ def cmd_mps_check(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _reserve_distribution(config: RunConfig, c: SolvedConstants) -> PiecewiseCdf:
-    if config.reserve == "optimal":
+def _reserve_distribution(args: argparse.Namespace, c: SolvedConstants) -> PiecewiseCdf:
+    if args.reserve == "optimal":
         return PiecewiseCdf.reserve(c)
-    if config.reserve == "uniform":
+    if args.reserve == "uniform":
         return PiecewiseCdf.uniform()
-    if config.reserve == "zero-atom":
+    if args.reserve == "zero-atom":
         return adv.reserve_with_zero_atom(c)
-    if config.reserve == "linear-ramp":
+    if args.reserve == "linear-ramp":
         return adv.reserve_with_linear_ramp(c)
-    raise DomainError(f"unknown reserve choice: {config.reserve}")
+    raise DomainError(f"unknown reserve choice: {args.reserve}")
 
 
-def cmd_adversary(config: RunConfig) -> int:
-    if config.delta is not None:
+def cmd_adversary(args: argparse.Namespace) -> int:
+    if args.delta is not None:
         result = adv.minimize_revenue(
             PiecewiseCdf.uniform(),
             None,
-            config.grid_k,
+            args.grid_k,
             constraint="second-moment",
-            target=config.delta,
+            target=args.delta,
         )
         payload = {
             "schema": SCHEMA_VERSION,
             "command": "adversary",
-            "delta": config.delta,
+            "delta": args.delta,
             "constraint": "second-moment",
         }
     else:
-        c = _constants(config)
-        h_dist = _reserve_distribution(config, c)
-        result = adv.minimize_revenue(h_dist, ModelParams(mu=c.mu), config.grid_k)
+        c = _constants(args)
+        h_dist = _reserve_distribution(args, c)
+        result = adv.minimize_revenue(h_dist, ModelParams(mu=c.mu), args.grid_k)
         payload = {
             "schema": SCHEMA_VERSION,
             "command": "adversary",
             "mu": c.mu,
-            "reserve": config.reserve,
+            "reserve": args.reserve,
             "constraint": "mean",
             "revenue_guarantee": c.revenue_guarantee,
         }
@@ -262,28 +237,28 @@ def cmd_adversary(config: RunConfig) -> int:
             "lambda_hat": result.lambda_hat,
             "constraint_residual": result.constraint_residual,
             "projection_delta": result.projection_delta,
-            "grid_size": config.grid_k,
+            "grid_size": args.grid_k,
         }
     )
-    if config.out is not None:
-        write_cdf_csv(config.out, result.grid.x, result.grid.values)
+    if args.out is not None:
+        write_cdf_csv(args.out, result.grid.x, result.grid.values)
     _emit(payload)
     return EXIT_OK
 
 
-def cmd_upper_bound(config: RunConfig) -> int:
-    c = _constants(config)
-    optimum, mechanism = ub.lp_max_revenue(c, config.grid_n)
+def cmd_upper_bound(args: argparse.Namespace) -> int:
+    c = _constants(args)
+    optimum, mechanism = ub.lp_max_revenue(c, args.grid_n)
     bound = ub.analytic_bound(c)
-    if config.dump_mechanism is not None:
-        with open(config.dump_mechanism, "w") as fh:
+    if args.dump_mechanism is not None:
+        with open(args.dump_mechanism, "w") as fh:
             fh.write(dump_json(mechanism.to_json_dict()) + "\n")
     _emit(
         {
             "schema": SCHEMA_VERSION,
             "command": "upper-bound",
             "mu": c.mu,
-            "n": config.grid_n,
+            "n": args.grid_n,
             "lp_optimum": optimum,
             "analytic_bound": bound,
             "gap": optimum - bound,
@@ -292,33 +267,33 @@ def cmd_upper_bound(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_curves(config: RunConfig) -> int:
-    c = _constants(config)
-    if config.out is None:
+def cmd_curves(args: argparse.Namespace) -> int:
+    c = _constants(args)
+    if args.out is None:
         raise DomainError("curves requires --out PATH")
-    if config.which == "reserve":
-        x = np.linspace(0.0, 1.0, config.grid)
-        write_cdf_csv(config.out, x, reserve_cdf(c, x))
-    elif config.which == "signal":
-        x = np.linspace(0.0, 1.0, config.grid)
+    if args.which == "reserve":
+        x = np.linspace(0.0, 1.0, args.grid)
+        write_cdf_csv(args.out, x, reserve_cdf(c, x))
+    elif args.which == "signal":
+        x = np.linspace(0.0, 1.0, args.grid)
         masses = np.zeros_like(x)
         masses[-1] = c.a
-        write_cdf_csv(config.out, x, signal_cdf(c, x), masses)
-    elif config.which == "adversary":
+        write_cdf_csv(args.out, x, signal_cdf(c, x), masses)
+    elif args.which == "adversary":
         result = adv.minimize_revenue(
-            PiecewiseCdf.reserve(c), ModelParams(mu=c.mu), config.grid
+            PiecewiseCdf.reserve(c), ModelParams(mu=c.mu), args.grid
         )
-        write_cdf_csv(config.out, result.grid.x, result.grid.values)
+        write_cdf_csv(args.out, result.grid.x, result.grid.values)
     else:
-        raise DomainError(f"unknown curve: {config.which}")
+        raise DomainError(f"unknown curve: {args.which}")
     _emit(
         {
             "schema": SCHEMA_VERSION,
             "command": "curves",
-            "which": config.which,
+            "which": args.which,
             "mu": c.mu,
-            "rows": config.grid,
-            "out": config.out,
+            "rows": args.grid,
+            "out": args.out,
         }
     )
     return EXIT_OK
@@ -329,26 +304,30 @@ def cmd_curves(config: RunConfig) -> int:
 # --------------------------------------------------------------------- #
 
 
+# Absolute tolerance of the adaptive-Simpson leg of the payment oracle.
+_PAYMENT_ORACLE_TOL = 1e-9
+
+
 def _payment_identity_worst_gap(c: SolvedConstants, seed: int, n_pairs: int) -> float:
     """Closed-form winner payment vs. the expected-reserve-payment oracle."""
     pairs = uniform_pairs(seed, 0, n_pairs)
-    worst = 0.0
-    for s1, s2 in pairs:
-        hi, lo = (s1, s2) if s1 >= s2 else (s2, s1)
-        closed = hi * reserve_cdf(c, hi) - adaptive_simpson(
-            lambda t: reserve_cdf(c, t), lo, hi, c.tol_quad
+    hi = pairs.max(axis=1)
+    lo = pairs.min(axis=1)
+    closed = mech.winner_payment(c, hi, lo)
+    # E[max(lo, r) 1{r <= hi}] = lo H(lo) + integral of r H'(r) over [lo, hi]
+    tails = [
+        adaptive_simpson(
+            lambda t: t * reserve_pdf(c, t), bottom, top, _PAYMENT_ORACLE_TOL
         )
-        # E[max(lo, r) 1{r <= hi}] = lo H(lo) + integral of r H'(r) over [lo, hi]
-        oracle = lo * reserve_cdf(c, lo) + adaptive_simpson(
-            lambda t: t * reserve_pdf(c, t), lo, hi, c.tol_quad
-        )
-        worst = max(worst, abs(closed - oracle))
-    return worst
+        for top, bottom in zip(hi.tolist(), lo.tolist())
+    ]
+    oracle = lo * reserve_cdf(c, lo) + np.array(tails)
+    return float(np.max(np.abs(closed - oracle)))
 
 
-def run_verification(config: RunConfig) -> dict:
+def run_verification(args: argparse.Namespace) -> dict:
     """Execute every cross-check and return a JSON-ready report."""
-    c = _constants(config)
+    c = _constants(args)
     g_bar = PiecewiseCdf.signal(c)
     h_bar = PiecewiseCdf.reserve(c)
     checks: list[dict] = []
@@ -361,7 +340,7 @@ def run_verification(config: RunConfig) -> dict:
 
     xs = np.linspace(0.01, 1.0, 100)
     xs = xs[np.abs(xs - c.a) > 1e-9]
-    ode_worst = max(fn.check_ode(c, float(x)) for x in xs)
+    ode_worst = float(np.max(fn.check_ode(c, xs)))
     record("ode_residual", ode_worst <= 1e-8, value=ode_worst)
 
     eps = 1e-6
@@ -370,7 +349,7 @@ def run_verification(config: RunConfig) -> dict:
     fd_worst = float(np.max(np.abs(fd - reserve_pdf(c, interior))))
     record("density_vs_finite_difference", fd_worst <= 1e-6, value=fd_worst)
 
-    saddle = adv.verify_pointwise_saddle(c, config.grid_k)
+    saddle = adv.verify_pointwise_saddle(c, args.grid_k)
     record(
         "pointwise_saddle",
         saddle.max_deviation < 1e-6,
@@ -381,7 +360,7 @@ def run_verification(config: RunConfig) -> dict:
     quad_gap = abs(quad.value - c.revenue_guarantee)
     record("functional_vs_closed_form", quad_gap <= 1e-6, value=quad_gap)
 
-    report = mech.mc_revenue(c, g_bar, config.n_samples, config.seed)
+    report = mech.mc_revenue(c, g_bar, args.n_samples, args.seed)
     mc_gap = abs(report.value - quad.value)
     record(
         "mc_vs_quadrature",
@@ -390,7 +369,7 @@ def run_verification(config: RunConfig) -> dict:
         std_error=report.std_error,
     )
 
-    result = adv.minimize_revenue(h_bar, ModelParams(mu=c.mu), config.grid_k)
+    result = adv.minimize_revenue(h_bar, ModelParams(mu=c.mu), args.grid_k)
     adv_gap = abs(result.value - c.revenue_guarantee)
     # The window is empty once a > 0.96; window_points shows when the
     # sup-distance part of the check is vacuous.
@@ -412,10 +391,10 @@ def run_verification(config: RunConfig) -> dict:
         lambda_hat=result.lambda_hat,
     )
 
-    optimum, _ = ub.lp_max_revenue(c, config.grid_n)
+    optimum, _ = ub.lp_max_revenue(c, args.grid_n)
     bound = ub.analytic_bound(c)
     # discretization inflates the cap by O(1/n); 0.02 is the budget at n = 50
-    lp_tol = max(0.02, 1.2 / config.grid_n)
+    lp_tol = max(0.02, 1.2 / args.grid_n)
     record(
         "lp_upper_bound",
         abs(optimum - bound) <= lp_tol,
@@ -444,22 +423,22 @@ def run_verification(config: RunConfig) -> dict:
         revenue_guarantee=c.revenue_guarantee,
     )
 
-    pay_worst = _payment_identity_worst_gap(c, config.seed, 100)
+    pay_worst = _payment_identity_worst_gap(c, args.seed, 100)
     record("payment_identity", pay_worst <= 1e-6, value=pay_worst)
 
     return {
         "schema": SCHEMA_VERSION,
         "command": "verify",
         "mu": c.mu,
-        "seed": config.seed,
-        "n_samples": config.n_samples,
+        "seed": args.seed,
+        "n_samples": args.n_samples,
         "checks": checks,
         "all_passed": all(ch["passed"] for ch in checks),
     }
 
 
-def cmd_verify(config: RunConfig) -> int:
-    report = run_verification(config)
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = run_verification(args)
     _emit(report)
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED
 
@@ -481,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mu", type=float, help="mean of the signal distribution")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: MAXMIN_SEED)")
         p.add_argument("--tol-root", type=float, default=1e-12)
-        p.add_argument("--tol-quad", type=float, default=1e-9)
 
     p = sub.add_parser("solve", help="solve the reserve parameter and constants")
     add_common(p)
@@ -546,40 +524,24 @@ _HANDLERS = {
 }
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = int(os.environ.get("MAXMIN_SEED", "0"))
-    mu = getattr(args, "mu", None)
-    delta = getattr(args, "delta", None)
-    if mu is not None and delta is not None:
-        raise DomainError("give exactly one of --mu and --delta")
-    return RunConfig(
-        command=args.command,
-        mu=mu,
-        delta=delta,
-        grid=getattr(args, "grid", 1000),
-        grid_k=getattr(args, "grid_k", 500),
-        grid_n=getattr(args, "grid_n", 50),
-        n_samples=getattr(args, "n_samples", 1_000_000),
-        seed=seed,
-        out=getattr(args, "out", None),
-        prior=getattr(args, "prior", None),
-        signal_csv=getattr(args, "signal_csv", None),
-        which=getattr(args, "which", "reserve"),
-        reserve=getattr(args, "reserve", "optimal"),
-        dump_mechanism=getattr(args, "dump_mechanism", None),
-        tol_root=getattr(args, "tol_root", 1e-12),
-        tol_quad=getattr(args, "tol_quad", 1e-9),
-    )
+def _env_seed() -> int:
+    raw = os.environ.get("MAXMIN_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError(f"MAXMIN_SEED must be an integer, got {raw!r}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _HANDLERS[args.command](config)
+        if args.seed is None:
+            args.seed = _env_seed()
+        mu, delta = getattr(args, "mu", None), getattr(args, "delta", None)
+        if mu is not None and delta is not None:
+            raise DomainError("give exactly one of --mu and --delta")
+        return _HANDLERS[args.command](args)
     except (DomainError, MeanMismatchError, MonotonicityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -39,6 +39,7 @@ __all__ = [
     "ModelParams",
     "SolvedConstants",
     "solve_a",
+    "constants_from_a",
     "reserve_cdf",
     "reserve_pdf",
     "reserve_cdf_integral",
@@ -70,17 +71,16 @@ _K_SERIES_TERMS = 14
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model inputs: the signal mean and the numerical tolerances."""
+    """Model inputs: the signal mean and the root-solve tolerance."""
 
     mu: float
     tol_root: float = 1e-12
-    tol_quad: float = 1e-9
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mu < 1.0:
             raise DomainError(f"mu must lie in (0, 1), got {self.mu}")
-        if self.tol_root <= 0.0 or self.tol_quad <= 0.0:
-            raise DomainError("tolerances must be strictly positive")
+        if self.tol_root <= 0.0:
+            raise DomainError("tol_root must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,6 @@ class SolvedConstants:
     revenue_guarantee: float
     h_at_a: float
     tol_root: float = 1e-12
-    tol_quad: float = 1e-9
 
 
 def solve_a(params: ModelParams) -> SolvedConstants:
@@ -126,6 +125,15 @@ def solve_a(params: ModelParams) -> SolvedConstants:
             f"|a(1 - ln a) - mu| = {abs(residual(a)):.3e} > tol_root after "
             f"{_BISECT_BUDGET} bisections"
         )
+    return constants_from_a(mu, a, params.tol_root)
+
+
+def constants_from_a(mu: float, a: float, tol_root: float = 1e-12) -> SolvedConstants:
+    """The constants derived in closed form from the reserve parameter ``a``.
+
+    lambda = -2(1-a)/ln a, the guarantee 2a - a^2 and H(a) = -(1-a)/ln a;
+    ``mu`` is recorded as given.
+    """
     log_a = math.log(a)
     return SolvedConstants(
         mu=mu,
@@ -133,8 +141,7 @@ def solve_a(params: ModelParams) -> SolvedConstants:
         lam=-2.0 * (1.0 - a) / log_a,
         revenue_guarantee=2.0 * a - a * a,
         h_at_a=-(1.0 - a) / log_a,
-        tol_root=params.tol_root,
-        tol_quad=params.tol_quad,
+        tol_root=tol_root,
     )
 
 
@@ -267,9 +274,10 @@ def reserve_cdf_integral(c: SolvedConstants, x):
     K = O(x^2 ln x), so there K comes from the reflected dilogarithm form (a
     power series in x/a below x = a/16) of ``_scaled_integral_below_half_a``.
     Measured against mpmath, the relative error is at most about 1e-14 (set
-    by the ``spence`` terms) down to where K underflows; used for
-    vectorised payment evaluation.  The tests check it against the
-    adaptive Simpson rule and against 40-digit values.
+    by the ``spence`` terms) down to where K underflows.  It is the integral
+    in ``mechanism.winner_payment``, through which every winner payment
+    goes.  The tests check it against quadrature and against 40-digit
+    values.
     """
     arr, scalar = _as_array(x)
     _check_unit_interval(arr, "reserve point")

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import constants as cf
 from .errors import DomainError
-from .quadrature import adaptive_simpson
 
 __all__ = ["PiecewiseCdf", "read_cdf_csv", "write_cdf_csv"]
 
@@ -258,7 +257,11 @@ class PiecewiseCdf:
         return float(out) if scalar else out
 
     def integral_to(self, x):
-        """Exact integral of the CDF from 0 to ``x`` (scalar or array)."""
+        """Exact integral of the CDF from 0 to ``x`` (scalar or array).
+
+        A ``custom`` CDF needs its ``integral_fn``; without one this raises
+        DomainError.
+        """
         arr, scalar = _as_array(x)
         if self.kind == "reserve":
             out = cf.reserve_cdf_integral(self.constants, arr)
@@ -269,12 +272,9 @@ class PiecewiseCdf:
         elif self.kind == "uniform":
             out = 0.5 * arr * arr
         elif self.kind == "custom":
-            if self.integral_fn is not None:
-                out = np.asarray(self.integral_fn(arr), dtype=float)
-            else:
-                out = np.array(
-                    [adaptive_simpson(lambda t: float(self.cdf(t)), 0.0, float(t)) for t in np.atleast_1d(arr)]
-                ).reshape(arr.shape)
+            if self.integral_fn is None:
+                raise DomainError("this CDF has no integral available")
+            out = np.asarray(self.integral_fn(arr), dtype=float)
         else:
             out = self._grid_integral(arr)
         out = np.asarray(out, dtype=float)
@@ -306,7 +306,8 @@ class PiecewiseCdf:
         return 1.0 - float(self.integral_to(1.0))
 
     def second_moment(self) -> float:
-        """E[X^2] = 2 * integral of x(1 - F(x)), exact for grid/analytic kinds."""
+        """E[X^2] = 2 * integral of x(1 - F(x)), exact for the grid, uniform
+        and signal kinds; DomainError for ``reserve`` and ``custom``."""
         if self.kind == "grid":
             x = self.knots
             width, left, slope = self._grid_segments()
@@ -321,9 +322,7 @@ class PiecewiseCdf:
         if self.kind == "signal":
             a = self.constants.a
             return 2.0 * a - a * a
-        return 1.0 - 2.0 * adaptive_simpson(
-            lambda t: t * float(self.cdf(t)), 0.0, 1.0, 1e-10
-        )
+        raise DomainError(f"no second moment available for a {self.kind} CDF")
 
     def quantile(self, u):
         """Generalised inverse: least x with F(x) >= u; u = 0 maps to the

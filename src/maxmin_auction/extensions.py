@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import SolvedConstants
+from .constants import SolvedConstants, constants_from_a
 from .distributions import PiecewiseCdf
 from .errors import DomainError, MeanMismatchError
 
@@ -77,15 +77,7 @@ def second_moment_solution(p: SecondMomentParams) -> SecondMomentSolution:
     a = 1 - sqrt(1 - delta); the revenue guarantee is delta itself.
     """
     a = 1.0 - math.sqrt(1.0 - p.delta)
-    mu = a * (1.0 - math.log(a))
-    log_a = math.log(a)
-    c = SolvedConstants(
-        mu=mu,
-        a=a,
-        lam=-2.0 * (1.0 - a) / log_a,
-        revenue_guarantee=2.0 * a - a * a,
-        h_at_a=-(1.0 - a) / log_a,
-    )
+    c = constants_from_a(a * (1.0 - math.log(a)), a)
     return SecondMomentSolution(
         reserve=PiecewiseCdf.uniform(),
         signal=PiecewiseCdf.signal(c),

@@ -132,10 +132,17 @@ def lagrangian_integrand(g_val: float, x: float, c: SolvedConstants) -> float:
     )
 
 
-def check_ode(c: SolvedConstants, x: float) -> float:
-    """Residual |(x - a) H'(x) + (a/x) H(x) - lambda/2| of the reserve ODE."""
-    if not 0.0 < x <= 1.0:
+def check_ode(c: SolvedConstants, x):
+    """Residual |(x - a) H'(x) + (a/x) H(x) - lambda/2| of the reserve ODE.
+
+    Vectorised: a scalar ``x`` gives a float, an array an array.
+    """
+    arr = np.asarray(x, dtype=float)
+    if not ((arr > 0.0) & (arr <= 1.0)).all():
         raise DomainError(f"x must lie in (0, 1], got {x}")
-    return abs(
-        (x - c.a) * reserve_pdf(c, x) + (c.a / x) * reserve_cdf(c, x) - c.lam / 2.0
+    out = np.abs(
+        (arr - c.a) * reserve_pdf(c, arr)
+        + (c.a / arr) * reserve_cdf(c, arr)
+        - c.lam / 2.0
     )
+    return float(out) if arr.ndim == 0 else out

@@ -7,6 +7,12 @@ winning, which integrates to the closed form
 
     t_winner = s1 * H(s1) - integral of H over [s2, s1]      (s1 > s2).
 
+This is Myerson's payment formula for the allocation H.  ``winner_payment``
+evaluates it through the closed-form antiderivative K of H; single profiles,
+Monte Carlo totals, the dominated equilibrium and the discretised mechanism
+all take their payments from it.  Only ``verify`` recomputes the payment
+another way, by quadrature, to check it.
+
 Exact ties split both the allocation H(x) and the payment x*H(x) equally.
 The loser never pays, and the truthful report is evaluated throughout.
 """
@@ -25,12 +31,12 @@ from .constants import (
 )
 from .distributions import PiecewiseCdf
 from .errors import ConvergenceError, DomainError
-from .quadrature import adaptive_simpson
 
 __all__ = [
     "BidProfile",
     "Outcome",
     "RevenueReport",
+    "winner_payment",
     "outcome",
     "sample_reserve",
     "uniform_pairs",
@@ -81,11 +87,21 @@ class RevenueReport:
         }
 
 
+def winner_payment(c: SolvedConstants, s_hi, s_lo):
+    """Payment of a winner bidding ``s_hi`` against ``s_lo <= s_hi``.
+
+    s_hi H(s_hi) - (K(s_hi) - K(s_lo)), with K the closed-form antiderivative
+    of H.  Scalars or arrays; the arguments broadcast against each other.
+    """
+    return s_hi * reserve_cdf(c, s_hi) - (
+        reserve_cdf_integral(c, s_hi) - reserve_cdf_integral(c, s_lo)
+    )
+
+
 def outcome(c: SolvedConstants, bids: BidProfile) -> Outcome:
     """Allocation and payments at a reported bid profile.
 
-    The payment integral is evaluated by adaptive Simpson quadrature to
-    ``c.tol_quad``.
+    The winner pays ``winner_payment``; a tie splits H(x) and x H(x).
     """
     s1, s2 = bids.s1, bids.s2
     if not (0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0):
@@ -95,7 +111,7 @@ def outcome(c: SolvedConstants, bids: BidProfile) -> Outcome:
         return Outcome(q1=h / 2.0, q2=h / 2.0, t1=s1 * h / 2.0, t2=s1 * h / 2.0)
     hi, lo = (s1, s2) if s1 > s2 else (s2, s1)
     h = reserve_cdf(c, hi)
-    paid = hi * h - adaptive_simpson(lambda t: reserve_cdf(c, t), lo, hi, c.tol_quad)
+    paid = winner_payment(c, hi, lo)
     if s1 > s2:
         return Outcome(q1=h, q2=0.0, t1=paid, t2=0.0)
     return Outcome(q1=0.0, q2=h, t1=0.0, t2=paid)
@@ -128,8 +144,11 @@ def uniform_pairs(seed: int, start: int, count: int) -> np.ndarray:
 
     Philox emits four 64-bit words per counter value; the requested word
     range is mapped to its counter block and sliced, and each word becomes a
-    double via the standard (w >> 11) * 2**-53 mapping.
+    double via the standard (w >> 11) * 2**-53 mapping.  The seed must lie
+    in [0, 2**128), the Philox key range.
     """
+    if not 0 <= seed < 2**128:
+        raise DomainError(f"seed must lie in [0, 2**128), got {seed}")
     first_word = 2 * start
     block, offset = divmod(first_word, 4)
     n_words = 2 * count + offset
@@ -149,11 +168,9 @@ def mc_revenue(
 
     Signal pairs are drawn by inverse transform from the signal's quantile
     function.  The per-profile total payment uses the order statistics
-    directly -- t1 + t2 = s(1) H(s(1)) - integral of H over [s(2), s(1)] --
-    which agrees with ``outcome`` branch by branch, ties included.  The
-    integral uses the closed-form antiderivative of H, so the whole
-    evaluation is vectorised.  Output is bitwise reproducible from
-    ``(seed, n_samples)``.
+    directly -- t1 + t2 = ``winner_payment(s(1), s(2))`` -- which agrees with
+    ``outcome`` branch by branch, ties included, and is vectorised over the
+    whole sample.  Output is bitwise reproducible from ``(seed, n_samples)``.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be at least 1")
@@ -161,9 +178,7 @@ def mc_revenue(
     s = signal.quantile(u)
     s_hi = np.maximum(s[:, 0], s[:, 1])
     s_lo = np.minimum(s[:, 0], s[:, 1])
-    totals = s_hi * reserve_cdf(c, s_hi) - (
-        reserve_cdf_integral(c, s_hi) - reserve_cdf_integral(c, s_lo)
-    )
+    totals = winner_payment(c, s_hi, s_lo)
     value = float(np.mean(totals))
     if n_samples > 1:
         std_error = float(np.std(totals, ddof=1) / math.sqrt(n_samples))
@@ -190,5 +205,4 @@ def dominated_equilibrium_revenue(c: SolvedConstants, mu: float | None = None) -
     m = c.mu if mu is None else mu
     if not 0.0 < m < 1.0:
         raise DomainError(f"mean must lie in (0, 1), got {m}")
-    integral = adaptive_simpson(lambda t: reserve_cdf(c, t), 0.0, m, c.tol_quad)
-    return m * reserve_cdf(c, m) - integral
+    return winner_payment(c, m, 0.0)

@@ -1,10 +1,11 @@
 """Deterministic quadrature helpers.
 
-Two rules are used throughout the package:
+Two rules:
 
 * ``adaptive_simpson`` -- classic recursive Simpson with Richardson error
-  control, for scalar integrals of smooth functions (payment integrals,
-  mean-reserve checks).
+  control, for scalar integrals of smooth functions.  Its one caller is
+  ``verify``'s independent payment oracle, lo H(lo) + integral of t H'(t),
+  which checks the closed-form ``mechanism.winner_payment``.
 * ``composite_simpson`` -- a fixed-panel Simpson rule over an explicit edge
   grid, for functionals whose integrands have known kinks or one-sided
   limits.  Panel contributions are combined with ``math.fsum`` so the result

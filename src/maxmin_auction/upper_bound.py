@@ -27,13 +27,9 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .constants import (
-    SolvedConstants,
-    reserve_cdf,
-    reserve_cdf_integral,
-    signal_quantile,
-)
+from .constants import SolvedConstants, reserve_cdf, signal_quantile
 from .errors import ConvergenceError, DomainError, MonotonicityError
+from .mechanism import winner_payment
 
 __all__ = [
     "DiscreteDirectMechanism",
@@ -267,11 +263,11 @@ def discretize_truthful_mechanism(c: SolvedConstants, n: int) -> DiscreteDirectM
     s = signal_quantile(c, z)
     s1 = s[:, None]
     s2 = s[None, :]
-    h1 = reserve_cdf(c, s)[:, None]
-    h2 = reserve_cdf(c, s)[None, :]
-    k = reserve_cdf_integral(c, s)
-    pay_hi_1 = s1 * h1 - (k[:, None] - k[None, :])  # winner 1 pays this
-    pay_hi_2 = s2 * h2 - (k[None, :] - k[:, None])
+    h = reserve_cdf(c, s)
+    h1 = h[:, None]
+    h2 = h[None, :]
+    pay_hi_1 = winner_payment(c, s1, s2)  # winner 1 pays this
+    pay_hi_2 = pay_hi_1.T
     win1 = s1 > s2
     win2 = s2 > s1
     tie = ~win1 & ~win2

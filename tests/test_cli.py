@@ -124,6 +124,20 @@ class TestSimulate:
         )
         assert json.loads(out_env)["value"] == json.loads(out_explicit)["value"]
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_seed_out_of_range_exits_2(self, capsys, seed):
+        code = main(["simulate", "--mu", "0.5", "--samples", "10", "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: seed must lie in [0, 2**128), got {seed}\n"
+
+    def test_non_integer_env_seed_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("MAXMIN_SEED", "abc")
+        code = main(["simulate", "--mu", "0.5", "--samples", "10"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: MAXMIN_SEED must be an integer, got 'abc'\n"
+
     def test_signal_csv(self, capsys, tmp_path):
         path = tmp_path / "signal.csv"
         PiecewiseCdf.from_discrete([0.0, 1.0], [0.5, 0.5]).to_csv(path)

@@ -12,6 +12,7 @@ from maxmin_auction import (
     ConvergenceError,
     DomainError,
     ModelParams,
+    constants_from_a,
     reserve_cdf,
     reserve_cdf_integral,
     reserve_pdf,
@@ -45,6 +46,7 @@ class TestSolveA:
     @pytest.mark.parametrize("mu", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     def test_guarantee_is_definitional(self, mu):
         c = solve_a(ModelParams(mu=mu))
+        assert c == constants_from_a(mu, c.a)
         assert c.revenue_guarantee == 2.0 * c.a - c.a * c.a
         assert abs(c.a * (1.0 - math.log(c.a)) - mu) <= 1e-12
         assert 0.0 < c.a < 1.0
@@ -60,7 +62,7 @@ class TestSolveA:
         with pytest.raises(DomainError):
             ModelParams(mu=0.5, tol_root=0.0)
         with pytest.raises(DomainError):
-            ModelParams(mu=0.5, tol_quad=-1e-9)
+            ModelParams(mu=0.5, tol_root=-1e-9)
 
     def test_unreachable_tolerance_raises(self):
         # the float-converged residual at mu = 0.3 is ~6e-17, so an absurd

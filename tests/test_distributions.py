@@ -102,6 +102,25 @@ class TestMoments:
         h = PiecewiseCdf.reserve(c05)
         assert h.mean() == pytest.approx(oracles.MEAN_RESERVE_MU_05, abs=1e-13)
 
+    def test_custom_needs_integral_fn(self):
+        bare = PiecewiseCdf.custom(cdf_fn=lambda x: np.asarray(x))
+        with pytest.raises(DomainError):
+            bare.integral_to(0.5)
+        with pytest.raises(DomainError):
+            bare.mean()
+        with_integral = PiecewiseCdf.custom(
+            cdf_fn=lambda x: np.asarray(x), integral_fn=lambda x: 0.5 * np.asarray(x) ** 2
+        )
+        assert with_integral.mean() == 0.5
+
+    def test_second_moment_only_in_closed_form(self, c05):
+        for dist in (
+            PiecewiseCdf.reserve(c05),
+            PiecewiseCdf.custom(cdf_fn=lambda x: np.asarray(x)),
+        ):
+            with pytest.raises(DomainError):
+                dist.second_moment()
+
     def test_grid_integral_matches_quadrature(self):
         dist = PiecewiseCdf.from_grid(
             [0.0, 0.3, 0.7, 1.0], [0.0, 0.2, 0.55, 1.0], atoms=[(0.7, 0.15)]

@@ -161,6 +161,15 @@ class TestOde:
         xs = xs[np.abs(xs - c.a) > 1e-9]
         assert max(check_ode(c, float(x)) for x in xs) <= 1e-8
 
+    def test_array_matches_scalar_calls(self, c05):
+        xs = np.concatenate((np.linspace(0.01, 1.0, 100), [1e-300, c05.a / 3.0]))
+        residuals = check_ode(c05, xs)
+        assert residuals.shape == xs.shape
+        assert residuals.tolist() == [check_ode(c05, float(x)) for x in xs]
+
     def test_domain(self, c05):
         with pytest.raises(DomainError):
             check_ode(c05, 0.0)
+        for bad in ([0.5, 0.0], [0.5, 1.5], [0.5, float("nan")]):
+            with pytest.raises(DomainError):
+                check_ode(c05, np.array(bad))

@@ -20,6 +20,7 @@ from maxmin_auction import (
     sample_reserve,
     solve_a,
     uniform_pairs,
+    winner_payment,
 )
 
 import oracles
@@ -35,7 +36,7 @@ class TestOutcome:
         assert o.q1 == pytest.approx(1.0, abs=1e-12)
         assert o.q2 == o.t2 == 0.0
         # winner at 1 against 0 pays exactly the expected reserve
-        assert o.t1 == pytest.approx(oracles.MEAN_RESERVE_MU_05, abs=1e-8)
+        assert o.t1 == pytest.approx(oracles.MEAN_RESERVE_MU_05, rel=1e-14, abs=0.0)
 
     def test_tie_splits_everything(self, c05):
         for x in (0.3, 0.7, 1.0):
@@ -100,6 +101,23 @@ class TestOutcome:
         assert worst < 1e-6
 
 
+class TestWinnerPayment:
+    def test_broadcasts_like_scalar_calls(self, c05):
+        s = np.array([0.0, 1e-30, 0.1, c05.a, 0.5, 1.0])
+        table = winner_payment(c05, s[:, None], s[None, :])
+        assert table.shape == (s.size, s.size)
+        for j, hi in enumerate(s):
+            for k, lo in enumerate(s):
+                scalar = winner_payment(c05, float(hi), float(lo))
+                assert isinstance(scalar, float)
+                assert table[j, k] == scalar
+
+    def test_equal_bids_and_outcome(self, c05):
+        assert winner_payment(c05, 0.7, 0.7) == 0.7 * reserve_cdf(c05, 0.7)
+        o = outcome(c05, BidProfile(0.3, 0.8))
+        assert o.t2 == winner_payment(c05, 0.8, 0.3)
+
+
 class TestSampleReserve:
     def test_endpoints(self, c05):
         assert sample_reserve(c05, 0.0) == 0.0
@@ -133,6 +151,13 @@ class TestUniformPairs:
         assert a.shape == (1000, 2)
         assert np.all((a >= 0.0) & (a < 1.0))
         assert not np.array_equal(a, uniform_pairs(5, 0, 1000))
+
+    def test_seed_range(self):
+        # the Philox key holds 128 bits
+        assert uniform_pairs(2**128 - 1, 0, 3).shape == (3, 2)
+        for seed in (-1, 2**128):
+            with pytest.raises(DomainError):
+                uniform_pairs(seed, 0, 3)
 
 
 class TestMcRevenue:
@@ -185,7 +210,7 @@ class TestMcRevenue:
 class TestDominatedEquilibrium:
     def test_frozen_value(self, c05):
         v = dominated_equilibrium_revenue(c05)
-        assert v == pytest.approx(oracles.DOMINATED_MU_05, abs=1e-9)
+        assert v == pytest.approx(oracles.DOMINATED_MU_05, rel=1e-14, abs=0.0)
         assert v == pytest.approx(0.1223, abs=5e-4)
 
     @pytest.mark.parametrize("mu", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
