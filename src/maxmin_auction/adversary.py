@@ -82,9 +82,6 @@ class GridDistribution:
         dx = 1.0 / self.x.size
         return math.fsum(((1.0 - self.values) * dx).tolist())
 
-    def to_piecewise(self) -> PiecewiseCdf:
-        return PiecewiseCdf.from_grid(self.x, self.values)
-
 
 @dataclass(frozen=True)
 class AdversaryResult:

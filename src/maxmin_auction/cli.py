@@ -154,8 +154,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_second_moment(args: argparse.Namespace) -> int:
-    if args.delta is None:
-        raise DomainError("second-moment requires --delta")
     sol = ext.second_moment_solution(ext.SecondMomentParams(delta=args.delta))
     _emit(
         {
@@ -172,8 +170,6 @@ def cmd_second_moment(args: argparse.Namespace) -> int:
 
 
 def cmd_mps_check(args: argparse.Namespace) -> int:
-    if args.prior is None:
-        raise DomainError("mps-check requires --prior CSV")
     c = _constants(args)
     prior = read_cdf_csv(args.prior)
     report = ext.mps_check(prior, c, grid=args.grid)
@@ -199,9 +195,7 @@ def _reserve_distribution(args: argparse.Namespace, c: SolvedConstants) -> Piece
         return PiecewiseCdf.uniform()
     if args.reserve == "zero-atom":
         return adv.reserve_with_zero_atom(c)
-    if args.reserve == "linear-ramp":
-        return adv.reserve_with_linear_ramp(c)
-    raise DomainError(f"unknown reserve choice: {args.reserve}")
+    return adv.reserve_with_linear_ramp(c)  # "linear-ramp"
 
 
 def cmd_adversary(args: argparse.Namespace) -> int:
@@ -269,8 +263,6 @@ def cmd_upper_bound(args: argparse.Namespace) -> int:
 
 def cmd_curves(args: argparse.Namespace) -> int:
     c = _constants(args)
-    if args.out is None:
-        raise DomainError("curves requires --out PATH")
     if args.which == "reserve":
         x = np.linspace(0.0, 1.0, args.grid)
         write_cdf_csv(args.out, x, reserve_cdf(c, x))
@@ -279,13 +271,11 @@ def cmd_curves(args: argparse.Namespace) -> int:
         masses = np.zeros_like(x)
         masses[-1] = c.a
         write_cdf_csv(args.out, x, signal_cdf(c, x), masses)
-    elif args.which == "adversary":
+    else:  # "adversary"
         result = adv.minimize_revenue(
             PiecewiseCdf.reserve(c), ModelParams(mu=c.mu), args.grid
         )
         write_cdf_csv(args.out, result.grid.x, result.grid.values)
-    else:
-        raise DomainError(f"unknown curve: {args.which}")
     _emit(
         {
             "schema": SCHEMA_VERSION,

@@ -5,13 +5,22 @@ Types are re-indexed by quantile, so both bidders' types are uniform on
 capped at 1).  On a midpoint grid of n quantiles per bidder, the LP
 
     maximize   mean interim payment of both bidders
-    subject to truth-telling beats every misreport (all ordered type pairs),
+    subject to truth-telling beats reporting either neighbouring type,
+               the interim allocation is nondecreasing in the type,
                every type keeps a nonnegative surplus,
                allocations feasible cellwise (q1 + q2 <= 1, each in [0, 1])
 
 bounds what any mechanism can earn against the worst-case signal
-distribution.  The analytic cap is 2a(1-a) + a^2 = 2a - a^2: full allocation
-to types above quantile 1 - a earns at most that, and the truthful auction
+distribution.  Adjacent IC with monotone allocation is Myerson's (1981)
+characterisation for single-dimensional types: it implies truth-telling
+against every misreport with O(n) rows instead of 2n(n-1).  The monotone
+rows are needed explicitly because every quantile above 1 - a has type
+value 1, and adjacent IC between tied types leaves their allocations
+unordered.  The LP is solved in units of the top grid type, since payments
+at small mu would otherwise fall below the solver's absolute tolerances.
+
+The analytic cap is 2a(1-a) + a^2 = 2a - a^2: full allocation to types
+above quantile 1 - a earns at most that, and the truthful auction
 discretized to the same grid attains it up to discretization error.
 
 The midpoint grid keeps the kink of s(z) at 1 - a off the nodes.  Symmetry
@@ -96,94 +105,70 @@ def _quantile_grid(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
-def lp_max_revenue(
-    c: SolvedConstants, n: int, *, bic: str = "all-pairs"
-) -> tuple[float, DiscreteDirectMechanism]:
+def lp_max_revenue(c: SolvedConstants, n: int) -> tuple[float, DiscreteDirectMechanism]:
     """Solve the discretized revenue-maximization LP; returns (optimum, mechanism).
 
-    ``bic`` selects the misreport set: ``"all-pairs"`` (default) or
-    ``"adjacent"`` (only neighbouring types), whose optimum can only be
-    larger.  Variables are the cellwise allocations plus interim allocations
-    and payments; ex-post payments in the returned mechanism are constant in
-    the opponent's type.
+    Variables are the cellwise allocations q1, q2 plus the interim
+    allocations Q1, Q2 and payments T1, T2.  Each bidder's (Q, T) obeys
+    downward and upward adjacent IC, monotone Q and BIR: 4n - 3 rows, so
+    the LP has n^2 + 8n - 6 inequality and 2n equality rows.  The monotone
+    rows are explicit because every quantile above 1 - a has type value 1,
+    and between tied neighbours adjacent IC does not force Q upward;
+    with them, adjacent IC chains to every misreport pair.
+
+    The LP is homogeneous of degree one in the type values, so it is solved
+    with ``s / s.max()`` and the optimum and payments are scaled back.  This
+    keeps small-mu payments above the solver's absolute tolerances; the
+    scale is 1 whenever a >= 1/(2n).  ``types`` stays the true ``s``, and
+    ex-post payments in the returned mechanism are constant in the
+    opponent's type.
     """
     if n < 10:
         raise DomainError(f"quantile grid needs at least 10 points, got {n}")
-    if bic not in ("all-pairs", "adjacent"):
-        raise DomainError(f"unknown BIC constraint set: {bic}")
     z = _quantile_grid(n)
     s = signal_quantile(c, z)
+    sigma = float(s.max())
 
     n2 = n * n
     # variable layout: q1 (n^2) | q2 (n^2) | Q1 (n) | Q2 (n) | T1 (n) | T2 (n)
-    off_q2 = n2
-    off_cap_q1 = 2 * n2
-    off_cap_q2 = 2 * n2 + n
-    off_t1 = 2 * n2 + 2 * n
-    off_t2 = 2 * n2 + 3 * n
-    n_var = 2 * n2 + 4 * n
-
-    cost = np.zeros(n_var)
-    cost[off_t1 : off_t2 + n] = -1.0 / n  # maximize mean payments
+    cost = np.zeros(2 * n2 + 4 * n)
+    cost[2 * n2 + 2 * n :] = -1.0 / n  # maximize mean payments
 
     # interim definitions: Q_i(own) - mean over opponent of q_i = 0
-    eq_rows, eq_cols, eq_vals = [], [], []
-    row = 0
-    for j in range(n):
-        eq_rows.append(row)
-        eq_cols.append(off_cap_q1 + j)
-        eq_vals.append(1.0)
-        for k in range(n):
-            eq_rows.append(row)
-            eq_cols.append(j * n + k)
-            eq_vals.append(-1.0 / n)
-        row += 1
-    for k in range(n):
-        eq_rows.append(row)
-        eq_cols.append(off_cap_q2 + k)
-        eq_vals.append(1.0)
-        for j in range(n):
-            eq_rows.append(row)
-            eq_cols.append(off_q2 + j * n + k)
-            eq_vals.append(-1.0 / n)
-        row += 1
-    a_eq = sparse.csr_matrix(
-        (eq_vals, (eq_rows, eq_cols)), shape=(row, n_var)
+    mean_row = np.full((1, n), 1.0 / n)
+    eye = sparse.eye(n)
+    a_eq = sparse.hstack(
+        [
+            -sparse.block_diag([sparse.kron(eye, mean_row), sparse.kron(mean_row, eye)]),
+            sparse.eye(2 * n),
+            sparse.csr_matrix((2 * n, 2 * n)),
+        ],
+        format="csr",
     )
-    b_eq = np.zeros(row)
+    b_eq = np.zeros(2 * n)
 
-    ub_rows, ub_cols, ub_vals = [], [], []
-    row = 0
-    # feasibility: q1 + q2 <= 1 cellwise
-    for cell in range(n2):
-        ub_rows.extend((row, row))
-        ub_cols.extend((cell, off_q2 + cell))
-        ub_vals.extend((1.0, 1.0))
-        row += 1
+    # One bidder's rows on (Q, T), all <= 0: downward adjacent IC (type j+1
+    # does not report j), upward adjacent IC (type j does not report j+1),
+    # monotone Q, then BIR.
+    u = s / sigma
+    d = sparse.diags([-1.0, 1.0], [0, 1], shape=(n - 1, n))  # x[j+1] - x[j]
+    rows_q = sparse.vstack(
+        [-sparse.diags(u[1:]) @ d, sparse.diags(u[:-1]) @ d, -d, -sparse.diags(u)]
+    )
+    rows_t = sparse.vstack([d, -d, sparse.csr_matrix((n - 1, n)), sparse.eye(n)])
 
-    def misreports(j: int):
-        if bic == "all-pairs":
-            return (m for m in range(n) if m != j)
-        return (m for m in (j - 1, j + 1) if 0 <= m < n)
-
-    # BIC: s_j Q_i(m) - T_i(m) - s_j Q_i(j) + T_i(j) <= 0
-    for off_q, off_t in ((off_cap_q1, off_t1), (off_cap_q2, off_t2)):
-        for j in range(n):
-            for m in misreports(j):
-                ub_rows.extend((row, row, row, row))
-                ub_cols.extend((off_q + m, off_t + m, off_q + j, off_t + j))
-                ub_vals.extend((s[j], -1.0, -s[j], 1.0))
-                row += 1
-    # BIR: T_i(j) - s_j Q_i(j) <= 0
-    for off_q, off_t in ((off_cap_q1, off_t1), (off_cap_q2, off_t2)):
-        for j in range(n):
-            ub_rows.extend((row, row))
-            ub_cols.extend((off_t + j, off_q + j))
-            ub_vals.extend((1.0, -s[j]))
-            row += 1
-    a_ub = sparse.csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(row, n_var))
-    b_ub = np.zeros(row)
-    b_ub[:n2] = 1.0  # cellwise allocation capacity
+    # cellwise q1 + q2 <= 1, then both bidders' interim rows
+    pair = sparse.eye(2)
+    cells = sparse.eye(n2)
+    a_ub = sparse.bmat(
+        [
+            [cells, cells, None, None],
+            [None, None, sparse.kron(pair, rows_q), sparse.kron(pair, rows_t)],
+        ],
+        format="csr",
+    )
+    b_ub = np.zeros(a_ub.shape[0])
+    b_ub[:n2] = 1.0
 
     bounds = [(0.0, 1.0)] * (2 * n2 + 2 * n) + [(None, None)] * (2 * n)
     # The saddle leaves the objective flat over a large optimal face; the
@@ -200,12 +185,11 @@ def lp_max_revenue(
     )
     if not res.success:
         raise ConvergenceError(f"LP solver failed: {res.message}")
-    optimum = -float(res.fun)
+    optimum = -float(res.fun) * sigma
 
     q1 = res.x[:n2].reshape(n, n)
-    q2 = res.x[off_q2 : off_q2 + n2].reshape(n, n)
-    t1_interim = res.x[off_t1 : off_t1 + n]
-    t2_interim = res.x[off_t2 : off_t2 + n]
+    q2 = res.x[n2 : 2 * n2].reshape(n, n)
+    t1_interim, t2_interim = res.x[2 * n2 + 2 * n :].reshape(2, n) * sigma
     mech = DiscreteDirectMechanism(
         z=z,
         types=s,

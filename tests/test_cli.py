@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from maxmin_auction import PiecewiseCdf
+from maxmin_auction import DiscreteDirectMechanism, PiecewiseCdf, bic_bir_violations
 from maxmin_auction.cli import dump_json, main
 
 
@@ -198,6 +198,14 @@ class TestUpperBoundCommand:
         assert abs(payload["gap"]) <= 0.03
         mech = json.loads(dump.read_text())
         assert len(mech["q1"]) == 25
+        # the dump is a certificate: feasible for every misreport pair, and it
+        # earns the reported optimum
+        rebuilt = DiscreteDirectMechanism(**{k: np.array(v) for k, v in mech.items()})
+        viol = bic_bir_violations(rebuilt)
+        assert max(viol.values()) <= 1e-9
+        assert rebuilt.expected_revenue() == pytest.approx(
+            payload["lp_optimum"], rel=0.0, abs=1e-9
+        )
 
 
 class TestMpsCheckCommand:

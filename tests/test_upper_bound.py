@@ -52,10 +52,64 @@ class TestLp:
         # and stays within O(1/n) of it (the saddle attains the cap)
         assert opt - truthful.expected_revenue() <= 2.0 / 25
 
-    def test_fewer_constraints_weakly_raise_optimum(self, c05):
-        all_pairs, _ = lp_max_revenue(c05, 20)
-        adjacent, _ = lp_max_revenue(c05, 20, bic="adjacent")
-        assert adjacent >= all_pairs - 1e-7
+    # Optima of the LP with every ordered misreport pair as a BIC row; the
+    # adjacent-plus-monotone rows must leave them unchanged.
+    @pytest.mark.parametrize(
+        ("mu", "n", "optimum"),
+        [
+            (0.5, 10, 0.39602815593150664),
+            (0.5, 25, 0.36569934742615184),
+            (0.5, 50, 0.35434246351405924),
+            (0.3, 25, 0.19801500764789326),
+            (0.95, 50, 0.9162594296574444),
+        ],
+    )
+    def test_matches_all_pairs_optimum(self, mu, n, optimum):
+        opt, mech = lp_max_revenue(solve_a(ModelParams(mu=mu)), n)
+        assert opt == pytest.approx(optimum, rel=1e-12, abs=0.0)
+        viol = bic_bir_violations(mech)
+        assert viol["max_bic_gain"] <= 1e-12
+        assert viol["max_bir_violation"] <= 1e-12
+        assert viol["max_feasibility_excess"] <= 1e-12
+        # the monotone rows order Q even among the tied top types (value 1)
+        Q1, Q2, _, _ = mech.interim()
+        assert np.diff(Q1).min() >= -1e-12
+        assert np.diff(Q2).min() >= -1e-12
+
+    def test_constraint_rows(self, c05, monkeypatch):
+        import maxmin_auction.upper_bound as ub
+
+        seen = {}
+        real = ub.linprog
+
+        def spy(*args, **kwargs):
+            seen["ub"] = kwargs["A_ub"].shape[0]
+            seen["eq"] = kwargs["A_eq"].shape[0]
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ub, "linprog", spy)
+        lp_max_revenue(c05, 12)
+        assert seen == {"ub": 12 * 12 + 8 * 12 - 6, "eq": 2 * 12}
+
+    # At small mu the top type value s.max() is far below 1, and the payments
+    # would sit under the solver's absolute tolerances without rescaling.
+    @pytest.mark.parametrize(
+        ("mu", "optimum"),
+        [(1e-6, 2.2387527110652e-07), (1e-9, 1.5878280714788e-10)],
+    )
+    def test_small_mu_solved_in_top_type_units(self, mu, optimum):
+        c = solve_a(ModelParams(mu=mu))
+        opt, mech = lp_max_revenue(c, 50)
+        assert opt == pytest.approx(optimum, rel=1e-9, abs=0.0)
+        # types stay the true type values; only the solve is rescaled
+        np.testing.assert_array_equal(mech.types, signal_quantile(c, mech.z))
+        sigma = mech.types.max()
+        assert sigma < 1.0
+        assert mech.expected_revenue() == pytest.approx(opt, rel=1e-9, abs=0.0)
+        viol = bic_bir_violations(mech)
+        assert viol["max_bic_gain"] <= 1e-9 * sigma
+        assert viol["max_bir_violation"] <= 1e-9 * sigma
+        assert viol["max_feasibility_excess"] <= 1e-9
 
     def test_zero_mechanism_feasible_baseline(self, c05):
         mech = discretize_truthful_mechanism(c05, 15)
@@ -77,10 +131,6 @@ class TestLp:
     def test_grid_floor(self, c05):
         with pytest.raises(DomainError):
             lp_max_revenue(c05, 5)
-
-    def test_unknown_bic_set(self, c05):
-        with pytest.raises(DomainError):
-            lp_max_revenue(c05, 20, bic="upward")
 
     def test_mechanism_json_dict(self, c05):
         _, mech = lp_max_revenue(c05, 12)
