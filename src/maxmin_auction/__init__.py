@@ -56,7 +56,6 @@ from .mechanism import (
     dominated_equilibrium_revenue,
     mc_revenue,
     outcome,
-    sample_reserve,
     uniform_pairs,
     winner_payment,
 )
@@ -65,7 +64,6 @@ from .upper_bound import (
     analytic_bound,
     bic_bir_violations,
     discretize_truthful_mechanism,
-    envelope_payments,
     lp_max_revenue,
     truthful_interim_allocation,
 )

@@ -27,9 +27,12 @@ Three things keep it cheap without changing a bit of its output:
 * the convexity split and the multiplier-free factors of the pointwise
   argmin are computed once per solve, not once per step.
 
-A pool-adjacent-violators pass enforces monotonicity afterwards (a no-op at
-the solved reserve, where the pointwise minimizer is already a CDF; input
-that is already nondecreasing is returned as a copy without the loop).
+A pool-adjacent-violators pass, scipy's ``isotonic_regression``, enforces
+monotonicity afterwards.  It is a no-op at the solved reserve, where the
+pointwise minimizer is already a CDF, and input that is already
+nondecreasing is returned as a copy without calling scipy: on monotone input
+with ties the library pools the tied values and can move their last bit,
+which would change a certificate that is already a CDF.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 from .constants import (
     ModelParams,
@@ -49,6 +53,7 @@ from .constants import (
 )
 from .distributions import PiecewiseCdf
 from .errors import ConvergenceError, DegenerateError, DomainError
+from .functional import _h_atom_check
 
 __all__ = [
     "GridDistribution",
@@ -76,11 +81,6 @@ class GridDistribution:
 
     x: np.ndarray
     values: np.ndarray
-
-    def mean(self) -> float:
-        """Grid form of the mean constraint: sum of (1 - G_k) * dx."""
-        dx = 1.0 / self.x.size
-        return math.fsum(((1.0 - self.values) * dx).tolist())
 
 
 @dataclass(frozen=True)
@@ -130,31 +130,15 @@ class P1P2Report:
 
 
 def pav_nondecreasing(y: np.ndarray) -> np.ndarray:
-    """Pool-adjacent-violators projection onto nondecreasing sequences (L2).
+    """L2 projection onto nondecreasing sequences (pool adjacent violators).
 
-    Violating neighbours are merged into blocks carrying their running mean;
-    merging cascades backwards until the block means are sorted.  Input that
-    is already nondecreasing comes back as a float copy at once.
+    Input that is already nondecreasing comes back as a float copy at once;
+    anything else goes to ``scipy.optimize.isotonic_regression``.
     """
     arr = y.astype(float)
     if not (arr[1:] < arr[:-1]).any():
         return arr
-    means: list[float] = []
-    counts: list[int] = []
-    for v in arr:
-        means.append(v)
-        counts.append(1)
-        while len(means) > 1 and means[-2] > means[-1]:
-            m2, c2 = means.pop(), counts.pop()
-            m1, c1 = means.pop(), counts.pop()
-            means.append((m1 * c1 + m2 * c2) / (c1 + c2))
-            counts.append(c1 + c2)
-    out = np.empty(y.size)
-    pos = 0
-    for m, c in zip(means, counts):
-        out[pos : pos + c] = m
-        pos += c
-    return out
+    return isotonic_regression(arr).x
 
 
 def _grid_objective(
@@ -228,9 +212,7 @@ def minimize_revenue(
         raise DomainError("second-moment constraint requires an explicit target")
     if not 0.0 < target < 1.0:
         raise DomainError(f"constraint target must lie in (0, 1), got {target}")
-    for loc, mass in h_dist.atoms:
-        if loc > 0.0 and mass > 0.0:
-            raise DomainError("reserve distribution may not carry atoms in (0, 1]")
+    _h_atom_check(h_dist)
 
     dx = 1.0 / K
     x = (np.arange(K) + 0.5) * dx
@@ -358,7 +340,7 @@ def verify_pointwise_saddle(c: SolvedConstants, K: int = 500) -> SaddleReport:
     h = reserve_cdf(c, x)
     xhp = x * reserve_pdf(c, x)
     coef = h - xhp
-    argmin = np.clip((2.0 * h - c.lam) / (2.0 * coef), 0.0, 1.0)
+    argmin = _pointwise_argmin(h, coef, 1.0)(c.lam, np.empty_like(x))
     target = signal_cdf(c, x)
     dev = np.abs(argmin - target)
     worst = int(np.argmax(dev))

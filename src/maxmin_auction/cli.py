@@ -6,8 +6,10 @@ printed with 12 significant digits, and repeated runs are byte-identical.
 
 Exit codes: 0 success; 1 a verification check failed; 2 invalid input or
 domain error; 3 an iterative routine failed to converge; 4 file I/O error.
-The environment variable ``MAXMIN_SEED`` supplies the seed when ``--seed``
-is absent; a seed must be an integer in [0, 2**128), or the exit code is 2.
+Only ``verify`` and ``simulate`` draw random numbers, so only they take
+``--seed``; for them the environment variable ``MAXMIN_SEED`` supplies the
+seed when ``--seed`` is absent.  A seed must be an integer in [0, 2**128), or
+the exit code is 2.  The other commands never read ``MAXMIN_SEED``.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def _emit(payload: dict) -> None:
 def _constants(args: argparse.Namespace) -> SolvedConstants:
     if args.mu is None:
         raise DomainError("this command requires --mu")
-    return solve_a(ModelParams(mu=args.mu, tol_root=args.tol_root))
+    return solve_a(ModelParams(mu=args.mu))
 
 
 # --------------------------------------------------------------------- #
@@ -444,35 +446,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerics for the worst-case-optimal auction with a random reserve.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    mu_arg = argparse.ArgumentParser(add_help=False)
+    mu_arg.add_argument("--mu", type=float, help="mean of the signal distribution")
+    seed_arg = argparse.ArgumentParser(add_help=False)
+    seed_arg.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: MAXMIN_SEED)")
 
-    def add_common(p: argparse.ArgumentParser, mu: bool = True) -> None:
-        if mu:
-            p.add_argument("--mu", type=float, help="mean of the signal distribution")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: MAXMIN_SEED)")
-        p.add_argument("--tol-root", type=float, default=1e-12)
+    sub.add_parser("solve", parents=[mu_arg], help="solve the reserve parameter and constants")
 
-    p = sub.add_parser("solve", help="solve the reserve parameter and constants")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="run the full invariant suite")
-    add_common(p)
+    p = sub.add_parser("verify", parents=[mu_arg, seed_arg], help="run the full invariant suite")
     p.add_argument("--samples", type=int, default=100_000, dest="n_samples")
     p.add_argument("--grid-k", type=int, default=500)
     p.add_argument("--grid-n", type=int, default=50)
 
-    p = sub.add_parser("curves", help="emit CDF curves as CSV")
-    add_common(p)
+    p = sub.add_parser("curves", parents=[mu_arg], help="emit CDF curves as CSV")
     p.add_argument("--grid", type=int, default=1000)
     p.add_argument("--which", choices=("reserve", "signal", "adversary"), default="reserve")
     p.add_argument("--out", type=str, required=True)
 
-    p = sub.add_parser("simulate", help="Monte Carlo revenue under a signal CDF")
-    add_common(p)
+    p = sub.add_parser(
+        "simulate", parents=[mu_arg, seed_arg], help="Monte Carlo revenue under a signal CDF"
+    )
     p.add_argument("--samples", type=int, default=1_000_000, dest="n_samples")
     p.add_argument("--signal-csv", type=str, default=None)
 
-    p = sub.add_parser("adversary", help="minimize revenue over signal CDFs")
-    add_common(p)
+    p = sub.add_parser("adversary", parents=[mu_arg], help="minimize revenue over signal CDFs")
     p.add_argument("--delta", type=float, default=None, help="known second moment (uniform reserve)")
     p.add_argument("--grid-k", type=int, default=500)
     p.add_argument(
@@ -482,22 +479,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", type=str, default=None, help="write the minimizer CSV here")
 
-    p = sub.add_parser("upper-bound", help="LP revenue cap on the quantile grid")
-    add_common(p)
+    p = sub.add_parser("upper-bound", parents=[mu_arg], help="LP revenue cap on the quantile grid")
     p.add_argument("--grid-n", type=int, default=50)
     p.add_argument("--dump-mechanism", type=str, default=None)
 
-    p = sub.add_parser("mps-check", help="mean-preserving-spread admissibility of a prior")
-    add_common(p)
+    p = sub.add_parser(
+        "mps-check", parents=[mu_arg], help="mean-preserving-spread admissibility of a prior"
+    )
     p.add_argument("--prior", type=str, required=True)
     p.add_argument("--grid", type=int, default=4001)
 
     p = sub.add_parser("second-moment", help="saddle point under a known second moment")
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("dominated", help="revenue of the dominated no-signal equilibrium")
-    add_common(p)
+    sub.add_parser(
+        "dominated", parents=[mu_arg], help="revenue of the dominated no-signal equilibrium"
+    )
     return parser
 
 
@@ -526,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed is None:
+        if "seed" in args and args.seed is None:
             args.seed = _env_seed()
         mu, delta = getattr(args, "mu", None), getattr(args, "delta", None)
         if mu is not None and delta is not None:

@@ -330,15 +330,14 @@ class PiecewiseCdf:
         arr, scalar = _as_array(u)
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise DomainError("quantile level must lie in [0, 1]")
-        arr_eff = np.maximum(arr, 1e-300)
         if self.kind == "signal":
             out = cf.signal_quantile(self.constants, arr)
         elif self.kind == "uniform":
             out = arr.copy()
         elif self.kind == "grid":
-            out = self._grid_quantile(arr_eff)
+            out = self._grid_quantile(np.maximum(arr, 1e-300))
         else:
-            out = self._bisect_quantile(arr_eff)
+            out = self._bisect_quantile(arr)
         out = np.asarray(out, dtype=float)
         return float(out) if scalar else out
 
@@ -357,6 +356,8 @@ class PiecewiseCdf:
         return out
 
     def _bisect_quantile(self, u: np.ndarray) -> np.ndarray:
+        """Bisection that keeps F(hi) >= u and returns hi, so the result
+        never undershoots; 0 wherever F(0) >= u."""
         lo = np.zeros_like(u)
         hi = np.ones_like(u)
         for _ in range(80):
@@ -364,7 +365,7 @@ class PiecewiseCdf:
             below = np.asarray(self.cdf(mid)) < u
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        return np.where(self.cdf(0.0) >= u, 0.0, hi)
 
     # ------------------------------------------------------------------ #
     # CSV round trip (grid kind)

@@ -30,7 +30,7 @@ from .constants import (
     reserve_cdf_integral,
 )
 from .distributions import PiecewiseCdf
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 __all__ = [
     "BidProfile",
@@ -38,7 +38,6 @@ __all__ = [
     "RevenueReport",
     "winner_payment",
     "outcome",
-    "sample_reserve",
     "uniform_pairs",
     "mc_revenue",
     "dominated_equilibrium_revenue",
@@ -115,26 +114,6 @@ def outcome(c: SolvedConstants, bids: BidProfile) -> Outcome:
     if s1 > s2:
         return Outcome(q1=h, q2=0.0, t1=paid, t2=0.0)
     return Outcome(q1=0.0, q2=h, t1=0.0, t2=paid)
-
-
-def sample_reserve(c: SolvedConstants, u: float) -> float:
-    """Inverse-CDF draw of the reserve: the x with H(x) = u, by bisection."""
-    if not 0.0 <= u <= 1.0:
-        raise DomainError(f"uniform draw must lie in [0, 1], got {u}")
-    if u == 0.0:
-        return 0.0
-    if u == 1.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if reserve_cdf(c, mid) < u:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= c.tol_root:
-            return 0.5 * (lo + hi)
-    raise ConvergenceError(f"reserve inversion did not reach tol_root for u={u}")
 
 
 def uniform_pairs(seed: int, start: int, count: int) -> np.ndarray:

@@ -37,14 +37,13 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .constants import SolvedConstants, reserve_cdf, signal_quantile
-from .errors import ConvergenceError, DomainError, MonotonicityError
+from .errors import ConvergenceError, DomainError
 from .mechanism import winner_payment
 
 __all__ = [
     "DiscreteDirectMechanism",
     "lp_max_revenue",
     "analytic_bound",
-    "envelope_payments",
     "discretize_truthful_mechanism",
     "truthful_interim_allocation",
     "bic_bir_violations",
@@ -199,32 +198,6 @@ def lp_max_revenue(c: SolvedConstants, n: int) -> tuple[float, DiscreteDirectMec
         t2=np.tile(t2_interim[None, :], (n, 1)),
     )
     return optimum, mech
-
-
-def envelope_payments(Q: np.ndarray, c: SolvedConstants) -> np.ndarray:
-    """Interim payments that implement a nondecreasing interim allocation.
-
-    ``Q`` holds allocations at the quantile midpoints and is treated as
-    piecewise constant on the panels.  Surplus integrates the type-value
-    derivative against Q with zero surplus at the bottom; payments are then
-    T(z) = s(z) Q(z) - U(z).  Satisfies the discrete truth-telling
-    constraints up to O(1/n).
-    """
-    Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 1 or Q.size < 2:
-        raise DomainError("Q must be a 1-d array with at least 2 entries")
-    if np.any(np.diff(Q) < -1e-12):
-        raise MonotonicityError("interim allocation must be nondecreasing")
-    n = Q.size
-    z_mid = _quantile_grid(n)
-    z_edge = np.arange(n + 1) / n
-    s_mid = signal_quantile(c, z_mid)
-    s_edge = signal_quantile(c, z_edge)
-    # U at a midpoint: full panels below, plus the half panel it sits in.
-    panel_increments = Q * np.diff(s_edge)
-    below = np.concatenate(([0.0], np.cumsum(panel_increments)[:-1]))
-    U = below + Q * (s_mid - s_edge[:-1])
-    return s_mid * Q - U
 
 
 def truthful_interim_allocation(c: SolvedConstants, z: np.ndarray) -> np.ndarray:

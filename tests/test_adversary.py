@@ -1,8 +1,12 @@
 """Constrained revenue minimization over signal CDFs."""
 
+import math
+
 import adversary_reference as reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxmin_auction import (
     DegenerateError,
@@ -70,7 +74,7 @@ class TestSolvedReserve:
         g = res.grid.values
         assert np.all(np.diff(g) >= 0.0)
         assert np.all((g >= 0.0) & (g <= 1.0))
-        assert abs(res.grid.mean() - 0.5) <= 1e-9
+        assert abs(np.mean(1.0 - g) - 0.5) <= 1e-9
 
 
 class TestMatchesFixedStepReference:
@@ -198,6 +202,24 @@ class TestValidation:
             )
 
 
+def assert_l2_projection(y, out):
+    """The conditions that characterise the L2 projection of ``y`` onto
+    nondecreasing sequences: ``out`` is nondecreasing, each block of equal
+    outputs equals the mean of its inputs, and no block could be split, i.e.
+    every leading partial sum of ``y - out`` inside a block is nonnegative.
+    The slack is rounding: a few ulps of the block's sum of |y| and a few of
+    the smallest subnormal, per element of the block."""
+    eps, tiny = np.finfo(float).eps, 5e-324
+    assert out.shape == y.shape
+    assert np.all(np.diff(out) >= 0.0)
+    edges = np.flatnonzero(np.diff(out)) + 1
+    for block_y, block_out in zip(np.split(y, edges), np.split(out, edges)):
+        n = block_y.size
+        slack = 4.0 * n * (eps * math.fsum(np.abs(block_y).tolist()) + tiny)
+        assert abs(block_out[0] - math.fsum(block_y.tolist()) / n) <= slack
+        assert np.all(np.cumsum(block_y - block_out) >= -slack)
+
+
 class TestPav:
     def test_projects_to_monotone(self):
         rng = np.random.default_rng(0)
@@ -217,11 +239,28 @@ class TestPav:
         assert out is not y
 
     def test_matches_reference_loop(self):
+        # scipy pools in another order than the loop, so the last bits differ
         rng = np.random.default_rng(2)
         for y in (rng.random(300), np.sort(rng.random(300)), np.arange(5)):
             out = pav_nondecreasing(y)
             assert out.dtype == np.float64
-            assert out.tobytes() == reference.pav_loop(y).tobytes()
+            np.testing.assert_allclose(out, reference.pav_loop(y), rtol=1e-14, atol=0)
+            assert_l2_projection(y, out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        y=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 0.1, -0.1, 1.0, 5e-324, -5e-324, 2.2e-308]),
+                st.floats(-1e3, 1e3),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_projection_conditions(self, y):
+        y = np.array(y)
+        assert_l2_projection(y, pav_nondecreasing(y))
 
     def test_simple_violation(self):
         assert np.allclose(pav_nondecreasing(np.array([1.0, 0.0])), [0.5, 0.5])

@@ -304,3 +304,40 @@ class TestVerifyCommand:
         assert adversary["window_points"] == 0
         assert adversary["sup_distance"] == 0.0
         assert code == 0 and payload["all_passed"] is True
+
+
+class TestSeedAndTolerance:
+    """Only ``verify`` and ``simulate`` draw random numbers, so only they take
+    ``--seed`` and read ``MAXMIN_SEED``; no command takes ``--tol-root``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("solve", "--mu", "0.5"), ("dominated", "--mu", "0.5"), ("second-moment", "--delta", "0.5")],
+    )
+    def test_bad_env_seed_ignored_where_unread(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("MAXMIN_SEED", "abc")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["command"] == argv[0]
+
+    def test_bad_env_seed_exits_2_in_verify(self, capsys, monkeypatch):
+        monkeypatch.setenv("MAXMIN_SEED", "abc")
+        code = main(["verify", "--mu", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: MAXMIN_SEED must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--mu", "0.5", "--seed", "1"),
+            ("second-moment", "--delta", "0.5", "--seed", "1"),
+            ("solve", "--mu", "0.5", "--tol-root", "1e-12"),
+            ("verify", "--mu", "0.5", "--tol-root", "1e-12"),
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from maxmin_auction import DomainError, PiecewiseCdf, write_cdf_csv
+from maxmin_auction import (
+    DomainError,
+    PiecewiseCdf,
+    reserve_cdf,
+    reserve_with_linear_ramp,
+    reserve_with_zero_atom,
+    write_cdf_csv,
+)
 
 import oracles
 
@@ -158,6 +165,40 @@ class TestQuantile:
         u = np.array([0.1, 0.5, 0.9])
         x = h.quantile(u)
         assert np.max(np.abs(h.cdf(x) - u)) < 1e-10
+
+
+class TestReserveQuantile:
+    """The bisection quantile of the reserve is the inverse of H."""
+
+    def test_endpoints(self, c05):
+        h = PiecewiseCdf.reserve(c05)
+        assert h.quantile(0.0) == 0.0
+        assert h.quantile(1.0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_known_point(self, c05):
+        h = PiecewiseCdf.reserve(c05)
+        assert h.quantile(c05.h_at_a) == pytest.approx(c05.a, abs=1e-15)
+
+    def test_median_reserve(self, c05):
+        x = PiecewiseCdf.reserve(c05).quantile(0.5)
+        assert c05.a < x < 0.5  # H(0.5) is about 0.76, so the median sits below
+        assert reserve_cdf(c05, x) == pytest.approx(0.5, abs=1e-15)
+
+    def test_domain(self, c05):
+        with pytest.raises(DomainError):
+            PiecewiseCdf.reserve(c05).quantile(1.5)
+
+    @pytest.mark.parametrize(
+        "make", [PiecewiseCdf.reserve, reserve_with_zero_atom, reserve_with_linear_ramp]
+    )
+    def test_never_undershoots(self, c05, make):
+        dist = make(c05)
+        u = np.linspace(0.0, 1.0, 1001)
+        assert np.all(dist.cdf(dist.quantile(u)) >= u)
+
+    def test_zero_atom_levels_map_to_zero(self, c05):
+        u = np.linspace(0.0, c05.h_at_a, 101)
+        assert np.all(reserve_with_zero_atom(c05).quantile(u) == 0.0)
 
 
 class TestCsv:

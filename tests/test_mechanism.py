@@ -1,4 +1,4 @@
-"""Auction outcomes, reserve sampling, Monte Carlo revenue."""
+"""Auction outcomes, counter-based uniforms, Monte Carlo revenue."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from maxmin_auction import (
     reserve_cdf,
     reserve_pdf,
     revenue_functional,
-    sample_reserve,
     solve_a,
     uniform_pairs,
     winner_payment,
@@ -116,24 +115,6 @@ class TestWinnerPayment:
         assert winner_payment(c05, 0.7, 0.7) == 0.7 * reserve_cdf(c05, 0.7)
         o = outcome(c05, BidProfile(0.3, 0.8))
         assert o.t2 == winner_payment(c05, 0.8, 0.3)
-
-
-class TestSampleReserve:
-    def test_endpoints(self, c05):
-        assert sample_reserve(c05, 0.0) == 0.0
-        assert sample_reserve(c05, 1.0) == 1.0
-
-    def test_known_point(self, c05):
-        assert sample_reserve(c05, c05.h_at_a) == pytest.approx(c05.a, abs=1e-9)
-
-    def test_median_reserve(self, c05):
-        x = sample_reserve(c05, 0.5)
-        assert c05.a < x < 0.5  # H(0.5) is about 0.76, so the median sits below
-        assert reserve_cdf(c05, x) == pytest.approx(0.5, abs=1e-9)
-
-    def test_domain(self, c05):
-        with pytest.raises(DomainError):
-            sample_reserve(c05, 1.5)
 
 
 class TestUniformPairs:

@@ -1,4 +1,4 @@
-"""Quantile-grid LP cap and envelope payments."""
+"""Quantile-grid LP cap and the discretised truthful auction."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ import pytest
 from maxmin_auction import (
     DomainError,
     ModelParams,
-    MonotonicityError,
     analytic_bound,
     bic_bir_violations,
     discretize_truthful_mechanism,
-    envelope_payments,
     lp_max_revenue,
     signal_quantile,
     solve_a,
@@ -164,40 +162,3 @@ class TestTruthfulDiscretization:
         # interim over the opponent grid vs the continuum closed form
         assert np.max(np.abs(Q1 - target)) < 5e-3
 
-
-class TestEnvelopePayments:
-    def test_zero_allocation_pays_nothing(self, c05):
-        T = envelope_payments(np.zeros(100), c05)
-        assert np.allclose(T, 0.0)
-
-    def test_full_allocation_is_flat_posted_price(self, c05):
-        # constant winning probability cancels the surplus growth exactly:
-        # every type pays the lowest type value
-        T = envelope_payments(np.ones(100), c05)
-        assert np.max(np.abs(T - c05.a)) < 1e-12
-        assert T.mean() == pytest.approx(c05.a, abs=1e-12)
-
-    def test_truthful_allocation_recovers_guarantee(self, c05):
-        n = 500
-        z = (np.arange(n) + 0.5) / n
-        Q = truthful_interim_allocation(c05, z)
-        T = envelope_payments(Q, c05)
-        assert 2.0 * T.mean() == pytest.approx(c05.revenue_guarantee, abs=1e-3)
-
-    def test_payments_are_discretely_incentive_compatible(self, c05):
-        n = 100
-        z = (np.arange(n) + 0.5) / n
-        s = signal_quantile(c05, z)
-        rng = np.random.default_rng(11)
-        Q = np.sort(rng.random(n))
-        T = envelope_payments(Q, c05)
-        truthful = s * Q - T
-        deviation = s[:, None] * Q[None, :] - T[None, :]
-        gain = deviation - truthful[:, None]
-        np.fill_diagonal(gain, -np.inf)
-        assert gain.max() <= 1e-12
-        assert truthful.min() >= -1e-12
-
-    def test_rejects_decreasing_allocation(self, c05):
-        with pytest.raises(MonotonicityError):
-            envelope_payments(np.array([0.5, 0.4, 0.6]), c05)
