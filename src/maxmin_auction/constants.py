@@ -218,7 +218,8 @@ def reserve_cdf(c: SolvedConstants, x):
     """CDF of the random reserve, H(x), for x in [0, 1].  Vectorised.
 
     H(x) = -x(1-a)(ln x - ln a)/((x-a) ln a) away from {0, a}, with the
-    continuous completions H(0) = 0 and H(a) = -(1-a)/ln a.  Below x = a/2
+    continuous completions H(0) = 0 and H(a) = -(1-a)/ln a.  H(1) = 1 is
+    pinned, since the formula can miss it by an ulp.  Below x = a/2
     the log1p form is overwritten by h_at_a * x (ln x - ln a)/(x - a), with
     x taken first so that a subnormal x meets no subnormal intermediate.
     """
@@ -234,6 +235,7 @@ def reserve_cdf(c: SolvedConstants, x):
             xl = arr[low]
             out[low] = c.h_at_a * (xl * ((np.log(xl) - math.log(a)) / (xl - a)))
             out[arr == 0.0] = 0.0
+        out[arr == 1.0] = 1.0
     return float(out) if scalar else out
 
 

@@ -15,6 +15,13 @@ another way, by quadrature, to check it.
 
 Exact ties split both the allocation H(x) and the payment x*H(x) equally.
 The loser never pays, and the truthful report is evaluated throughout.
+
+``mc_revenue`` streams its samples: it walks the sample range in fixed
+chunks of ``_MC_CHUNK`` pairs and folds each chunk's count, mean and sum of
+squared deviations into running totals with the pairwise update of Chan,
+Golub & LeVeque ("Algorithms for computing the sample variance", Amer.
+Statist. 37(3), 1983).  No full-length array is ever held, so memory does
+not grow with the sample count.
 """
 
 from __future__ import annotations
@@ -31,6 +38,10 @@ from .constants import (
 )
 from .distributions import PiecewiseCdf
 from .errors import DomainError
+
+# Signal pairs per Monte Carlo chunk: a fixed constant, so a result depends
+# on (seed, n_samples) alone.
+_MC_CHUNK = 65536
 
 __all__ = [
     "BidProfile",
@@ -148,24 +159,44 @@ def mc_revenue(
     Signal pairs are drawn by inverse transform from the signal's quantile
     function.  The per-profile total payment uses the order statistics
     directly -- t1 + t2 = ``winner_payment(s(1), s(2))`` -- which agrees with
-    ``outcome`` branch by branch, ties included, and is vectorised over the
-    whole sample.  Output is bitwise reproducible from ``(seed, n_samples)``.
+    ``outcome`` branch by branch, ties included.
+
+    The sample range is walked in chunks of ``_MC_CHUNK`` pairs: each chunk
+    draws ``uniform_pairs(seed, start, k)``, maps it through the quantile,
+    and reduces its payments to (k, mean, sum of squared deviations).  The
+    chunk triples are merged one at a time by the Chan-Golub-LeVeque update
+
+        mean += d k / n,   M2 += M2_chunk + d^2 n_old k / n,
+
+    with d the chunk mean minus the running mean and n the merged count,
+    which keeps the standard error as accurate as a two-pass sum.  Memory
+    therefore stays at one chunk whatever ``n_samples`` is.  Because the
+    chunk size is fixed, the output is bitwise reproducible from
+    ``(seed, n_samples)``.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be at least 1")
-    u = uniform_pairs(seed, 0, n_samples)
-    s = signal.quantile(u)
-    s_hi = np.maximum(s[:, 0], s[:, 1])
-    s_lo = np.minimum(s[:, 0], s[:, 1])
-    totals = winner_payment(c, s_hi, s_lo)
-    value = float(np.mean(totals))
+    count, mean, m2 = 0, 0.0, 0.0
+    for start in range(0, n_samples, _MC_CHUNK):
+        k = min(_MC_CHUNK, n_samples - start)
+        s = signal.quantile(uniform_pairs(seed, start, k))
+        s_hi = np.maximum(s[:, 0], s[:, 1])
+        s_lo = np.minimum(s[:, 0], s[:, 1])
+        totals = winner_payment(c, s_hi, s_lo)
+        chunk_mean = float(np.mean(totals))
+        chunk_m2 = float(np.sum(np.square(totals - chunk_mean)))
+        merged = count + k
+        delta = chunk_mean - mean
+        mean += delta * (k / merged)
+        m2 += chunk_m2 + delta * delta * (count * k / merged)
+        count = merged
     if n_samples > 1:
-        std_error = float(np.std(totals, ddof=1) / math.sqrt(n_samples))
+        std_error = math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
     else:
         std_error = float("nan")
     return RevenueReport(
         method="monte-carlo",
-        value=value,
+        value=mean,
         std_error=std_error,
         n_samples=n_samples,
         seed=seed,

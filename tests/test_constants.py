@@ -80,6 +80,15 @@ class TestReserveCdf:
             oracles.H_AT_HALF_MU_05, abs=1e-12
         )
 
+    def test_exactly_one_at_one_for_every_mu(self):
+        # unpinned, the closed form misses 1 by an ulp at 169 of these mu
+        misses = [
+            mu
+            for mu in np.geomspace(1e-9, 1.0 - 1e-5, 400).tolist()
+            if reserve_cdf(solve_a(ModelParams(mu=mu)), 1.0) != 1.0
+        ]
+        assert misses == []
+
     def test_continuity_at_removable_point(self, c05):
         base = reserve_cdf(c05, c05.a)
         for eps in (1e-3, 1e-6):

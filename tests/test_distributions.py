@@ -10,10 +10,12 @@ from scipy.integrate import quad
 
 from maxmin_auction import (
     DomainError,
+    ModelParams,
     PiecewiseCdf,
     reserve_cdf,
     reserve_with_linear_ramp,
     reserve_with_zero_atom,
+    solve_a,
     write_cdf_csv,
 )
 
@@ -192,9 +194,25 @@ class TestReserveQuantile:
         "make", [PiecewiseCdf.reserve, reserve_with_zero_atom, reserve_with_linear_ramp]
     )
     def test_never_undershoots(self, c05, make):
-        dist = make(c05)
         u = np.linspace(0.0, 1.0, 1001)
-        assert np.all(dist.cdf(dist.quantile(u)) >= u)
+        for c in (c05, solve_a(ModelParams(mu=1e-9)), solve_a(ModelParams(mu=0.99))):
+            dist = make(c)
+            assert np.all(dist.cdf(dist.quantile(u)) >= u), c.mu
+
+    @pytest.mark.parametrize("u", [1e-30, 1e-300])
+    def test_tiny_levels_are_relative(self, c05, u):
+        h = PiecewiseCdf.reserve(c05)
+        q = h.quantile(u)
+        assert h.cdf(q) >= u
+        assert h.cdf(q * (1.0 - 1e-12)) < u
+
+    @pytest.mark.parametrize("mu", [1e-9, 0.5, 0.99])
+    def test_least_double_reaching_the_level(self, mu):
+        h = PiecewiseCdf.reserve(solve_a(ModelParams(mu=mu)))
+        u = np.array([1e-320, 1e-300, 1e-30, 1e-10, 0.3, 0.9, 1.0])
+        q = h.quantile(u)
+        assert np.all(h.cdf(q) >= u)
+        assert np.all(h.cdf(np.nextafter(q, 0.0)) < u)
 
     def test_zero_atom_levels_map_to_zero(self, c05):
         u = np.linspace(0.0, c05.h_at_a, 101)

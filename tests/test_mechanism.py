@@ -1,5 +1,7 @@
 """Auction outcomes, counter-based uniforms, Monte Carlo revenue."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +23,8 @@ from maxmin_auction import (
     uniform_pairs,
     winner_payment,
 )
+
+from maxmin_auction.mechanism import _MC_CHUNK
 
 import oracles
 
@@ -186,6 +190,36 @@ class TestMcRevenue:
     def test_sample_count_validation(self, c05):
         with pytest.raises(DomainError):
             mc_revenue(c05, PiecewiseCdf.signal(c05), 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "n", [1, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 17], ids=str
+    )
+    @pytest.mark.parametrize("kind", ["signal", "discrete"])
+    def test_streaming_matches_two_pass(self, c05, kind, n):
+        if kind == "signal":
+            g = PiecewiseCdf.signal(c05)
+        else:
+            g = PiecewiseCdf.from_discrete([0.1, 0.3, 0.6, 1.0], [0.2, 0.3, 0.3, 0.2])
+        s = g.quantile(uniform_pairs(11, 0, n))
+        totals = winner_payment(c05, s.max(axis=1), s.min(axis=1))
+        r = mc_revenue(c05, g, n, seed=11)
+        assert r.value == pytest.approx(np.mean(totals), rel=1e-13, abs=0.0)
+        if n == 1:
+            assert np.isnan(r.std_error)
+        else:
+            two_pass = np.std(totals, ddof=1) / np.sqrt(n)
+            assert r.std_error == pytest.approx(two_pass, rel=1e-10, abs=0.0)
+
+    def test_memory_does_not_grow_with_samples(self, c05):
+        signal = PiecewiseCdf.signal(c05)
+        tracemalloc.start()
+        try:
+            mc_revenue(c05, signal, 2_000_000, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole sample held at once would take well over 100 MB
+        assert peak < 16 * 2**20
 
 
 class TestDominatedEquilibrium:
