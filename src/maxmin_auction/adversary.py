@@ -47,13 +47,12 @@ from .constants import (
     ModelParams,
     SolvedConstants,
     reserve_cdf,
-    reserve_cdf_integral,
     reserve_pdf,
     signal_cdf,
 )
 from .distributions import PiecewiseCdf
 from .errors import ConvergenceError, DegenerateError, DomainError
-from .functional import _h_atom_check
+from .functional import _h_atom_check, _revenue_integrand
 
 __all__ = [
     "GridDistribution",
@@ -144,7 +143,7 @@ def pav_nondecreasing(y: np.ndarray) -> np.ndarray:
 def _grid_objective(
     g: np.ndarray, h: np.ndarray, xhp: np.ndarray, dx: float
 ) -> float:
-    terms = ((1.0 - g * g) * (xhp + h) - h * 2.0 * g * (1.0 - g)) * dx
+    terms = _revenue_integrand(g, h, xhp) * dx
     return math.fsum(terms.tolist())
 
 
@@ -392,17 +391,11 @@ def _piecewise_at(a: float, below, above):
 def reserve_with_zero_atom(c: SolvedConstants) -> PiecewiseCdf:
     """Reserve variant that is flat at H(a) below a, with the mass parked at 0."""
     a, level = c.a, c.h_at_a
-    k_at_a = reserve_cdf_integral(c, a)
     return PiecewiseCdf.custom(
         cdf_fn=_piecewise_at(a, lambda x: level, lambda x: reserve_cdf(c, x)),
         pdf_fn=_piecewise_at(a, lambda x: 0.0, lambda x: reserve_pdf(c, x)),
         atoms=((0.0, level),),
         breakpoints=(a,),
-        integral_fn=_piecewise_at(
-            a,
-            lambda x: level * x,
-            lambda x: level * a + reserve_cdf_integral(c, x) - k_at_a,
-        ),
     )
 
 
@@ -410,14 +403,8 @@ def reserve_with_linear_ramp(c: SolvedConstants) -> PiecewiseCdf:
     """Reserve variant that climbs linearly from 0 to H(a) on [0, a]."""
     a, level = c.a, c.h_at_a
     slope = level / a
-    k_at_a = reserve_cdf_integral(c, a)
     return PiecewiseCdf.custom(
         cdf_fn=_piecewise_at(a, lambda x: slope * x, lambda x: reserve_cdf(c, x)),
         pdf_fn=_piecewise_at(a, lambda x: slope, lambda x: reserve_pdf(c, x)),
         breakpoints=(a,),
-        integral_fn=_piecewise_at(
-            a,
-            lambda x: 0.5 * slope * x * x,
-            lambda x: 0.5 * level * a + reserve_cdf_integral(c, x) - k_at_a,
-        ),
     )

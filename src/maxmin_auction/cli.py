@@ -307,13 +307,8 @@ def _payment_identity_worst_gap(c: SolvedConstants, seed: int, n_pairs: int) -> 
     lo = pairs.min(axis=1)
     closed = mech.winner_payment(c, hi, lo)
     # E[max(lo, r) 1{r <= hi}] = lo H(lo) + integral of r H'(r) over [lo, hi]
-    tails = [
-        adaptive_simpson(
-            lambda t: t * reserve_pdf(c, t), bottom, top, _PAYMENT_ORACLE_TOL
-        )
-        for top, bottom in zip(hi.tolist(), lo.tolist())
-    ]
-    oracle = lo * reserve_cdf(c, lo) + np.array(tails)
+    tails = adaptive_simpson(lambda t: t * reserve_pdf(c, t), lo, hi, _PAYMENT_ORACLE_TOL)
+    oracle = lo * reserve_cdf(c, lo) + tails
     return float(np.max(np.abs(closed - oracle)))
 
 
@@ -328,7 +323,7 @@ def run_verification(args: argparse.Namespace) -> dict:
         checks.append({"name": name, "passed": bool(passed), **detail})
 
     residual = abs(c.a * (1.0 - math.log(c.a)) - c.mu)
-    record("root_residual", residual <= c.tol_root, value=residual)
+    record("root_residual", residual <= c.tol_root * c.mu, value=residual)
 
     xs = np.linspace(0.01, 1.0, 100)
     xs = xs[np.abs(xs - c.a) > 1e-9]
@@ -350,9 +345,11 @@ def run_verification(args: argparse.Namespace) -> dict:
 
     quad = fn.revenue_functional(g_bar, h_bar)
     quad_gap = abs(quad.value - c.revenue_guarantee)
-    record("functional_vs_closed_form", quad_gap <= 1e-6, value=quad_gap)
+    # measured relative gap: 1.8e-13 at mu = 0.5, at most 2.7e-9 over [1e-9, 1 - 1e-6]
+    gap_ok = quad_gap <= 1e-7 * c.revenue_guarantee
+    record("functional_vs_closed_form", gap_ok, value=quad_gap)
 
-    report = mech.mc_revenue(c, g_bar, args.n_samples, args.seed)
+    report = mech.mc_revenue(c, g_bar, args.n_samples, args.seed, tail_weighted=True)
     mc_gap = abs(report.value - quad.value)
     record(
         "mc_vs_quadrature",

@@ -28,6 +28,7 @@ to the smallest subnormal.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,7 @@ _K_SERIES_TERMS = 14
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model inputs: the signal mean and the root-solve tolerance."""
+    """Model inputs: the signal mean and the root-solve tolerance, relative to mu."""
 
     mu: float
     tol_root: float = 1e-12
@@ -100,8 +101,12 @@ def solve_a(params: ModelParams) -> SolvedConstants:
 
     The map a -> a(1 - ln a) is strictly increasing on (0, 1) with limits 0
     and 1, so plain bisection on [1e-12, 1 - 1e-12] is unconditionally
-    convergent.  Raises ConvergenceError if the residual still exceeds
-    ``tol_root`` after the iteration budget.
+    convergent for every root inside it (mu above about 2.86e-11).  Smaller
+    roots take more halvings than the budget, so there the bisection runs on
+    the bit patterns of (0, 1e-12], which order positive doubles as their
+    values do, and returns the least double with a(1 - ln a) >= mu.  Raises
+    ConvergenceError if the residual exceeds ``tol_root`` times mu, or times
+    the smallest normal double for a subnormal mu.
     """
     mu = params.mu
 
@@ -109,21 +114,28 @@ def solve_a(params: ModelParams) -> SolvedConstants:
         return t * (1.0 - math.log(t)) - mu
 
     lo, hi = _BRACKET_EPS, 1.0 - _BRACKET_EPS
-    if residual(lo) > 0.0 or residual(hi) < 0.0:
-        raise ConvergenceError(f"root bracket failed for mu={mu}")
-    for _ in range(_BISECT_BUDGET):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if residual(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    a = 0.5 * (lo + hi)
-    if abs(residual(a)) > params.tol_root:
+    if residual(lo) > 0.0:
+        lo_bits, hi_bits = np.int64(0), np.float64(lo).view(np.int64)
+        while hi_bits - lo_bits > 1:
+            mid_bits = lo_bits + (hi_bits - lo_bits) // 2
+            if residual(float(mid_bits.view(np.float64))) < 0.0:
+                lo_bits = mid_bits
+            else:
+                hi_bits = mid_bits
+        a = float(hi_bits.view(np.float64))
+    else:
+        for _ in range(_BISECT_BUDGET):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if residual(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        a = 0.5 * (lo + hi)
+    if abs(residual(a)) > params.tol_root * max(mu, sys.float_info.min):
         raise ConvergenceError(
-            f"|a(1 - ln a) - mu| = {abs(residual(a)):.3e} > tol_root after "
-            f"{_BISECT_BUDGET} bisections"
+            f"|a(1 - ln a) - mu| = {abs(residual(a)):.3e} exceeds tol_root * mu"
         )
     return constants_from_a(mu, a, params.tol_root)
 
@@ -218,10 +230,11 @@ def reserve_cdf(c: SolvedConstants, x):
     """CDF of the random reserve, H(x), for x in [0, 1].  Vectorised.
 
     H(x) = -x(1-a)(ln x - ln a)/((x-a) ln a) away from {0, a}, with the
-    continuous completions H(0) = 0 and H(a) = -(1-a)/ln a.  H(1) = 1 is
-    pinned, since the formula can miss it by an ulp.  Below x = a/2
-    the log1p form is overwritten by h_at_a * x (ln x - ln a)/(x - a), with
-    x taken first so that a subnormal x meets no subnormal intermediate.
+    continuous completions H(0) = 0 and H(a) = -(1-a)/ln a.  H is clamped
+    to at most 1 and H(1) = 1 is pinned, since near x = 1 the formula can
+    miss 1 by an ulp or two on either side.  Below x = a/2 the log1p form is
+    overwritten by h_at_a * x (ln x - ln a)/(x - a), with x taken first so
+    that a subnormal x meets no subnormal intermediate.
     """
     arr, scalar = _as_array(x)
     _check_unit_interval(arr, "reserve point")
@@ -235,6 +248,7 @@ def reserve_cdf(c: SolvedConstants, x):
             xl = arr[low]
             out[low] = c.h_at_a * (xl * ((np.log(xl) - math.log(a)) / (xl - a)))
             out[arr == 0.0] = 0.0
+        np.minimum(out, 1.0, out=out)
         out[arr == 1.0] = 1.0
     return float(out) if scalar else out
 

@@ -54,7 +54,6 @@ class PiecewiseCdf:
     masses: np.ndarray | None = None
     cdf_fn: Callable[[np.ndarray], np.ndarray] | None = None
     pdf_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    integral_fn: Callable[[np.ndarray], np.ndarray] | None = None
     atom_list: tuple[tuple[float, float], ...] = ()
     breakpoints: tuple[float, ...] = ()
 
@@ -183,14 +182,15 @@ class PiecewiseCdf:
         pdf_fn: Callable[[np.ndarray], np.ndarray] | None = None,
         atoms: Sequence[tuple[float, float]] = (),
         breakpoints: Sequence[float] = (),
-        integral_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> "PiecewiseCdf":
-        """Wrap vectorised callables as a CDF object."""
+        """Wrap vectorised callables as a CDF object.
+
+        It has no integral, so ``integral_to`` and ``mean`` raise DomainError.
+        """
         return cls(
             kind="custom",
             cdf_fn=cdf_fn,
             pdf_fn=pdf_fn,
-            integral_fn=integral_fn,
             atom_list=tuple(atoms),
             breakpoints=tuple(breakpoints),
         )
@@ -259,8 +259,7 @@ class PiecewiseCdf:
     def integral_to(self, x):
         """Exact integral of the CDF from 0 to ``x`` (scalar or array).
 
-        A ``custom`` CDF needs its ``integral_fn``; without one this raises
-        DomainError.
+        A ``custom`` CDF has none and raises DomainError.
         """
         arr, scalar = _as_array(x)
         if self.kind == "reserve":
@@ -272,9 +271,7 @@ class PiecewiseCdf:
         elif self.kind == "uniform":
             out = 0.5 * arr * arr
         elif self.kind == "custom":
-            if self.integral_fn is None:
-                raise DomainError("this CDF has no integral available")
-            out = np.asarray(self.integral_fn(arr), dtype=float)
+            raise DomainError("a custom CDF has no integral available")
         else:
             out = self._grid_integral(arr)
         out = np.asarray(out, dtype=float)

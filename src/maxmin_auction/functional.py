@@ -6,11 +6,19 @@ expected revenue equals
     L(G, H) = integral over [0, 1] of
               (1 - G(x)^2) [x H'(x) + H(x)]  -  H(x) 2 G(x)(1 - G(x)) dx,
 
-obtained from the order statistics of two independent signals.  Subtracting a
-multiplier times the mean constraint turns the integrand into a quadratic in
-G(x) whose leading coefficient H(x) - x H'(x) is strictly positive for the
-solved reserve; its clamped vertex recovers the worst-case signal CDF point
-by point.  The first-order construction also forces the reserve CDF to solve
+obtained from the order statistics of two independent signals.
+
+``revenue_functional`` integrates it in one composite Simpson pass on the
+geometric grid of ``quadrature.build_edges``, which starts 40 octaves below
+the smallest kink.  For the solved pair that kink is ``a`` and the integrand
+lives on the scale of ``a``, so the error is relative: 1.8e-13 at mu = 0.5,
+at most 2.7e-9 for mu in [1e-9, 1 - 1e-6] (rounding in 1 - G near 1).
+
+Subtracting a multiplier times the mean constraint turns the integrand into
+a quadratic in G(x) whose leading coefficient H(x) - x H'(x) is strictly
+positive for the solved reserve; its clamped vertex recovers the worst-case
+signal CDF point by point.  The first-order construction also forces the
+reserve CDF to solve
 
     (x - a) H'(x) + (a/x) H(x) = lambda / 2,
 
@@ -35,19 +43,12 @@ __all__ = [
     "check_ode",
 ]
 
-# Base panel count and the local refinement factor around reserve kinks.
-_N_PANELS = 10_000
-_REFINE_FACTOR = 100
-_REFINE_HALFWIDTH = 0.01
-
 
 @dataclass(frozen=True)
 class FunctionalValue:
-    """Value of the revenue functional with its two integral terms."""
+    """Value of the revenue functional."""
 
     value: float
-    first_term: float
-    second_term: float
 
 
 def _h_atom_check(h_dist: PiecewiseCdf) -> None:
@@ -59,51 +60,33 @@ def _h_atom_check(h_dist: PiecewiseCdf) -> None:
             )
 
 
-def _edges_for(g_dist: PiecewiseCdf, h_dist: PiecewiseCdf) -> np.ndarray:
-    interior = set(g_dist.breakpoints) | set(h_dist.breakpoints)
-    interior |= {loc for loc, _ in g_dist.atoms if 0.0 < loc < 1.0}
-    windows = []
-    # Refine around the removable point of the analytic reserve and around
-    # the origin, where x H'(x) behaves like x log x.
-    for p in h_dist.breakpoints:
-        windows.append((p - _REFINE_HALFWIDTH, p + _REFINE_HALFWIDTH, _REFINE_FACTOR))
-    if h_dist.kind in ("reserve", "custom"):
-        windows.append((0.0, _REFINE_HALFWIDTH, _REFINE_FACTOR))
-    return build_edges(_N_PANELS, interior, windows)
+def _revenue_integrand(g, h, xhp):
+    """(1 - G^2)(x H' + H) - 2 H G (1 - G) from G, H and x H' at the same points."""
+    return (1.0 - g * g) * (xhp + h) - h * 2.0 * g * (1.0 - g)
 
 
 def revenue_functional(g_dist: PiecewiseCdf, h_dist: PiecewiseCdf) -> FunctionalValue:
     """Expected truthful revenue of the reserve ``h_dist`` under signals ``g_dist``.
 
-    Composite Simpson over a panel grid that splits exactly at both CDFs'
-    kinks and atoms, with local refinement around the reserve's removable
-    point.  An atom of G at 1 enters only through the left limits of the CDF
-    values on [0, 1), which the panel rule uses at right edges.  The reserve
-    must be atomless on (0, 1] (an atom at 0 is allowed).
+    One composite Simpson pass over the geometric grid of
+    ``quadrature.build_edges``, split exactly at both CDFs' kinks and at the
+    atoms of G.  An atom of G at 1 enters only through the left limits of the
+    CDF values on [0, 1), which the panel rule uses at right edges.  The
+    reserve must be atomless on (0, 1] (an atom at 0 is allowed).
     """
     _h_atom_check(h_dist)
-    edges = _edges_for(g_dist, h_dist)
+    kinks = set(g_dist.breakpoints) | set(h_dist.breakpoints)
+    kinks |= {loc for loc, _ in g_dist.atoms}
 
-    def first(x: np.ndarray) -> np.ndarray:
+    def integrand(x: np.ndarray) -> np.ndarray:
         g = np.asarray(g_dist.cdf(x))
         h = np.asarray(h_dist.cdf(x))
         xhp = np.zeros_like(x)
         pos = x > 0.0
         xhp[pos] = x[pos] * np.asarray(h_dist.pdf(x[pos]))
-        return (1.0 - g * g) * (xhp + h)
+        return _revenue_integrand(g, h, xhp)
 
-    def second(x: np.ndarray) -> np.ndarray:
-        g = np.asarray(g_dist.cdf(x))
-        h = np.asarray(h_dist.cdf(x))
-        return h * 2.0 * g * (1.0 - g)
-
-    first_term = composite_simpson(first, edges)
-    second_term = composite_simpson(second, edges)
-    return FunctionalValue(
-        value=first_term - second_term,
-        first_term=first_term,
-        second_term=second_term,
-    )
+    return FunctionalValue(value=composite_simpson(integrand, build_edges(kinks)))
 
 
 def lagrangian_integrand(g_val: float, x: float, c: SolvedConstants) -> float:

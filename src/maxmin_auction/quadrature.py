@@ -2,19 +2,21 @@
 
 Two rules:
 
-* ``adaptive_simpson`` -- classic recursive Simpson with Richardson error
-  control, for scalar integrals of smooth functions.  Its one caller is
-  ``verify``'s independent payment oracle, lo H(lo) + integral of t H'(t),
-  which checks the closed-form ``mechanism.winner_payment``.
+* ``adaptive_simpson`` -- Lyness's adaptive Simpson rule (J. ACM 16(3),
+  1969), run breadth-first over an array of intervals with one vectorised
+  integrand call per level.  Its one caller is ``verify``'s independent
+  payment oracle, lo H(lo) + integral of t H'(t), over all pairs at once.
 * ``composite_simpson`` -- a fixed-panel Simpson rule over an explicit edge
   grid, for functionals whose integrands have known kinks or one-sided
   limits.  Panel contributions are combined with ``math.fsum`` so the result
-  does not depend on summation order.
+  does not depend on summation order.  ``build_edges`` lays the grid out
+  geometrically, so that its error is relative at every scale.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -23,78 +25,86 @@ from .errors import ConvergenceError
 
 __all__ = ["adaptive_simpson", "composite_simpson", "build_edges"]
 
+# Geometric panels per e-fold of x: neighbouring edges differ by the factor
+# e^(1/400).  Simpson's error falls as the fourth power of this count; at 400
+# it is about 2e-13 relative on the revenue functional (3e-12 at 200).
+_PANELS_PER_EFOLD = 400
+
 
 def adaptive_simpson(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+    f: Callable[[np.ndarray], np.ndarray],
+    lo,
+    hi,
     tol: float = 1e-9,
     max_depth: int = 60,
-) -> float:
-    """Integrate ``f`` over ``[lo, hi]`` to absolute tolerance ``tol``.
+):
+    """Integrate ``f`` over each ``[lo, hi]`` to absolute tolerance ``tol``.
 
-    Uses the standard Simpson bisection with the |S2 - S|/15 error estimate.
-    Raises ConvergenceError if the recursion depth budget is exhausted while
-    the local error estimate still exceeds its share of ``tol``.
+    Each interval is halved until the two half-interval Simpson sums differ
+    from the whole one by at most 15 eps, with eps halved at every split, and
+    the Richardson term (S2 - S)/15 is added.  Each tree is then summed
+    bottom-up in the order the scalar recursion adds, so every interval gets
+    that recursion's result bit for bit.  ``f`` must be vectorised; ``lo``
+    and ``hi`` broadcast, a scalar pair gives a float and arrays an array.
+    Reversed bounds flip the sign, and ``lo == hi`` gives 0 without
+    evaluating ``f``.  Raises ConvergenceError if the depth budget runs out
+    while a local error estimate still exceeds its share of ``tol``.
     """
-    if lo == hi:
-        return 0.0
-    sign = 1.0
-    if hi < lo:
-        lo, hi = hi, lo
-        sign = -1.0
-
-    def simpson(a: float, fa: float, b: float, fb: float) -> tuple[float, float, float]:
+    lo_arr, hi_arr = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
+    out = np.zeros(lo_arr.shape)
+    live = lo_arr != hi_arr
+    if live.any():
+        a, b = np.minimum(lo_arr, hi_arr)[live], np.maximum(lo_arr, hi_arr)[live]
         m = 0.5 * (a + b)
-        fm = f(m)
-        return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        fa, fb, fm = np.split(f(np.concatenate((a, b, m))), 3)
+        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+        eps = np.full(a.size, float(tol))
+        levels = []  # per level: node values, and the nodes that split
+        depth = max_depth
+        while True:
+            lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+            flm, frm = np.split(f(np.concatenate((lm, rm))), 2)
+            left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+            right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+            delta = left + right - whole
+            done = (np.abs(delta) <= 15.0 * eps) | (b - a < 1e-14)
+            split = np.flatnonzero(~done)
+            levels.append((np.where(done, left + right + delta / 15.0, 0.0), split))
+            if split.size == 0:
+                break
+            if depth <= 0:
+                k = split[0]
+                raise ConvergenceError(f"adaptive Simpson did not converge on [{a[k]}, {b[k]}]")
+            # children: the left halves of the split nodes, then their right halves
+            pairs = ((a, m), (lm, rm), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right))
+            a, m, b, fa, fm, fb, whole = (np.concatenate((u[split], v[split])) for u, v in pairs)
+            eps = np.tile(eps[split] / 2.0, 2)
+            depth -= 1
+        # a split node is worth (left subtree) + (right subtree), as in the recursion
+        below = levels[-1][0]
+        for values, split in reversed(levels[:-1]):
+            values[split] = below[: split.size] + below[split.size :]
+            below = values
+        out[live] = below
+    out = np.where(hi_arr < lo_arr, -out, out)
+    return float(out) if out.ndim == 0 else out
 
-    def recurse(a, fa, b, fb, m, fm, whole, eps, depth):
-        lm, flm, left = simpson(a, fa, m, fm)
-        rm, frm, right = simpson(m, fm, b, fb)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * eps or b - a < 1e-14:
-            return left + right + delta / 15.0
-        if depth <= 0:
-            raise ConvergenceError(
-                f"adaptive Simpson did not converge on [{a}, {b}] "
-                f"(remaining error estimate {abs(delta) / 15.0:.3e})"
-            )
-        return recurse(a, fa, m, fm, lm, flm, left, eps / 2.0, depth - 1) + recurse(
-            m, fm, b, fb, rm, frm, right, eps / 2.0, depth - 1
-        )
 
-    fa, fb = f(lo), f(hi)
-    m, fm, whole = simpson(lo, fa, hi, fb)
-    return sign * recurse(lo, fa, hi, fb, m, fm, whole, tol, max_depth)
+def build_edges(interior_points: Iterable[float] = ()) -> np.ndarray:
+    """Sorted unique panel edges on [0, 1]: 0, a geometric grid, and the kinks.
 
-
-def build_edges(
-    n_panels: int,
-    interior_points: Iterable[float] = (),
-    refine_windows: Iterable[tuple[float, float, int]] = (),
-) -> np.ndarray:
-    """Sorted unique panel edges on [0, 1].
-
-    ``interior_points`` are inserted exactly (kinks and atom locations land on
-    panel boundaries).  Each ``(lo, hi, factor)`` refine window is subdivided
-    ``factor`` times finer than the base grid.
+    The geometric part has ``_PANELS_PER_EFOLD`` panels per e-fold from
+    ``floor`` to 1, where ``floor`` is 2**-40 times the smallest kink in
+    (0, 1), or 2**-40 without one, and at least the smallest normal double.
+    The integrands change scale at their smallest kink (the reserve's
+    removable point ``a``), so this keeps the grid equally fine in relative
+    terms at every mu.  ``interior_points`` in (0, 1) land on panel edges.
     """
-    parts = [np.linspace(0.0, 1.0, n_panels + 1)]
-    for p in interior_points:
-        if 0.0 < p < 1.0:
-            parts.append(np.array([p]))
-    h = 1.0 / n_panels
-    for lo, hi, factor in refine_windows:
-        lo, hi = max(0.0, lo), min(1.0, hi)
-        if hi <= lo:
-            continue
-        count = max(2, int(round((hi - lo) / h * factor)) + 1)
-        parts.append(np.linspace(lo, hi, count))
-    edges = np.unique(np.concatenate(parts))
-    # Collapse edges closer than float resolution allows.
-    keep = np.concatenate(([True], np.diff(edges) > 1e-15))
-    return edges[keep]
+    inner = [float(p) for p in interior_points if 0.0 < p < 1.0]
+    floor = max(math.ldexp(min(inner, default=1.0), -40), sys.float_info.min)
+    n_panels = math.ceil(_PANELS_PER_EFOLD * -math.log(floor))
+    parts = [np.array([0.0]), np.geomspace(floor, 1.0, n_panels + 1), np.array(inner)]
+    return np.unique(np.concatenate(parts))
 
 
 def composite_simpson(
@@ -113,8 +123,6 @@ def composite_simpson(
     hi = edges[1:]
     mid = 0.5 * (lo + hi)
     hi_in = np.nextafter(hi, lo)
-    f_lo = f(lo)
-    f_mid = f(mid)
-    f_hi = f(hi_in)
+    f_lo, f_mid, f_hi = np.split(f(np.concatenate((lo, mid, hi_in))), 3)
     panels = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
     return math.fsum(panels.tolist())

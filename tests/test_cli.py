@@ -44,6 +44,15 @@ class TestSolve:
         code, _ = run_cli(capsys, "solve", "--mu", "1.5")
         assert code == 2
 
+    @pytest.mark.parametrize("mu", ["2e-11", "1e-15", "1e-100", "1e-300"])
+    def test_tiny_mu_solves_to_relative_residual(self, capsys, mu):
+        # below mu = 2.86e-11 the root leaves the bisection's [1e-12, 1) bracket
+        code, out = run_cli(capsys, "solve", "--mu", mu)
+        assert code == 0
+        payload = json.loads(out)
+        assert 0.0 < payload["a"] < float(mu)
+        assert payload["root_residual"] <= 1e-15 * float(mu)
+
     def test_byte_identical_reruns(self, capsys):
         _, out1 = run_cli(capsys, "solve", "--mu", "0.5")
         _, out2 = run_cli(capsys, "solve", "--mu", "0.5")
@@ -280,6 +289,15 @@ class TestVerifyCommand:
             "30000",
             "--grid-n",
             "20",
+        )
+        assert code == 0
+        assert json.loads(out)["all_passed"] is True
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_low_tail_mean(self, capsys, seed):
+        # the Monte Carlo leg must reach the signal's atom of mass a ~ 7e-11
+        code, out = run_cli(
+            capsys, "verify", "--mu", "1.5e-9", "--seed", seed, "--samples", "30000", "--grid-n", "20"
         )
         assert code == 0
         assert json.loads(out)["all_passed"] is True

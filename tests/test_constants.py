@@ -64,6 +64,48 @@ class TestSolveA:
         with pytest.raises(DomainError):
             ModelParams(mu=0.5, tol_root=-1e-9)
 
+    # (mu, a) in hex from the fixed-step bisection on [1e-12, 1 - 1e-12],
+    # which must still give every root inside that bracket bit for bit
+    PINNED_ROOTS = [
+        ("3e-11", "0x1.276ed79241cf8p-40"),
+        ("1.0738830265972307e-10", "0x1.15361e6259192p-38"),
+        ("3.8440825160454115e-10", "0x1.04c08a7dbf43ap-36"),
+        ("1.3760316556067811e-09", "0x1.ebe0e6acec228p-35"),
+        ("4.925656796722006e-09", "0x1.d159fbee8bb84p-33"),
+        ("1.7631930762810155e-08", "0x1.b9c4a4603e2b8p-31"),
+        ("6.31154372410646e-08", "0x1.a5041b2908482p-29"),
+        ("2.2592865589813956e-07", "0x1.9308215de48bcp-27"),
+        ("8.087364959697927e-07", "0x1.83cfac396c698p-25"),
+        ("2.8949613200389268e-06", "0x1.776d4ca48810cp-23"),
+        ("1.0362832747484366e-05", "0x1.6e0e7ad2bc33ap-21"),
+        ("3.709490064996468e-05", "0x1.6807fc1f7f100p-19"),
+        ("0.0001327852806043585", "0x1.65ebd5ad66ba2p-17"),
+        ("0.0004753195300765691", "0x1.68b26b0a786a8p-15"),
+        ("0.0017014585851979978", "0x1.720d9e9b7c9ccp-13"),
+        ("0.006090558317007533", "0x1.85231b341081ap-11"),
+        ("0.02180182399711661", "0x1.a86f37c369e24p-9"),
+        ("0.07804202913121237", "0x1.ebe1ea227b44cp-7"),
+        ("0.2793600348173841", "0x1.4350d623f7b26p-4"),
+        ("0.999999999", "0x1.fffa23694d62cp-1"),
+    ]
+
+    @pytest.mark.parametrize("mu, a_hex", PINNED_ROOTS)
+    def test_roots_in_bracket_are_pinned(self, mu, a_hex):
+        assert solve_a(ModelParams(mu=float(mu))).a == float.fromhex(a_hex)
+
+    @pytest.mark.parametrize("mu", [2.8e-11, 1e-15, 1e-100, 1e-300])
+    def test_roots_below_bracket_are_relative(self, mu):
+        a = solve_a(ModelParams(mu=mu)).a
+        assert 0.0 < a < mu
+        assert abs(a * (1.0 - math.log(a)) - mu) <= 1e-15 * mu
+
+    @pytest.mark.parametrize("mu", [5e-324, 1e-322, 3.7e-321, 1e-315, 2e-308, 1e-306])
+    def test_subnormal_root_stays_in_range(self, mu):
+        # mu down to the smallest subnormal, and normal mu whose root is subnormal
+        a = solve_a(ModelParams(mu=mu)).a
+        assert math.isfinite(a)
+        assert 0.0 < a <= mu
+
     def test_unreachable_tolerance_raises(self):
         # the float-converged residual at mu = 0.3 is ~6e-17, so an absurd
         # tolerance must be reported as a convergence failure
@@ -88,6 +130,16 @@ class TestReserveCdf:
             if reserve_cdf(solve_a(ModelParams(mu=mu)), 1.0) != 1.0
         ]
         assert misses == []
+
+    def test_at_most_one_just_below_one(self):
+        # unclamped, H(1 - k 2**-53) exceeds 1 by up to 2 ulp at 186 of these mu
+        x = 1.0 - np.arange(1, 200) * 2.0**-53
+        over = [
+            mu
+            for mu in np.geomspace(1e-9, 1.0 - 1e-5, 400).tolist()
+            if (reserve_cdf(solve_a(ModelParams(mu=mu)), x) > 1.0).any()
+        ]
+        assert over == []
 
     def test_continuity_at_removable_point(self, c05):
         base = reserve_cdf(c05, c05.a)

@@ -111,16 +111,16 @@ class TestMoments:
         h = PiecewiseCdf.reserve(c05)
         assert h.mean() == pytest.approx(oracles.MEAN_RESERVE_MU_05, abs=1e-13)
 
-    def test_custom_needs_integral_fn(self):
-        bare = PiecewiseCdf.custom(cdf_fn=lambda x: np.asarray(x))
-        with pytest.raises(DomainError):
-            bare.integral_to(0.5)
-        with pytest.raises(DomainError):
-            bare.mean()
-        with_integral = PiecewiseCdf.custom(
-            cdf_fn=lambda x: np.asarray(x), integral_fn=lambda x: 0.5 * np.asarray(x) ** 2
-        )
-        assert with_integral.mean() == 0.5
+    def test_custom_has_no_integral(self, c05):
+        for dist in (
+            PiecewiseCdf.custom(cdf_fn=lambda x: np.asarray(x)),
+            reserve_with_zero_atom(c05),
+            reserve_with_linear_ramp(c05),
+        ):
+            with pytest.raises(DomainError):
+                dist.integral_to(0.5)
+            with pytest.raises(DomainError):
+                dist.mean()
 
     def test_second_moment_only_in_closed_form(self, c05):
         for dist in (

@@ -16,6 +16,7 @@ from maxmin_auction import (
     revenue_functional,
     solve_a,
 )
+from maxmin_auction.quadrature import build_edges, composite_simpson
 
 
 class TestRevenueFunctional:
@@ -25,9 +26,36 @@ class TestRevenueFunctional:
         fv = revenue_functional(PiecewiseCdf.signal(c), PiecewiseCdf.reserve(c))
         assert abs(fv.value - c.revenue_guarantee) < 1e-6
 
-    def test_breakdown_identity(self, c05):
+    @pytest.mark.parametrize("mu", np.geomspace(1e-9, 1.0 - 1e-6, 12).tolist())
+    def test_relative_error_across_mu(self, mu):
+        # the grid scales with the smallest kink a, so the error stays relative
+        c = solve_a(ModelParams(mu=mu))
+        fv = revenue_functional(PiecewiseCdf.signal(c), PiecewiseCdf.reserve(c))
+        g = c.revenue_guarantee
+        assert abs(fv.value - g) <= 1e-8 * g
+
+    def test_relative_error_at_half(self, c05):
         fv = revenue_functional(PiecewiseCdf.signal(c05), PiecewiseCdf.reserve(c05))
-        assert fv.value == fv.first_term - fv.second_term
+        g = c05.revenue_guarantee
+        assert abs(fv.value - g) <= 3e-13 * g
+
+    def test_breakdown_identity(self, c05):
+        # one pass over the combined integrand equals the two terms integrated
+        # apart on the same grid, up to the rounding of the combination
+        g, h = PiecewiseCdf.signal(c05), PiecewiseCdf.reserve(c05)
+        edges = build_edges([c05.a])
+
+        def first(x):
+            xhp = np.where(x > 0.0, x * h.pdf(np.maximum(x, 1e-300)), 0.0)
+            return (1.0 - g.cdf(x) ** 2) * (xhp + h.cdf(x))
+
+        def second(x):
+            gx = g.cdf(x)
+            return h.cdf(x) * 2.0 * gx * (1.0 - gx)
+
+        fv = revenue_functional(g, h)
+        two_pass = composite_simpson(first, edges) - composite_simpson(second, edges)
+        assert fv.value == pytest.approx(two_pass, rel=1e-14, abs=0.0)
 
     def test_point_mass_at_one_extracts_everything(self, c05):
         # G = 0 on [0, 1): the integrand reduces to the exact derivative of
@@ -35,7 +63,6 @@ class TestRevenueFunctional:
         g = PiecewiseCdf.point_mass(1.0)
         fv = revenue_functional(g, PiecewiseCdf.reserve(c05))
         assert fv.value == pytest.approx(1.0, abs=1e-9)
-        assert fv.second_term == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_reserve_gives_second_moment(self, c05):
         g = PiecewiseCdf.signal(c05)

@@ -24,7 +24,7 @@ from maxmin_auction import (
     winner_payment,
 )
 
-from maxmin_auction.mechanism import _MC_CHUNK
+from maxmin_auction.mechanism import _MC_CHUNK, _tail_weighted_levels
 
 import oracles
 
@@ -209,6 +209,43 @@ class TestMcRevenue:
         else:
             two_pass = np.std(totals, ddof=1) / np.sqrt(n)
             assert r.std_error == pytest.approx(two_pass, rel=1e-10, abs=0.0)
+
+    def test_tail_weights_are_reciprocal_densities(self):
+        # midpoint rule over the words: the weighted levels reproduce
+        # integrals over u in [0, 1], the log tail included
+        words = (np.arange(2**16) + 0.5) / 2**16
+        u, weight = _tail_weighted_levels(words)
+        v = 1.0 - u
+        assert np.all((u >= 0.0) & (u < 1.0))
+        assert np.all((weight > 0.0) & (weight < 2.0))
+        assert np.mean(weight) == pytest.approx(1.0, abs=1e-8)
+        assert np.mean(weight * v) == pytest.approx(0.5, abs=1e-8)
+        assert np.mean(weight * np.log(v)) == pytest.approx(-1.0, abs=1e-7)
+
+    @pytest.mark.parametrize("n", [2, 3 * _MC_CHUNK + 17], ids=str)
+    def test_tail_weighted_streaming_matches_two_pass(self, c05, n):
+        g = PiecewiseCdf.signal(c05)
+        u, weight = _tail_weighted_levels(uniform_pairs(11, 0, n))
+        s = g.quantile(u)
+        totals = winner_payment(c05, s.max(axis=1), s.min(axis=1)) * weight.prod(axis=1)
+        r = mc_revenue(c05, g, n, seed=11, tail_weighted=True)
+        assert r.method == "monte-carlo-tail-weighted"
+        assert r.value == pytest.approx(np.mean(totals), rel=1e-13, abs=0.0)
+        two_pass = np.std(totals, ddof=1) / np.sqrt(n)
+        assert r.std_error == pytest.approx(two_pass, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_tail_weighted_reaches_the_atom_at_small_mu(self, seed):
+        # at mu = 1.5e-9 the atom of mass a ~ 7e-11 carries the revenue; the
+        # plain estimator never samples it and lands more than 3 SE low
+        c = solve_a(ModelParams(mu=1.5e-9))
+        g = PiecewiseCdf.signal(c)
+        target = c.revenue_guarantee
+        r = mc_revenue(c, g, 100_000, seed, tail_weighted=True)
+        assert abs(r.value - target) <= 3.0 * r.std_error
+        assert r.std_error <= 0.01 * target
+        plain = mc_revenue(c, g, 100_000, seed)
+        assert target - plain.value > 3.0 * plain.std_error
 
     def test_memory_does_not_grow_with_samples(self, c05):
         signal = PiecewiseCdf.signal(c05)
