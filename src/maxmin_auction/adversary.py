@@ -21,9 +21,10 @@ Three things keep it cheap without changing a bit of its output:
   unchanged, since each step is a function of the bracket alone and every
   later step would leave it unchanged as well (after about 55 steps, when
   the ends are adjacent doubles);
-* each step decides ``moment < target`` from a plain numpy sum, and only
-  when that sum lies within its rigorous error bound of the target does it
-  recompute the moment exactly with ``math.fsum``;
+* each step decides ``moment < target`` from a plain numpy sum; when that
+  sum lies within its rigorous error bound of the target, from an
+  error-free split of the terms whose high parts sum exactly; and only when
+  that also cannot decide does it recompute the moment with ``math.fsum``;
 * the convexity split and the multiplier-free factors of the pointwise
   argmin are computed once per solve, not once per step.
 
@@ -41,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .constants import (
     ModelParams,
@@ -87,8 +87,9 @@ class AdversaryResult:
     """Output of the constrained minimization.
 
     ``bisect_steps`` counts the multiplier bisection steps taken, and
-    ``exact_sums`` the steps whose plain moment sum lay too close to the
-    target to decide the comparison, so ``math.fsum`` decided it.
+    ``exact_sums`` the steps whose plain and split moment sums both lay too
+    close to the target to decide the comparison, so ``math.fsum`` decided
+    it.
     """
 
     grid: GridDistribution
@@ -137,7 +138,45 @@ def pav_nondecreasing(y: np.ndarray) -> np.ndarray:
     arr = y.astype(float)
     if not (arr[1:] < arr[:-1]).any():
         return arr
+    from scipy.optimize import isotonic_regression
+
     return isotonic_regression(arr).x
+
+
+def _sum_below(t: np.ndarray, target: float) -> bool | None:
+    """``math.fsum(t) < target`` for finite non-negative terms ``t``, decided
+    with numpy sums, or None where only the exact sum can decide it.
+
+    A plain sum of K non-negative terms is off by at most about K * 2**-53
+    times itself, in any order; twice that plus four ulps of the target
+    keeps the comparison below exact, since fsum rounds the exact sum
+    monotonically.  Inside that slack the terms are split against
+    sigma = 2**(E + ceil(log2 K)), where max t < 2**E (Rump, Ogita & Oishi,
+    "Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31(1),
+    2008): hi = (t + sigma) - sigma and lo = t - hi are exact, each hi is a
+    multiple of ulp(sigma) and their sum is at most sigma, so sum(hi) is
+    exact in any order.  Only the lo parts, each below ulp(sigma), carry a
+    rounding error, bounded the same way by their absolute sum.
+    """
+    n = t.size
+    sum_err = 2.0 * n * 2.0**-53
+    target_ulps = 4.0 * math.ulp(target)
+    s = float(t.sum())
+    slack = sum_err * s + target_ulps
+    if s < target - slack:
+        return True
+    if s > target + slack:
+        return False
+    sigma = math.ldexp(1.0, math.frexp(float(t.max()))[1] + (n - 1).bit_length())
+    hi = (t + sigma) - sigma
+    lo = t - hi
+    s = float(hi.sum()) + float(lo.sum())
+    slack = sum_err * float(np.abs(lo).sum()) + 2.0 * math.ulp(s) + target_ulps
+    if s < target - slack:
+        return True
+    if s > target + slack:
+        return False
+    return None
 
 
 def _grid_objective(
@@ -239,26 +278,18 @@ def minimize_revenue(
     def moment(g: np.ndarray) -> float:
         return math.fsum(moment_terms(g).tolist())
 
-    # Any-order float summation of K non-negative terms is off by at most
-    # about K * 2**-53 times the sum; twice that plus a few ulps of the target
-    # keeps the comparison below exact.
-    sum_err = 2.0 * K * 2.0**-53
-    target_ulps = 4.0 * math.ulp(target)
     exact_sums = 0
 
     def below_target(g: np.ndarray) -> bool:
-        """moment(g) < target, from a plain sum unless it falls within its
-        error bound of the target."""
+        """moment(g) < target, with math.fsum only where numpy sums cannot
+        decide it."""
         nonlocal exact_sums
         t = moment_terms(g)
-        s = float(t.sum())
-        slack = sum_err * s + target_ulps
-        if s < target - slack:
-            return True
-        if s > target + slack:
-            return False
-        exact_sums += 1
-        return math.fsum(t.tolist()) < target
+        below = _sum_below(t, target)
+        if below is None:
+            exact_sums += 1
+            below = math.fsum(t.tolist()) < target
+        return below
 
     lam_lo, lam_hi = 0.0, 2.0 * float(h_dist.cdf(1.0))
     m_lo = moment(argmin(lam_lo, g))

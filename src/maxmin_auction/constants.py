@@ -32,7 +32,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import spence
 
 from .errors import ConvergenceError, DomainError
 
@@ -59,6 +58,9 @@ _CDF_SERIES_HALFWIDTH = 1e-8
 # where that is near eps; at the cut the series needs _PDF_SERIES_TERMS terms.
 _PDF_SERIES_CUT = 0.2
 _PDF_SERIES_TERMS = 24
+# Above this u the direct form divides by u twice: u*u overflows past 2**512,
+# which u = (x - a)/a reaches once a < 2**-512 (mu below about 5e-152).
+_PDF_SQUARE_CUT = 2.0**511
 # Below x = LOW_Z * a the closed forms take ln(x/a) as ln x - ln a: there
 # log1p(u) has lost the low bits of x/a, and all of them once x/a < 2**-54.
 # Each function runs its log1p form on the whole array and then overwrites
@@ -183,7 +185,7 @@ def _one_minus_log_ratio_over_u2(u: np.ndarray) -> np.ndarray:
     """(u - log1p(u))/u^2; equals 1/2 at u = 0.
 
     Below |u| = _PDF_SERIES_CUT it is the series sum_j (-u)^j/(j+2), summed
-    by Horner's rule.
+    by Horner's rule; above u = _PDF_SQUARE_CUT it is divided by u twice.
     """
     out = np.empty_like(u)
     small = np.abs(u) < _PDF_SERIES_CUT
@@ -194,7 +196,10 @@ def _one_minus_log_ratio_over_u2(u: np.ndarray) -> np.ndarray:
             acc = acc * neg_us + 1.0 / (j + 2)
         out[small] = acc
     ub = u[~small]
-    out[~small] = (ub - np.log1p(ub)) / (ub * ub)
+    num = ub - np.log1p(ub)
+    big = ub > _PDF_SQUARE_CUT
+    num[big] /= ub[big]
+    out[~small] = num / (ub * np.where(big, 1.0, ub))
     return out
 
 
@@ -209,6 +214,8 @@ def _scaled_integral_below_half_a(x: np.ndarray, a: float) -> np.ndarray:
     Below z = 1/16 both brackets come from their series,
     z + ln(1-z) = -z^2 sum_j z^j/(j+2) and Li2(z) - z = z^2 sum_j z^j/(j+2)^2.
     """
+    from scipy.special import spence
+
     z = x / a
     log_z = np.log(x) - math.log(a)
     out = np.empty_like(z)
@@ -295,6 +302,8 @@ def reserve_cdf_integral(c: SolvedConstants, x):
     goes.  The tests check it against quadrature and against 40-digit
     values.
     """
+    from scipy.special import spence
+
     arr, scalar = _as_array(x)
     _check_unit_interval(arr, "reserve point")
     a = c.a

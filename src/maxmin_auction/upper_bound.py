@@ -33,8 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .constants import SolvedConstants, reserve_cdf, signal_quantile
 from .errors import ConvergenceError, DomainError
@@ -100,6 +98,17 @@ def analytic_bound(c: SolvedConstants) -> float:
     return 2.0 * c.a - c.a * c.a
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call.
+
+    A module-level name, so that callers and tests can rebind it, while
+    ``import maxmin_auction`` stays free of ``scipy.optimize``.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def _quantile_grid(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
@@ -122,6 +131,8 @@ def lp_max_revenue(c: SolvedConstants, n: int) -> tuple[float, DiscreteDirectMec
     ex-post payments in the returned mechanism are constant in the
     opponent's type.
     """
+    from scipy import sparse
+
     if n < 10:
         raise DomainError(f"quantile grid needs at least 10 points, got {n}")
     z = _quantile_grid(n)

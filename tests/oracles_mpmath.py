@@ -5,7 +5,7 @@ Run from the repository root:
     python tests/oracles_mpmath.py
 
 and paste the printed block into ``oracles.py``.  Nothing here imports the
-package: ``a`` is the bracketed root of a(1 - ln a) = mu, and H, H' and K are
+package: ``a`` is the root of a(1 - ln a) = mu, and H, H' and K are
 evaluated from their defining formulas at 70 working digits,
 
     H(x)  = -x (1-a) ln(x/a) / ((x-a) ln a)  =  x R(x),
@@ -36,11 +36,21 @@ NORMAL_MIN = mp.mpf(2) ** -1022
 # the direct form cancelled, at three means.
 NEAR_A_MU = ("0.5", "0.05", "2e-8")
 NEAR_A_OFFSETS = ("1.1e-3", "2e-3", "1e-2")
+# H and H' at a mean so small that u = (x-a)/a passes 2**512 for x >> a,
+# where u*u overflows a double.
+TINY_MU = "1e-300"
+TINY_MU_X = ("1e-200", "1e-3", "0.5", "1")
 
 
 def model(mu):
-    """The root a of a(1 - ln a) = mu, h(a) = -(1-a)/ln a and R(t) = H(t)/t."""
-    a = mp.findroot(lambda t: t * (1 - mp.log(t)) - mu, (mu / 1000, 1 - mp.mpf("1e-6")), solver="anderson")
+    """The root a of a(1 - ln a) = mu, h(a) = -(1-a)/ln a and R(t) = H(t)/t.
+
+    The root is solved for ln a, from ln a + ln(1 - ln a) = ln mu: in a
+    itself the residual is of the size of mu, which passes findroot's
+    absolute test at any a once mu is tiny.
+    """
+    log_a = mp.findroot(lambda t: t + mp.log(1 - t) - mp.log(mu), mp.log(mu))
+    a = mp.exp(log_a)
     scale = -(1 - a) / mp.log(a)
     return a, scale, lambda t: scale * mp.log(t / a) / (t - a)
 
@@ -107,6 +117,20 @@ def near_a_points(mu_text):
     return sorted(rows)
 
 
+def tiny_mu_values(x_text):
+    """H and H' at x for the double nearest TINY_MU, stable to 45 digits."""
+    out = []
+    for dps in (70, 90):
+        with mp.workdps(dps):
+            a, scale, ratio = model(mp.mpf(float(TINY_MU)))
+            x = mp.mpf(x_text)
+            out.append((x * ratio(x), scale * (x - a - a * mp.log(x / a)) / (x - a) ** 2))
+    with mp.workdps(70):
+        for lo, hi in zip(*out):
+            assert abs(lo - hi) <= mp.mpf(10) ** -45 * abs(hi), (x_text, lo, hi)
+    return out[1]
+
+
 def main():
     rows = {x: stable_values(x) for x in SMALL_X}
     for name, col in (("H", 0), ("HPRIME", 1), ("K", 2)):
@@ -122,6 +146,12 @@ def main():
         for x, value in near_a_points(mu_text):
             print(f"    ({mu_text}, {x!r}): {mp.nstr(value, 40, min_fixed=1, max_fixed=0)},")
     print("}")
+    tiny = {x: tiny_mu_values(x) for x in TINY_MU_X}
+    for name, col in (("H", 0), ("HPRIME", 1)):
+        print(f"{name}_MU_1E300 = {{")
+        for x in TINY_MU_X:
+            print(f"    {x}: {mp.nstr(tiny[x][col], 40, min_fixed=1, max_fixed=0)},")
+        print("}")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ import math
 import adversary_reference as reference
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxmin_auction import (
@@ -22,6 +22,7 @@ from maxmin_auction import (
     solve_a,
     verify_pointwise_saddle,
 )
+from maxmin_auction.adversary import _sum_below
 
 
 RESERVES = {
@@ -118,6 +119,46 @@ class TestBisectionDiagnostics:
         # the bracket ends are adjacent doubles after about 55 halvings
         assert res.bisect_steps <= 64
         assert 0 <= res.exact_sums <= res.bisect_steps
+        # the split sum decides all but a few steps next to the target; the
+        # plain-sum guard alone left 22 of 55 to math.fsum
+        assert res.exact_sums <= 8
+
+
+def ulp_steps(x, n):
+    """x moved n ulps up (n > 0) or down (n < 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+class TestSplitSum:
+    """``_sum_below`` decides ``math.fsum(t) < target`` or returns None."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        terms=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3000),
+        scale=st.sampled_from([1.0, 2.0**-1060, 2.0**900]),
+        ulps=st.sampled_from([0, 1, -1, 2, -2, 8, -8, 64, -64, 2**20, -(2**20)]),
+    )
+    # 1 + 2**-53 is a rounding tie that every float sum breaks down to 1,
+    # while the 2**-107 term makes fsum round it up: only the slack keeps
+    # the split from deciding this comparison wrongly
+    @example(terms=[1.0, 2.0**-53, 2.0**-107], scale=1.0, ulps=0)
+    def test_matches_fsum(self, terms, scale, ulps):
+        t = np.array(terms) * scale
+        exact = math.fsum(t.tolist())
+        target = ulp_steps(exact, ulps) if abs(ulps) <= 64 else exact * (1.0 + ulps * 2.0**-53)
+        below = _sum_below(t, target)
+        assert below is None or below == (exact < target)
+
+    @pytest.mark.parametrize("ulps", [16, -16])
+    def test_split_decides_where_plain_sum_cannot(self, ulps):
+        t = np.random.default_rng(3).uniform(0.0, 2.5e-6, 400_000)
+        exact = math.fsum(t.tolist())
+        target = ulp_steps(exact, ulps)
+        # the plain sum's any-order bound alone spans about 1e5 ulps here
+        assert 2.0 * t.size * 2.0**-53 * exact > 1e3 * math.ulp(exact)
+        assert _sum_below(t, target) is (ulps > 0)
 
 
 class TestUniformReserveMeanConstraint:

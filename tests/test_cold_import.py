@@ -1,0 +1,71 @@
+"""Import weight: each command loads only the scipy subpackages it calls.
+
+``import maxmin_auction`` loads numpy and nothing from scipy; ``spence``,
+``isotonic_regression``, ``scipy.sparse`` and ``linprog`` are imported inside
+the functions that use them.  Each case runs in a fresh interpreter, since
+the test process itself has long since imported scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from maxmin_auction import PiecewiseCdf
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SCIPY = ("scipy.special", "scipy.optimize", "scipy.sparse")
+
+# Runs its arguments as ``python -m maxmin_auction`` would, then writes the
+# scipy subpackages loaded by exit time as the last line of stderr.
+PROBE = f"""
+import atexit, json, runpy, sys
+atexit.register(
+    lambda: print(json.dumps([m for m in {SCIPY!r} if m in sys.modules]), file=sys.stderr)
+)
+if len(sys.argv) > 1:
+    sys.argv[0] = "maxmin_auction"
+    runpy.run_module("maxmin_auction", run_name="__main__", alter_sys=True)
+else:
+    import maxmin_auction
+"""
+
+
+def loaded_scipy(*argv: str) -> set[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.strip().splitlines()[-1]))
+
+
+def test_package_import_loads_no_scipy():
+    assert loaded_scipy() == set()
+
+
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (("adversary", "--mu", "0.5", "--grid-k", "500"), set()),
+        (("simulate", "--mu", "0.5", "--samples", "1000", "--seed", "1"), {"scipy.special"}),
+        (("verify", "--mu", "0.5", "--seed", "7"), set(SCIPY)),
+    ],
+    ids=["adversary", "simulate", "verify"],
+)
+def test_command_loads_only_what_it_calls(argv, expected):
+    assert loaded_scipy(*argv) == expected
+
+
+def test_mps_check_loads_no_scipy(tmp_path):
+    path = tmp_path / "prior.csv"
+    PiecewiseCdf.from_discrete([0.0, 0.5, 1.0], [0.25, 0.5, 0.25]).to_csv(path)
+    assert loaded_scipy("mps-check", "--mu", "0.5", "--prior", str(path)) == set()

@@ -253,6 +253,17 @@ class TestSmallX:
             oracles.K_SMALL_X_MU_05[x], rel=1e-12, abs=0.0
         )
 
+    @pytest.mark.parametrize("x", sorted(oracles.HPRIME_MU_1E300))
+    def test_tiny_mu_matches_oracles(self, x):
+        # at mu = 1e-300, u = (x-a)/a passes 2**512 from x = 1e-3 up
+        c = solve_a(ModelParams(mu=1e-300))
+        assert reserve_cdf(c, x) == pytest.approx(
+            oracles.H_MU_1E300[x], rel=1e-12, abs=0.0
+        )
+        assert reserve_pdf(c, x) == pytest.approx(
+            oracles.HPRIME_MU_1E300[x], rel=1e-12, abs=0.0
+        )
+
     def test_subnormal_points(self, c05):
         # a relative bound means nothing here: ask for finite, non-negative
         # and non-decreasing values, from 0 across the smallest normal double
