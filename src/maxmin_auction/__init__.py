@@ -39,7 +39,6 @@ from .errors import (
     DomainError,
     MaxminError,
     MeanMismatchError,
-    MonotonicityError,
 )
 from .extensions import (
     MpsReport,

@@ -52,7 +52,7 @@ from .constants import (
 )
 from .distributions import PiecewiseCdf
 from .errors import ConvergenceError, DegenerateError, DomainError
-from .functional import _h_atom_check, _revenue_integrand
+from .functional import _h_atom_check, _lagrangian, _revenue_integrand
 
 __all__ = [
     "GridDistribution",
@@ -68,6 +68,10 @@ __all__ = [
 ]
 
 _COEF_TOL = 1e-12
+# Allowed miss of the moment constraint, before and after the bisection.
+_TOL_MEAN = 1e-9
+# Grid points of each P1/P2 check in ``check_p1_p2``.
+_P1P2_GRID = 1000
 # Cap on the multiplier bisection.  The loop leaves earlier, exactly, at the
 # first step that leaves the bracket unchanged: about 55 steps from the
 # initial bracket [0, 2 H(1)].  The count taken is AdversaryResult.bisect_steps.
@@ -228,7 +232,6 @@ def minimize_revenue(
     *,
     constraint: str = "mean",
     target: float | None = None,
-    tol_mean: float = 1e-9,
 ) -> AdversaryResult:
     """Minimize expected revenue over grid CDFs meeting a moment constraint.
 
@@ -294,7 +297,7 @@ def minimize_revenue(
     lam_lo, lam_hi = 0.0, 2.0 * float(h_dist.cdf(1.0))
     m_lo = moment(argmin(lam_lo, g))
     m_hi = moment(argmin(lam_hi, g))
-    if not (m_lo <= target + tol_mean and m_hi >= target - tol_mean):
+    if not (m_lo <= target + _TOL_MEAN and m_hi >= target - _TOL_MEAN):
         raise ConvergenceError(
             f"multiplier bracket [0, {lam_hi}] does not enclose the constraint "
             f"target {target} (endpoint moments {m_lo}, {m_hi})"
@@ -313,7 +316,7 @@ def minimize_revenue(
     lam_hat = 0.5 * (lam_lo + lam_hi)
     g_raw = argmin(lam_hat, g)
     residual = moment(g_raw) - target
-    if abs(residual) > tol_mean:
+    if abs(residual) > _TOL_MEAN:
         # Indifference at the limiting multiplier: mix the two bracket-end
         # minimizers so the constraint binds exactly.  Both ends minimize the
         # same limiting integrand wherever they disagree.
@@ -331,10 +334,7 @@ def minimize_revenue(
         residual = moment(g_raw) - target
     del argmin, g  # release the loop buffers before the projection stage
 
-    lag_terms = (
-        (coef * g_raw * g_raw + (lam_hat * w - 2.0 * h) * g_raw + xhp + h - lam_hat * w)
-        * dx
-    )
+    lag_terms = _lagrangian(g_raw, h, xhp, lam_hat * w) * dx
     lagrangian_bound = math.fsum(lag_terms.tolist()) + lam_hat * target
     del lag_terms
 
@@ -379,20 +379,18 @@ def verify_pointwise_saddle(c: SolvedConstants, K: int = 500) -> SaddleReport:
     )
 
 
-def check_p1_p2(
-    h_star: PiecewiseCdf, c: SolvedConstants, n_grid: int = 1000
-) -> P1P2Report:
+def check_p1_p2(h_star: PiecewiseCdf, c: SolvedConstants) -> P1P2Report:
     """Verify the reserve-family conditions for an alternative reserve CDF.
 
     P1: the CDF agrees with the solved reserve on [a, 1] (sup gap <= 1e-9).
     P2: H*(x) - x (H*)'(x) >= 0 on a midpoint grid of (0, a).
     """
     a = c.a
-    x1 = np.linspace(a, 1.0, n_grid)
+    x1 = np.linspace(a, 1.0, _P1P2_GRID)
     gap = np.abs(np.asarray(h_star.cdf(x1)) - reserve_cdf(c, x1))
     i1 = int(np.argmax(gap))
 
-    x2 = (np.arange(n_grid) + 0.5) * (a / n_grid)
+    x2 = (np.arange(_P1P2_GRID) + 0.5) * (a / _P1P2_GRID)
     vals = np.asarray(h_star.cdf(x2)) - x2 * np.asarray(h_star.pdf(x2))
     i2 = int(np.argmin(vals))
     return P1P2Report(

@@ -27,6 +27,7 @@ from . import functional as fn
 from . import mechanism as mech
 from . import upper_bound as ub
 from .constants import (
+    TOL_ROOT,
     ModelParams,
     SolvedConstants,
     reserve_cdf,
@@ -40,7 +41,6 @@ from .errors import (
     DegenerateError,
     DomainError,
     MeanMismatchError,
-    MonotonicityError,
 )
 from .mechanism import uniform_pairs
 from .quadrature import adaptive_simpson
@@ -94,8 +94,10 @@ def dump_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialise {type(obj)}")
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(dump_json(payload) + "\n")
+def _emit(command: str, payload: dict) -> None:
+    """Print ``payload`` as JSON under the schema version and command name."""
+    header = {"schema": SCHEMA_VERSION, "command": command}
+    sys.stdout.write(dump_json({**header, **payload}) + "\n")
 
 
 def _constants(args: argparse.Namespace) -> SolvedConstants:
@@ -112,16 +114,15 @@ def _constants(args: argparse.Namespace) -> SolvedConstants:
 def cmd_solve(args: argparse.Namespace) -> int:
     c = _constants(args)
     _emit(
+        "solve",
         {
-            "schema": SCHEMA_VERSION,
-            "command": "solve",
             "mu": c.mu,
             "a": c.a,
             "lambda": c.lam,
             "revenue_guarantee": c.revenue_guarantee,
             "h_at_a": c.h_at_a,
-            "root_residual": abs(c.a * (1.0 - math.log(c.a)) - c.mu),
-        }
+            "root_residual": c.root_residual,
+        },
     )
     return EXIT_OK
 
@@ -130,14 +131,13 @@ def cmd_dominated(args: argparse.Namespace) -> int:
     c = _constants(args)
     value = mech.dominated_equilibrium_revenue(c)
     _emit(
+        "dominated",
         {
-            "schema": SCHEMA_VERSION,
-            "command": "dominated",
             "mu": c.mu,
             "value": value,
             "revenue_guarantee": c.revenue_guarantee,
             "below_guarantee": value < c.revenue_guarantee,
-        }
+        },
     )
     return EXIT_OK
 
@@ -149,24 +149,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         signal = PiecewiseCdf.signal(c)
     report = mech.mc_revenue(c, signal, args.n_samples, args.seed)
-    payload = {"schema": SCHEMA_VERSION, "command": "simulate"}
-    payload.update(report.to_json_dict())
-    _emit(payload)
+    _emit("simulate", report.to_json_dict())
     return EXIT_OK
 
 
 def cmd_second_moment(args: argparse.Namespace) -> int:
     sol = ext.second_moment_solution(ext.SecondMomentParams(delta=args.delta))
     _emit(
+        "second-moment",
         {
-            "schema": SCHEMA_VERSION,
-            "command": "second-moment",
             "delta": args.delta,
             "a": sol.a,
             "guarantee": sol.guarantee,
             "reserve_kind": sol.reserve.kind,
             "signal_atom_at_one": sol.a,
-        }
+        },
     )
     return EXIT_OK
 
@@ -176,16 +173,15 @@ def cmd_mps_check(args: argparse.Namespace) -> int:
     prior = read_cdf_csv(args.prior)
     report = ext.mps_check(prior, c, grid=args.grid)
     _emit(
+        "mps-check",
         {
-            "schema": SCHEMA_VERSION,
-            "command": "mps-check",
             "mu": c.mu,
             "passed": report.passed,
             "max_violation": report.max_violation,
             "worst_x": report.worst_x,
             "gap_at_one": report.gap_at_one,
             "grid_size": report.grid_size,
-        }
+        },
     )
     return EXIT_OK
 
@@ -210,8 +206,6 @@ def cmd_adversary(args: argparse.Namespace) -> int:
             target=args.delta,
         )
         payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "adversary",
             "delta": args.delta,
             "constraint": "second-moment",
         }
@@ -220,8 +214,6 @@ def cmd_adversary(args: argparse.Namespace) -> int:
         h_dist = _reserve_distribution(args, c)
         result = adv.minimize_revenue(h_dist, ModelParams(mu=c.mu), args.grid_k)
         payload = {
-            "schema": SCHEMA_VERSION,
-            "command": "adversary",
             "mu": c.mu,
             "reserve": args.reserve,
             "constraint": "mean",
@@ -238,7 +230,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     )
     if args.out is not None:
         write_cdf_csv(args.out, result.grid.x, result.grid.values)
-    _emit(payload)
+    _emit("adversary", payload)
     return EXIT_OK
 
 
@@ -250,20 +242,21 @@ def cmd_upper_bound(args: argparse.Namespace) -> int:
         with open(args.dump_mechanism, "w") as fh:
             fh.write(dump_json(mechanism.to_json_dict()) + "\n")
     _emit(
+        "upper-bound",
         {
-            "schema": SCHEMA_VERSION,
-            "command": "upper-bound",
             "mu": c.mu,
             "n": args.grid_n,
             "lp_optimum": optimum,
             "analytic_bound": bound,
             "gap": optimum - bound,
-        }
+        },
     )
     return EXIT_OK
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
+    if args.grid < 1:
+        raise DomainError(f"--grid must be at least 1, got {args.grid}")
     c = _constants(args)
     if args.which == "reserve":
         x = np.linspace(0.0, 1.0, args.grid)
@@ -279,14 +272,13 @@ def cmd_curves(args: argparse.Namespace) -> int:
         )
         write_cdf_csv(args.out, result.grid.x, result.grid.values)
     _emit(
+        "curves",
         {
-            "schema": SCHEMA_VERSION,
-            "command": "curves",
             "which": args.which,
             "mu": c.mu,
             "rows": args.grid,
             "out": args.out,
-        }
+        },
     )
     return EXIT_OK
 
@@ -322,8 +314,7 @@ def run_verification(args: argparse.Namespace) -> dict:
     def record(name: str, passed: bool, **detail) -> None:
         checks.append({"name": name, "passed": bool(passed), **detail})
 
-    residual = abs(c.a * (1.0 - math.log(c.a)) - c.mu)
-    record("root_residual", residual <= c.tol_root * c.mu, value=residual)
+    record("root_residual", c.root_residual <= TOL_ROOT * c.mu, value=c.root_residual)
 
     xs = np.linspace(0.01, 1.0, 100)
     xs = xs[np.abs(xs - c.a) > 1e-9]
@@ -416,8 +407,6 @@ def run_verification(args: argparse.Namespace) -> dict:
     record("payment_identity", pay_worst <= 1e-6, value=pay_worst)
 
     return {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
         "mu": c.mu,
         "seed": args.seed,
         "n_samples": args.n_samples,
@@ -428,7 +417,7 @@ def run_verification(args: argparse.Namespace) -> dict:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = run_verification(args)
-    _emit(report)
+    _emit("verify", report)
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED
 
 
@@ -526,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
         if mu is not None and delta is not None:
             raise DomainError("give exactly one of --mu and --delta")
         return _HANDLERS[args.command](args)
-    except (DomainError, MeanMismatchError, MonotonicityError) as exc:
+    except (DomainError, MeanMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ConvergenceError, DegenerateError) as exc:

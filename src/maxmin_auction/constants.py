@@ -36,6 +36,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
+    "TOL_ROOT",
     "ModelParams",
     "SolvedConstants",
     "solve_a",
@@ -48,6 +49,8 @@ __all__ = [
     "signal_quantile",
 ]
 
+# Bound on the root residual |a(1 - ln a) - mu|, relative to mu.
+TOL_ROOT = 1e-12
 # Bisection bracket inset and iteration budget for the root of a(1 - ln a) = mu.
 _BRACKET_EPS = 1e-12
 _BISECT_BUDGET = 200
@@ -74,16 +77,18 @@ _K_SERIES_TERMS = 14
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Model inputs: the signal mean and the root-solve tolerance, relative to mu."""
+    """Model input: the signal mean."""
 
     mu: float
-    tol_root: float = 1e-12
 
     def __post_init__(self) -> None:
         if not 0.0 < self.mu < 1.0:
             raise DomainError(f"mu must lie in (0, 1), got {self.mu}")
-        if self.tol_root <= 0.0:
-            raise DomainError("tol_root must be strictly positive")
+
+
+def _residual(t: float, mu: float) -> float:
+    """t(1 - ln t) - mu, whose root in (0, 1) is ``a``."""
+    return t * (1.0 - math.log(t)) - mu
 
 
 @dataclass(frozen=True)
@@ -95,7 +100,11 @@ class SolvedConstants:
     lam: float
     revenue_guarantee: float
     h_at_a: float
-    tol_root: float = 1e-12
+
+    @property
+    def root_residual(self) -> float:
+        """|a(1 - ln a) - mu|."""
+        return abs(_residual(self.a, self.mu))
 
 
 def solve_a(params: ModelParams) -> SolvedConstants:
@@ -107,20 +116,16 @@ def solve_a(params: ModelParams) -> SolvedConstants:
     roots take more halvings than the budget, so there the bisection runs on
     the bit patterns of (0, 1e-12], which order positive doubles as their
     values do, and returns the least double with a(1 - ln a) >= mu.  Raises
-    ConvergenceError if the residual exceeds ``tol_root`` times mu, or times
+    ConvergenceError if the residual exceeds ``TOL_ROOT`` times mu, or times
     the smallest normal double for a subnormal mu.
     """
     mu = params.mu
-
-    def residual(t: float) -> float:
-        return t * (1.0 - math.log(t)) - mu
-
     lo, hi = _BRACKET_EPS, 1.0 - _BRACKET_EPS
-    if residual(lo) > 0.0:
+    if _residual(lo, mu) > 0.0:
         lo_bits, hi_bits = np.int64(0), np.float64(lo).view(np.int64)
         while hi_bits - lo_bits > 1:
             mid_bits = lo_bits + (hi_bits - lo_bits) // 2
-            if residual(float(mid_bits.view(np.float64))) < 0.0:
+            if _residual(float(mid_bits.view(np.float64)), mu) < 0.0:
                 lo_bits = mid_bits
             else:
                 hi_bits = mid_bits
@@ -130,32 +135,32 @@ def solve_a(params: ModelParams) -> SolvedConstants:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
-            if residual(mid) < 0.0:
+            if _residual(mid, mu) < 0.0:
                 lo = mid
             else:
                 hi = mid
         a = 0.5 * (lo + hi)
-    if abs(residual(a)) > params.tol_root * max(mu, sys.float_info.min):
+    c = constants_from_a(mu, a)
+    if c.root_residual > TOL_ROOT * max(mu, sys.float_info.min):
         raise ConvergenceError(
-            f"|a(1 - ln a) - mu| = {abs(residual(a)):.3e} exceeds tol_root * mu"
+            f"|a(1 - ln a) - mu| = {c.root_residual:.3e} exceeds TOL_ROOT * mu"
         )
-    return constants_from_a(mu, a, params.tol_root)
+    return c
 
 
-def constants_from_a(mu: float, a: float, tol_root: float = 1e-12) -> SolvedConstants:
+def constants_from_a(mu: float, a: float) -> SolvedConstants:
     """The constants derived in closed form from the reserve parameter ``a``.
 
-    lambda = -2(1-a)/ln a, the guarantee 2a - a^2 and H(a) = -(1-a)/ln a;
-    ``mu`` is recorded as given.
+    H(a) = -(1-a)/ln a, lambda = 2 H(a) and the guarantee 2a - a^2; ``mu``
+    is recorded as given.
     """
-    log_a = math.log(a)
+    h_at_a = -(1.0 - a) / math.log(a)
     return SolvedConstants(
         mu=mu,
         a=a,
-        lam=-2.0 * (1.0 - a) / log_a,
+        lam=2.0 * h_at_a,
         revenue_guarantee=2.0 * a - a * a,
-        h_at_a=-(1.0 - a) / log_a,
-        tol_root=tol_root,
+        h_at_a=h_at_a,
     )
 
 

@@ -1,6 +1,6 @@
 """CDFs on [0, 1] with explicit atoms.
 
-One container covers the four shapes the package needs:
+One container covers the five shapes the package needs:
 
 * ``reserve``  -- the analytic reserve-price CDF (continuous, strictly
   increasing, removable point at ``a``);
@@ -30,17 +30,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import constants as cf
+from .constants import _as_array, _check_unit_interval
 from .errors import DomainError
 
 __all__ = ["PiecewiseCdf", "read_cdf_csv", "write_cdf_csv"]
 
 _VAL_TOL = 1e-9
 _CSV_BLOCK_ROWS = 65536
-
-
-def _as_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
 
 
 @dataclass(frozen=True)
@@ -54,7 +50,7 @@ class PiecewiseCdf:
     masses: np.ndarray | None = None
     cdf_fn: Callable[[np.ndarray], np.ndarray] | None = None
     pdf_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    atom_list: tuple[tuple[float, float], ...] = ()
+    atoms: tuple[tuple[float, float], ...] = ()
     breakpoints: tuple[float, ...] = ()
 
     # ------------------------------------------------------------------ #
@@ -72,7 +68,7 @@ class PiecewiseCdf:
         return cls(
             kind="signal",
             constants=c,
-            atom_list=((1.0, c.a),),
+            atoms=((1.0, c.a),),
             breakpoints=(c.a,),
         )
 
@@ -99,6 +95,8 @@ class PiecewiseCdf:
         v = np.asarray(values, dtype=float).copy()
         if x.ndim != 1 or x.shape != v.shape or x.size < 1:
             raise DomainError("knots and values must be equal-length 1-d arrays")
+        if not (np.isfinite(x).all() and np.isfinite(v).all()):
+            raise DomainError("knots and values must be finite")
         if np.any(np.diff(x) <= 0.0):
             raise DomainError("knots must be strictly increasing")
         if x[0] < 0.0 or x[-1] > 1.0:
@@ -108,8 +106,8 @@ class PiecewiseCdf:
         v = np.clip(v, 0.0, 1.0)
 
         mass = {float(loc): float(m) for loc, m in atoms if m != 0.0}
-        if any(m < 0.0 for m in mass.values()):
-            raise DomainError("atom masses must be nonnegative")
+        if not all(math.isfinite(m) and m > 0.0 for m in mass.values()):
+            raise DomainError("atom masses must be finite and nonnegative")
 
         # Complete the support to [0, 1].
         if x[0] > 0.0:
@@ -142,14 +140,14 @@ class PiecewiseCdf:
         if np.any(left[1:] < v[:-1] - _VAL_TOL) or np.any(left < -_VAL_TOL):
             raise DomainError("CDF values (net of atoms) must be nondecreasing")
 
-        atom_list = tuple((float(x[i]), float(m[i])) for i in np.nonzero(m)[0])
+        atoms = tuple((float(x[i]), float(m[i])) for i in np.nonzero(m)[0])
         interior = tuple(float(t) for t in x[1:-1])
         return cls(
             kind="grid",
             knots=x,
             values=v,
             masses=m,
-            atom_list=atom_list,
+            atoms=atoms,
             breakpoints=interior,
         )
 
@@ -191,7 +189,7 @@ class PiecewiseCdf:
             kind="custom",
             cdf_fn=cdf_fn,
             pdf_fn=pdf_fn,
-            atom_list=tuple(atoms),
+            atoms=tuple(atoms),
             breakpoints=tuple(breakpoints),
         )
 
@@ -199,15 +197,10 @@ class PiecewiseCdf:
     # evaluation
     # ------------------------------------------------------------------ #
 
-    @property
-    def atoms(self) -> tuple[tuple[float, float], ...]:
-        return self.atom_list
-
     def cdf(self, x):
         """Right-continuous CDF value at ``x`` (scalar or array)."""
         arr, scalar = _as_array(x)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError("CDF argument must lie in [0, 1]")
+        _check_unit_interval(arr, "CDF argument")
         if self.kind == "reserve":
             out = cf.reserve_cdf(self.constants, arr)
         elif self.kind == "signal":
@@ -221,9 +214,15 @@ class PiecewiseCdf:
         out = np.asarray(out, dtype=float)
         return float(out) if scalar else out
 
+    def _segment(self, arr: np.ndarray) -> np.ndarray:
+        """Index of the grid segment [x_i, x_{i+1}) holding each point; the last
+        segment also holds x = 1."""
+        x = self.knots
+        return np.clip(np.searchsorted(x, arr, side="right") - 1, 0, x.size - 2)
+
     def _grid_cdf(self, arr: np.ndarray) -> np.ndarray:
         x, v, m = self.knots, self.values, self.masses
-        idx = np.clip(np.searchsorted(x, arr, side="right") - 1, 0, x.size - 2)
+        idx = self._segment(arr)
         left_val = v[idx]
         right_left_limit = v[idx + 1] - m[idx + 1]
         width = x[idx + 1] - x[idx]
@@ -249,10 +248,7 @@ class PiecewiseCdf:
                 raise DomainError("this CDF has no density available")
             out = np.asarray(self.pdf_fn(arr), dtype=float)
         else:
-            x_k, v, m = self.knots, self.values, self.masses
-            idx = np.clip(np.searchsorted(x_k, arr, side="right") - 1, 0, x_k.size - 2)
-            slope = (v[idx + 1] - m[idx + 1] - v[idx]) / (x_k[idx + 1] - x_k[idx])
-            out = slope
+            out = self._grid_segments()[2][self._segment(arr)]
         out = np.asarray(out, dtype=float)
         return float(out) if scalar else out
 
@@ -290,7 +286,7 @@ class PiecewiseCdf:
         width, left, slope = self._grid_segments()
         seg_int = width * left + 0.5 * slope * width * width
         cum = np.concatenate(([0.0], np.cumsum(seg_int)))
-        idx = np.clip(np.searchsorted(x, arr, side="right") - 1, 0, x.size - 2)
+        idx = self._segment(arr)
         t = arr - x[idx]
         return cum[idx] + left[idx] * t + 0.5 * slope[idx] * t * t
 
@@ -317,16 +313,14 @@ class PiecewiseCdf:
         if self.kind == "uniform":
             return 1.0 / 3.0
         if self.kind == "signal":
-            a = self.constants.a
-            return 2.0 * a - a * a
+            return self.constants.revenue_guarantee
         raise DomainError(f"no second moment available for a {self.kind} CDF")
 
     def quantile(self, u):
         """Generalised inverse: least x with F(x) >= u; u = 0 maps to the
         infimum of the support.  Vectorised."""
         arr, scalar = _as_array(u)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError("quantile level must lie in [0, 1]")
+        _check_unit_interval(arr, "quantile level")
         if self.kind == "signal":
             out = cf.signal_quantile(self.constants, arr)
         elif self.kind == "uniform":
@@ -380,10 +374,6 @@ class PiecewiseCdf:
             raise DomainError("CSV output is defined for grid CDFs only")
         write_cdf_csv(path, self.knots, self.values, self.masses)
 
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "PiecewiseCdf":
-        return read_cdf_csv(path)
-
 
 def write_cdf_csv(
     path: str | Path,
@@ -414,22 +404,31 @@ def write_cdf_csv(
 
 
 def read_cdf_csv(path: str | Path) -> PiecewiseCdf:
-    """Read a grid CDF from CSV (header required, optional atom_mass column)."""
+    """Read a grid CDF from CSV (header required, optional atom_mass column).
+
+    A row that is short or not numeric raises DomainError naming its line.
+    """
+    xs, vs, atoms = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or not header or header[0].strip().lower() != "x":
             raise DomainError(f"{path}: missing CSV header row starting with 'x'")
-        rows = [row for row in reader if row]
-    if not rows:
+        with_mass = len(header) >= 3
+        for row in reader:
+            if not row:
+                continue
+            try:
+                x, v = float(row[0]), float(row[1])
+                mass = float(row[2]) if with_mass and len(row) >= 3 and row[2].strip() else 0.0
+            except (IndexError, ValueError):
+                raise DomainError(
+                    f"{path}, line {reader.line_num}: expected numbers x, F[, atom_mass], got {row}"
+                ) from None
+            xs.append(x)
+            vs.append(v)
+            if mass != 0.0:
+                atoms.append((x, mass))
+    if not xs:
         raise DomainError(f"{path}: no data rows")
-    xs = np.array([float(r[0]) for r in rows])
-    vs = np.array([float(r[1]) for r in rows])
-    atoms = []
-    if len(header) >= 3:
-        for r in rows:
-            if len(r) >= 3 and r[2].strip():
-                mass = float(r[2])
-                if mass != 0.0:
-                    atoms.append((float(r[0]), mass))
     return PiecewiseCdf.from_grid(xs, vs, atoms=atoms)

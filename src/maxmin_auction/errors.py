@@ -17,9 +17,5 @@ class DegenerateError(MaxminError, RuntimeError):
     """The quadratic structure of the pointwise problem is invalid (concave)."""
 
 
-class MonotonicityError(MaxminError, ValueError):
-    """An input required to be nondecreasing is not."""
-
-
 class MeanMismatchError(MaxminError, ValueError):
     """A supplied distribution does not have the required mean."""

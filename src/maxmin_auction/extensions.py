@@ -36,6 +36,8 @@ __all__ = [
 # Interior maxima of the integrated-CDF gap can fall between grid nodes;
 # with the default grid the interpolation slack is far below this.
 _MPS_PASS_TOL = 1e-6
+# Allowed gap between the prior's mean and mu.
+_MPS_MEAN_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -86,12 +88,7 @@ def second_moment_solution(p: SecondMomentParams) -> SecondMomentSolution:
     )
 
 
-def mps_check(
-    prior: PiecewiseCdf,
-    c: SolvedConstants,
-    grid: int = 4001,
-    tol_mean: float = 1e-6,
-) -> MpsReport:
+def mps_check(prior: PiecewiseCdf, c: SolvedConstants, grid: int = 4001) -> MpsReport:
     """Check that ``prior`` is a mean-preserving spread of the worst-case signals.
 
     Compares the exact integrated CDFs on a grid that includes the prior's
@@ -100,8 +97,10 @@ def mps_check(
     allowance.  Equal means force equality at x = 1, which is reported as
     ``gap_at_one``.
     """
+    if grid < 1:
+        raise DomainError(f"grid must have at least 1 point, got {grid}")
     prior_mean = prior.mean()
-    if abs(prior_mean - c.mu) > tol_mean:
+    if abs(prior_mean - c.mu) > _MPS_MEAN_TOL:
         raise MeanMismatchError(
             f"prior mean {prior_mean} does not match mu = {c.mu}"
         )

@@ -65,6 +65,12 @@ def _revenue_integrand(g, h, xhp):
     return (1.0 - g * g) * (xhp + h) - h * 2.0 * g * (1.0 - g)
 
 
+def _lagrangian(g, h, xhp, lam_w):
+    """(H - xH') G^2 + (lam w - 2H) G + xH' + H - lam w: the revenue integrand
+    less the multiplier ``lam_w`` = lam * w times the constraint term w (1 - G)."""
+    return (h - xhp) * g * g + (lam_w - 2.0 * h) * g + xhp + h - lam_w
+
+
 def revenue_functional(g_dist: PiecewiseCdf, h_dist: PiecewiseCdf) -> FunctionalValue:
     """Expected truthful revenue of the reserve ``h_dist`` under signals ``g_dist``.
 
@@ -92,7 +98,7 @@ def revenue_functional(g_dist: PiecewiseCdf, h_dist: PiecewiseCdf) -> Functional
 def lagrangian_integrand(g_val: float, x: float, c: SolvedConstants) -> float:
     """Pointwise multiplier-adjusted integrand as a quadratic in the CDF value.
 
-    I(g, x) = [H - xH'] g^2 - 2[H + (1-a)/ln a] g + H + xH' + 2(1-a)/ln a,
+    I(g, x) = [H - xH'] g^2 + [lambda - 2H] g + H + xH' - lambda,
 
     evaluated with the solved reserve's closed forms.  Defined for
     x in (0, 1) \\ {a} and g in [0, 1].
@@ -103,16 +109,7 @@ def lagrangian_integrand(g_val: float, x: float, c: SolvedConstants) -> float:
         raise DomainError(f"x must lie in (0, 1), got {x}")
     if not 0.0 <= g_val <= 1.0:
         raise DomainError(f"CDF value must lie in [0, 1], got {g_val}")
-    h = reserve_cdf(c, x)
-    xhp = x * reserve_pdf(c, x)
-    neg_h_at_a = -c.h_at_a  # (1 - a)/ln a
-    return (
-        (h - xhp) * g_val * g_val
-        - 2.0 * (h + neg_h_at_a) * g_val
-        + h
-        + xhp
-        + 2.0 * neg_h_at_a
-    )
+    return _lagrangian(g_val, reserve_cdf(c, x), x * reserve_pdf(c, x), c.lam)
 
 
 def check_ode(c: SolvedConstants, x):

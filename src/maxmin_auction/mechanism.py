@@ -186,7 +186,10 @@ def mc_revenue(
     which keeps the standard error as accurate as a two-pass sum.  Memory
     therefore stays at one chunk whatever ``n_samples`` is.  Because the
     chunk size is fixed, the output is bitwise reproducible from
-    ``(seed, n_samples)``.
+    ``(seed, n_samples)``.  The payments enter the sums multiplied by the
+    power of two that brings the top bid into [1/2, 1), so their squared
+    deviations do not underflow however small mu is; a power of two changes
+    no bit of a result that did not underflow.
 
     ``tail_weighted`` takes the levels from ``_tail_weighted_levels`` and
     weights each pair by its two weights: the same mean, with a standard
@@ -195,13 +198,16 @@ def mc_revenue(
     """
     if n_samples < 1:
         raise DomainError("n_samples must be at least 1")
+    # No level exceeds 1 - 2**-53, so no payment exceeds this top bid.
+    top = float(signal.quantile(1.0 - 2.0**-53))
+    scale = math.ldexp(1.0, -math.frexp(top)[1])
     count, mean, m2 = 0, 0.0, 0.0
     for start in range(0, n_samples, _MC_CHUNK):
         k = min(_MC_CHUNK, n_samples - start)
-        u, weight = uniform_pairs(seed, start, k), 1.0
+        u, weight = uniform_pairs(seed, start, k), scale
         if tail_weighted:
             u, w = _tail_weighted_levels(u)
-            weight = w[:, 0] * w[:, 1]
+            weight = w[:, 0] * w[:, 1] * scale
         s = signal.quantile(u)
         s_hi = np.maximum(s[:, 0], s[:, 1])
         s_lo = np.minimum(s[:, 0], s[:, 1])
@@ -214,12 +220,12 @@ def mc_revenue(
         m2 += chunk_m2 + delta * delta * (count * k / merged)
         count = merged
     if n_samples > 1:
-        std_error = math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
+        std_error = math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples) / scale
     else:
         std_error = float("nan")
     return RevenueReport(
         method="monte-carlo-tail-weighted" if tail_weighted else "monte-carlo",
-        value=mean,
+        value=mean / scale,
         std_error=std_error,
         n_samples=n_samples,
         seed=seed,
@@ -228,14 +234,11 @@ def mc_revenue(
     )
 
 
-def dominated_equilibrium_revenue(c: SolvedConstants, mu: float | None = None) -> float:
+def dominated_equilibrium_revenue(c: SolvedConstants) -> float:
     """Revenue of the no-signal equilibrium in which one bidder reports the
     mean and the other reports zero: mu*H(mu) - integral of H over [0, mu].
 
     Always below the guaranteed revenue; the gap is what ruling out dominated
     play buys the seller.
     """
-    m = c.mu if mu is None else mu
-    if not 0.0 < m < 1.0:
-        raise DomainError(f"mean must lie in (0, 1), got {m}")
-    return winner_payment(c, m, 0.0)
+    return winner_payment(c, c.mu, 0.0)

@@ -91,11 +91,8 @@ class DiscreteDirectMechanism:
 
 
 def analytic_bound(c: SolvedConstants) -> float:
-    """The closed-form revenue cap 2a(1-a) + a^2, simplified to 2a - a^2.
-
-    Evaluated exactly as the guarantee is, so the two are bitwise equal.
-    """
-    return 2.0 * c.a - c.a * c.a
+    """The closed-form revenue cap 2a(1-a) + a^2 = 2a - a^2, the guarantee itself."""
+    return c.revenue_guarantee
 
 
 def linprog(*args, **kwargs):

@@ -6,7 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from maxmin_auction import DiscreteDirectMechanism, PiecewiseCdf, bic_bir_violations
+from maxmin_auction import (
+    DiscreteDirectMechanism,
+    PiecewiseCdf,
+    bic_bir_violations,
+    read_cdf_csv,
+)
 from maxmin_auction.cli import dump_json, main
 
 
@@ -100,7 +105,7 @@ class TestCurves:
             str(out_path),
         )
         assert code == 0
-        back = PiecewiseCdf.from_csv(out_path)
+        back = read_cdf_csv(out_path)
         from maxmin_auction import ModelParams, signal_cdf, solve_a
 
         c = solve_a(ModelParams(mu=0.5))
@@ -230,6 +235,34 @@ class TestMpsCheckCommand:
         PiecewiseCdf.from_discrete([0.0, 1.0], [0.4, 0.6]).to_csv(path)
         code, _ = run_cli(capsys, "mps-check", "--mu", "0.5", "--prior", str(path))
         assert code == 2
+
+
+# (command, CSV text or None, extra flags); each input is malformed
+BAD_INPUTS = {
+    "non-numeric cell": ("mps-check", "x,F\n0,0.5\n1,one\n", []),
+    "one-field row": ("simulate", "x,F\n0,0.5\n1\n", []),
+    "nan knot": ("mps-check", "x,F\n0,0.5\nnan,1\n", []),
+    "nan value": ("simulate", "x,F\n0,nan\n1,1\n", []),
+    "nan atom mass": ("simulate", "x,F,atom_mass\n0,0.5,nan\n1,1,0.5\n", []),
+    "negative mps grid": ("mps-check", "x,F,atom_mass\n0,0.5,0.5\n1,1,0.5\n", ["--grid", "-1"]),
+    "negative curves grid": ("curves", None, ["--grid", "-3"]),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, case):
+    command, text, extra = BAD_INPUTS[case]
+    path = tmp_path / "in.csv"
+    if text is not None:
+        path.write_text(text)
+    flag = {"mps-check": "--prior", "simulate": "--signal-csv", "curves": "--out"}[command]
+    argv = [command, "--mu", "0.5", flag, str(path), *extra]
+    if command == "simulate":
+        argv += ["--samples", "10", "--seed", "1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestSecondMomentCommand:

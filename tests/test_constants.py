@@ -12,6 +12,8 @@ from maxmin_auction import (
     ConvergenceError,
     DomainError,
     ModelParams,
+    PiecewiseCdf,
+    constants,
     constants_from_a,
     reserve_cdf,
     reserve_cdf_integral,
@@ -43,11 +45,19 @@ class TestSolveA:
     def test_guarantee_headline_value(self, c05):
         assert abs(c05.revenue_guarantee - 0.3385) < 5e-4
 
-    @pytest.mark.parametrize("mu", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+    @pytest.mark.parametrize(
+        "mu",
+        [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+        + [float(f"1e-{k}") for k in range(300, 0, -10)]
+        + [1.0 - 1e-12],
+    )
     def test_guarantee_is_definitional(self, mu):
         c = solve_a(ModelParams(mu=mu))
         assert c == constants_from_a(mu, c.a)
         assert c.revenue_guarantee == 2.0 * c.a - c.a * c.a
+        assert c.lam == 2.0 * c.h_at_a
+        assert PiecewiseCdf.signal(c).second_moment() == c.revenue_guarantee
+        assert c.root_residual <= constants.TOL_ROOT * mu
         assert abs(c.a * (1.0 - math.log(c.a)) - mu) <= 1e-12
         assert 0.0 < c.a < 1.0
         assert c.lam > 0.0
@@ -57,12 +67,6 @@ class TestSolveA:
     def test_domain_errors(self, mu):
         with pytest.raises(DomainError):
             ModelParams(mu=mu)
-
-    def test_bad_tolerances(self):
-        with pytest.raises(DomainError):
-            ModelParams(mu=0.5, tol_root=0.0)
-        with pytest.raises(DomainError):
-            ModelParams(mu=0.5, tol_root=-1e-9)
 
     # (mu, a) in hex from the fixed-step bisection on [1e-12, 1 - 1e-12],
     # which must still give every root inside that bracket bit for bit
@@ -106,11 +110,12 @@ class TestSolveA:
         assert math.isfinite(a)
         assert 0.0 < a <= mu
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
         # the float-converged residual at mu = 0.3 is ~6e-17, so an absurd
         # tolerance must be reported as a convergence failure
+        monkeypatch.setattr(constants, "TOL_ROOT", 1e-30)
         with pytest.raises(ConvergenceError):
-            solve_a(ModelParams(mu=0.3, tol_root=1e-30))
+            solve_a(ModelParams(mu=0.3))
 
 
 class TestReserveCdf:

@@ -12,6 +12,7 @@ from maxmin_auction import (
     DomainError,
     ModelParams,
     PiecewiseCdf,
+    read_cdf_csv,
     reserve_cdf,
     reserve_with_linear_ramp,
     reserve_with_zero_atom,
@@ -226,7 +227,7 @@ class TestCsv:
         )
         path = tmp_path / "cdf.csv"
         dist.to_csv(path)
-        back = PiecewiseCdf.from_csv(path)
+        back = read_cdf_csv(path)
         assert np.allclose(back.knots, dist.knots)
         assert np.allclose(back.values, dist.values)
         assert dict(back.atoms) == pytest.approx(dict(dist.atoms))
@@ -235,7 +236,7 @@ class TestCsv:
     def test_two_column_form(self, tmp_path):
         path = tmp_path / "plain.csv"
         path.write_text("x,F\n0,0\n0.5,0.5\n1,1\n")
-        dist = PiecewiseCdf.from_csv(path)
+        dist = read_cdf_csv(path)
         assert dist.atoms == ()
         assert dist.cdf(0.25) == pytest.approx(0.25)
 
@@ -243,7 +244,7 @@ class TestCsv:
         path = tmp_path / "headerless.csv"
         path.write_text("0,0\n1,1\n")
         with pytest.raises(DomainError):
-            PiecewiseCdf.from_csv(path)
+            read_cdf_csv(path)
 
     def test_csv_only_for_grids(self, c05, tmp_path):
         with pytest.raises(DomainError):
