@@ -47,7 +47,7 @@ from .extensions import (
     mps_check,
     second_moment_solution,
 )
-from .functional import FunctionalValue, check_ode, lagrangian_integrand, revenue_functional
+from .functional import FunctionalValue, check_ode, revenue_functional
 from .mechanism import (
     BidProfile,
     Outcome,
@@ -58,13 +58,6 @@ from .mechanism import (
     uniform_pairs,
     winner_payment,
 )
-from .upper_bound import (
-    DiscreteDirectMechanism,
-    analytic_bound,
-    bic_bir_violations,
-    discretize_truthful_mechanism,
-    lp_max_revenue,
-    truthful_interim_allocation,
-)
+from .upper_bound import DiscreteDirectMechanism, lp_max_revenue
 
 __version__ = "0.1.0"

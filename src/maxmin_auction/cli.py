@@ -186,18 +186,20 @@ def cmd_mps_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _reserve_distribution(args: argparse.Namespace, c: SolvedConstants) -> PiecewiseCdf:
-    if args.reserve == "optimal":
+def _reserve_distribution(name: str, c: SolvedConstants) -> PiecewiseCdf:
+    if name == "optimal":
         return PiecewiseCdf.reserve(c)
-    if args.reserve == "uniform":
+    if name == "uniform":
         return PiecewiseCdf.uniform()
-    if args.reserve == "zero-atom":
+    if name == "zero-atom":
         return adv.reserve_with_zero_atom(c)
     return adv.reserve_with_linear_ramp(c)  # "linear-ramp"
 
 
 def cmd_adversary(args: argparse.Namespace) -> int:
     if args.delta is not None:
+        if args.reserve is not None:
+            raise DomainError("--reserve applies to --mu only; --delta uses the uniform reserve")
         result = adv.minimize_revenue(
             PiecewiseCdf.uniform(),
             None,
@@ -211,11 +213,12 @@ def cmd_adversary(args: argparse.Namespace) -> int:
         }
     else:
         c = _constants(args)
-        h_dist = _reserve_distribution(args, c)
+        reserve = args.reserve or "optimal"
+        h_dist = _reserve_distribution(reserve, c)
         result = adv.minimize_revenue(h_dist, ModelParams(mu=c.mu), args.grid_k)
         payload = {
             "mu": c.mu,
-            "reserve": args.reserve,
+            "reserve": reserve,
             "constraint": "mean",
             "revenue_guarantee": c.revenue_guarantee,
         }
@@ -237,7 +240,6 @@ def cmd_adversary(args: argparse.Namespace) -> int:
 def cmd_upper_bound(args: argparse.Namespace) -> int:
     c = _constants(args)
     optimum, mechanism = ub.lp_max_revenue(c, args.grid_n)
-    bound = ub.analytic_bound(c)
     if args.dump_mechanism is not None:
         with open(args.dump_mechanism, "w") as fh:
             fh.write(dump_json(mechanism.to_json_dict()) + "\n")
@@ -247,8 +249,8 @@ def cmd_upper_bound(args: argparse.Namespace) -> int:
             "mu": c.mu,
             "n": args.grid_n,
             "lp_optimum": optimum,
-            "analytic_bound": bound,
-            "gap": optimum - bound,
+            "analytic_bound": c.revenue_guarantee,
+            "gap": optimum - c.revenue_guarantee,
         },
     )
     return EXIT_OK
@@ -258,19 +260,13 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if args.grid < 1:
         raise DomainError(f"--grid must be at least 1, got {args.grid}")
     c = _constants(args)
+    x = np.linspace(0.0, 1.0, args.grid)
     if args.which == "reserve":
-        x = np.linspace(0.0, 1.0, args.grid)
         write_cdf_csv(args.out, x, reserve_cdf(c, x))
-    elif args.which == "signal":
-        x = np.linspace(0.0, 1.0, args.grid)
+    else:  # "signal"
         masses = np.zeros_like(x)
         masses[-1] = c.a
         write_cdf_csv(args.out, x, signal_cdf(c, x), masses)
-    else:  # "adversary"
-        result = adv.minimize_revenue(
-            PiecewiseCdf.reserve(c), ModelParams(mu=c.mu), args.grid
-        )
-        write_cdf_csv(args.out, result.grid.x, result.grid.values)
     _emit(
         "curves",
         {
@@ -372,14 +368,13 @@ def run_verification(args: argparse.Namespace) -> dict:
     )
 
     optimum, _ = ub.lp_max_revenue(c, args.grid_n)
-    bound = ub.analytic_bound(c)
     # discretization inflates the cap by O(1/n); 0.02 is the budget at n = 50
     lp_tol = max(0.02, 1.2 / args.grid_n)
     record(
         "lp_upper_bound",
-        abs(optimum - bound) <= lp_tol,
+        abs(optimum - c.revenue_guarantee) <= lp_tol,
         lp_optimum=optimum,
-        analytic_bound=bound,
+        analytic_bound=c.revenue_guarantee,
         tolerance=lp_tol,
     )
 
@@ -446,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curves", parents=[mu_arg], help="emit CDF curves as CSV")
     p.add_argument("--grid", type=int, default=1000)
-    p.add_argument("--which", choices=("reserve", "signal", "adversary"), default="reserve")
+    p.add_argument("--which", choices=("reserve", "signal"), default="reserve")
     p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser(
@@ -461,7 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--reserve",
         choices=("optimal", "uniform", "zero-atom", "linear-ramp"),
-        default="optimal",
+        default=None,
+        help="reserve CDF under --mu (default: optimal)",
     )
     p.add_argument("--out", type=str, default=None, help="write the minimizer CSV here")
 

@@ -169,11 +169,6 @@ class PiecewiseCdf:
         return cls.from_grid(pts, vals, atoms=tuple(zip(pts.tolist(), ms.tolist())))
 
     @classmethod
-    def point_mass(cls, p: float) -> "PiecewiseCdf":
-        """Degenerate distribution at ``p``."""
-        return cls.from_discrete([p], [1.0])
-
-    @classmethod
     def custom(
         cls,
         cdf_fn: Callable[[np.ndarray], np.ndarray],
@@ -237,6 +232,7 @@ class PiecewiseCdf:
         locations carry no density.
         """
         arr, scalar = _as_array(x)
+        _check_unit_interval(arr, "density argument")
         if self.kind == "reserve":
             out = cf.reserve_pdf(self.constants, arr)
         elif self.kind == "signal":
@@ -258,6 +254,7 @@ class PiecewiseCdf:
         A ``custom`` CDF has none and raises DomainError.
         """
         arr, scalar = _as_array(x)
+        _check_unit_interval(arr, "integral bound")
         if self.kind == "reserve":
             out = cf.reserve_cdf_integral(self.constants, arr)
         elif self.kind == "signal":
@@ -363,16 +360,6 @@ class PiecewiseCdf:
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
         return np.where(self.cdf(0.0) >= u, 0.0, hi.view(np.float64))
-
-    # ------------------------------------------------------------------ #
-    # CSV round trip (grid kind)
-    # ------------------------------------------------------------------ #
-
-    def to_csv(self, path: str | Path) -> None:
-        """Write the grid representation as ``x, F, atom_mass`` rows."""
-        if self.kind != "grid":
-            raise DomainError("CSV output is defined for grid CDFs only")
-        write_cdf_csv(path, self.knots, self.values, self.masses)
 
 
 def write_cdf_csv(

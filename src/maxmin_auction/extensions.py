@@ -76,9 +76,12 @@ def second_moment_solution(p: SecondMomentParams) -> SecondMomentSolution:
     """Saddle point when only the second moment is known.
 
     The reserve is uniform on [0, 1]; the signal CDF is unit-elastic with
-    a = 1 - sqrt(1 - delta); the revenue guarantee is delta itself.
+    a = 1 - sqrt(1 - delta); the revenue guarantee is delta itself.  ``a`` is
+    taken as delta / (1 + sqrt(1 - delta)), which is free of cancellation,
+    and floored at the least positive double, the one value the quotient
+    rounds to 0 (delta = 5e-324).
     """
-    a = 1.0 - math.sqrt(1.0 - p.delta)
+    a = max(p.delta / (1.0 + math.sqrt(1.0 - p.delta)), 5e-324)
     c = constants_from_a(a * (1.0 - math.log(a)), a)
     return SecondMomentSolution(
         reserve=PiecewiseCdf.uniform(),

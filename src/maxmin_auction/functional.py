@@ -39,7 +39,6 @@ from .quadrature import build_edges, composite_simpson
 __all__ = [
     "FunctionalValue",
     "revenue_functional",
-    "lagrangian_integrand",
     "check_ode",
 ]
 
@@ -93,23 +92,6 @@ def revenue_functional(g_dist: PiecewiseCdf, h_dist: PiecewiseCdf) -> Functional
         return _revenue_integrand(g, h, xhp)
 
     return FunctionalValue(value=composite_simpson(integrand, build_edges(kinks)))
-
-
-def lagrangian_integrand(g_val: float, x: float, c: SolvedConstants) -> float:
-    """Pointwise multiplier-adjusted integrand as a quadratic in the CDF value.
-
-    I(g, x) = [H - xH'] g^2 + [lambda - 2H] g + H + xH' - lambda,
-
-    evaluated with the solved reserve's closed forms.  Defined for
-    x in (0, 1) \\ {a} and g in [0, 1].
-    """
-    if x in (0.0, 1.0) or x == c.a:
-        raise DomainError(f"integrand undefined at x = {x}")
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"x must lie in (0, 1), got {x}")
-    if not 0.0 <= g_val <= 1.0:
-        raise DomainError(f"CDF value must lie in [0, 1], got {g_val}")
-    return _lagrangian(g_val, reserve_cdf(c, x), x * reserve_pdf(c, x), c.lam)
 
 
 def check_ode(c: SolvedConstants, x):

@@ -20,8 +20,7 @@ unordered.  The LP is solved in units of the top grid type, since payments
 at small mu would otherwise fall below the solver's absolute tolerances.
 
 The analytic cap is 2a(1-a) + a^2 = 2a - a^2: full allocation to types
-above quantile 1 - a earns at most that, and the truthful auction
-discretized to the same grid attains it up to discretization error.
+above quantile 1 - a earns at most that.
 
 The midpoint grid keeps the kink of s(z) at 1 - a off the nodes.  Symmetry
 across bidders is deliberately not imposed.
@@ -29,23 +28,14 @@ across bidders is deliberately not imposed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import SolvedConstants, reserve_cdf, signal_quantile
+from .constants import SolvedConstants, signal_quantile
 from .errors import ConvergenceError, DomainError
-from .mechanism import winner_payment
 
-__all__ = [
-    "DiscreteDirectMechanism",
-    "lp_max_revenue",
-    "analytic_bound",
-    "discretize_truthful_mechanism",
-    "truthful_interim_allocation",
-    "bic_bir_violations",
-]
+__all__ = ["DiscreteDirectMechanism", "lp_max_revenue"]
 
 
 @dataclass(frozen=True)
@@ -63,22 +53,6 @@ class DiscreteDirectMechanism:
     t1: np.ndarray
     t2: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.z.size
-
-    def interim(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Interim allocations and payments (Q1, Q2, T1, T2) per own type."""
-        return (
-            self.q1.mean(axis=1),
-            self.q2.mean(axis=0),
-            self.t1.mean(axis=1),
-            self.t2.mean(axis=0),
-        )
-
-    def expected_revenue(self) -> float:
-        return float(self.t1.mean() + self.t2.mean())
-
     def to_json_dict(self) -> dict:
         return {
             "z": self.z.tolist(),
@@ -88,11 +62,6 @@ class DiscreteDirectMechanism:
             "t1": self.t1.tolist(),
             "t2": self.t2.tolist(),
         }
-
-
-def analytic_bound(c: SolvedConstants) -> float:
-    """The closed-form revenue cap 2a(1-a) + a^2 = 2a - a^2, the guarantee itself."""
-    return c.revenue_guarantee
 
 
 def linprog(*args, **kwargs):
@@ -206,63 +175,3 @@ def lp_max_revenue(c: SolvedConstants, n: int) -> tuple[float, DiscreteDirectMec
         t2=np.tile(t2_interim[None, :], (n, 1)),
     )
     return optimum, mech
-
-
-def truthful_interim_allocation(c: SolvedConstants, z: np.ndarray) -> np.ndarray:
-    """Interim allocation of the truthful auction under the worst-case signals.
-
-    A type at quantile z < 1-a beats the opponent with probability z and then
-    wins with probability H(s(z)); the top types (value 1) win outright
-    against lower types and split the unit reserve-free allocation at ties:
-    Q = (1 - a) + a/2.
-    """
-    z = np.asarray(z, dtype=float)
-    s = signal_quantile(c, z)
-    low = z < 1.0 - c.a
-    return np.where(low, z * reserve_cdf(c, s), 1.0 - c.a / 2.0)
-
-
-def discretize_truthful_mechanism(c: SolvedConstants, n: int) -> DiscreteDirectMechanism:
-    """The truthful auction restricted to the quantile midpoint grid."""
-    z = _quantile_grid(n)
-    s = signal_quantile(c, z)
-    s1 = s[:, None]
-    s2 = s[None, :]
-    h = reserve_cdf(c, s)
-    h1 = h[:, None]
-    h2 = h[None, :]
-    pay_hi_1 = winner_payment(c, s1, s2)  # winner 1 pays this
-    pay_hi_2 = pay_hi_1.T
-    win1 = s1 > s2
-    win2 = s2 > s1
-    tie = ~win1 & ~win2
-    q1 = np.where(win1, h1, np.where(tie, h1 / 2.0, 0.0))
-    q2 = np.where(win2, h2, np.where(tie, h2 / 2.0, 0.0))
-    t1 = np.where(win1, pay_hi_1, np.where(tie, s1 * h1 / 2.0, 0.0))
-    t2 = np.where(win2, pay_hi_2, np.where(tie, s2 * h2 / 2.0, 0.0))
-    return DiscreteDirectMechanism(z=z, types=s, q1=q1, q2=q2, t1=t1, t2=t2)
-
-
-def bic_bir_violations(mech: DiscreteDirectMechanism) -> dict:
-    """Worst-case violations of the LP constraints for a given mechanism.
-
-    Returns the largest BIC gain from a misreport, the largest negative
-    surplus (BIR), and the largest cellwise allocation excess; all are <= 0
-    up to tolerance for a feasible mechanism.
-    """
-    s = mech.types
-    Q1, Q2, T1, T2 = mech.interim()
-    worst_bic = -math.inf
-    for Q, T in ((Q1, T1), (Q2, T2)):
-        truthful = s * Q - T
-        deviate = s[:, None] * Q[None, :] - T[None, :]
-        gain = deviate - truthful[:, None]
-        np.fill_diagonal(gain, -math.inf)
-        worst_bic = max(worst_bic, float(gain.max()))
-    worst_bir = float(max(-(s * Q1 - T1).min(), -(s * Q2 - T2).min()))
-    worst_feas = float((mech.q1 + mech.q2).max() - 1.0)
-    return {
-        "max_bic_gain": worst_bic,
-        "max_bir_violation": worst_bir,
-        "max_feasibility_excess": worst_feas,
-    }

@@ -17,7 +17,6 @@ from maxmin_auction import (
     ModelParams,
     PiecewiseCdf,
     SecondMomentParams,
-    analytic_bound,
     check_ode,
     check_p1_p2,
     dominated_equilibrium_revenue,
@@ -96,7 +95,7 @@ def test_criterion_03_adversary_optimality():
 def test_criterion_04_lp_upper_bound():
     t0 = time.perf_counter()
     c = solve_a(ModelParams(mu=0.5))
-    bound = analytic_bound(c)
+    bound = c.revenue_guarantee
     optima = {n: lp_max_revenue(c, n)[0] for n in (25, 50, 100)}
     assert bound - 0.02 <= optima[50] <= bound + 0.02
     errors = [abs(optima[n] - bound) for n in (25, 50, 100)]
@@ -153,7 +152,7 @@ def test_criterion_08_second_moment_variant():
     assert sol.guarantee == 0.5
     distributions = [
         PiecewiseCdf.from_discrete([0.0, 1.0], [0.5, 0.5]),
-        PiecewiseCdf.point_mass(float(np.sqrt(0.5))),
+        PiecewiseCdf.from_discrete([float(np.sqrt(0.5))], [1.0]),
         PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], atoms=[(1.0, 0.25)]),
         PiecewiseCdf.from_discrete([0.0, 0.5, 1.0], [0.2, 0.4, 0.4]),
         PiecewiseCdf.from_discrete([0.0, 0.6, 1.0], [0.18, 0.5, 0.32]),

@@ -6,13 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from maxmin_auction import (
-    DiscreteDirectMechanism,
-    PiecewiseCdf,
-    bic_bir_violations,
-    read_cdf_csv,
-)
+from maxmin_auction import DiscreteDirectMechanism, read_cdf_csv, write_cdf_csv
 from maxmin_auction.cli import dump_json, main
+
+from mechanism_reference import bic_bir_violations
 
 
 def run_cli(capsys, *argv):
@@ -93,16 +90,7 @@ class TestCurves:
     def test_adversary_curve_close_to_signal_cdf(self, capsys, tmp_path):
         out_path = tmp_path / "adv.csv"
         code, _ = run_cli(
-            capsys,
-            "curves",
-            "--mu",
-            "0.5",
-            "--which",
-            "adversary",
-            "--grid",
-            "500",
-            "--out",
-            str(out_path),
+            capsys, "adversary", "--mu", "0.5", "--grid-k", "500", "--out", str(out_path)
         )
         assert code == 0
         back = read_cdf_csv(out_path)
@@ -117,6 +105,13 @@ class TestCurves:
             capsys, "curves", "--mu", "0.5", "--out", "/nonexistent-dir/h.csv"
         )
         assert code == 4
+
+    def test_adversary_curve_is_not_a_choice(self, capsys, tmp_path):
+        # the minimiser's CSV comes from ``adversary --out``
+        with pytest.raises(SystemExit) as exc:
+            main(["curves", "--mu", "0.5", "--which", "adversary", "--out", str(tmp_path / "a.csv")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -154,7 +149,7 @@ class TestSimulate:
 
     def test_signal_csv(self, capsys, tmp_path):
         path = tmp_path / "signal.csv"
-        PiecewiseCdf.from_discrete([0.0, 1.0], [0.5, 0.5]).to_csv(path)
+        write_cdf_csv(path, [0.0, 1.0], [0.5, 1.0], [0.5, 0.5])
         code, out = run_cli(
             capsys,
             "simulate",
@@ -180,6 +175,7 @@ class TestAdversaryCommand:
         code, out = run_cli(capsys, "adversary", "--mu", "0.5", "--grid-k", "500")
         assert code == 0
         payload = json.loads(out)
+        assert payload["reserve"] == "optimal"
         assert payload["value"] == pytest.approx(payload["revenue_guarantee"], abs=2e-3)
 
     def test_second_moment_mode(self, capsys):
@@ -192,6 +188,14 @@ class TestAdversaryCommand:
     def test_mu_and_delta_conflict(self, capsys):
         code, _ = run_cli(capsys, "adversary", "--mu", "0.5", "--delta", "0.5")
         assert code == 2
+
+    @pytest.mark.parametrize("reserve", ["optimal", "zero-atom"])
+    def test_reserve_with_delta_exits_2(self, capsys, reserve):
+        # the second-moment minimum always uses the uniform reserve
+        code = main(["adversary", "--delta", "0.5", "--reserve", reserve])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: --reserve") and captured.err.count("\n") == 1
 
 
 class TestUpperBoundCommand:
@@ -217,7 +221,7 @@ class TestUpperBoundCommand:
         rebuilt = DiscreteDirectMechanism(**{k: np.array(v) for k, v in mech.items()})
         viol = bic_bir_violations(rebuilt)
         assert max(viol.values()) <= 1e-9
-        assert rebuilt.expected_revenue() == pytest.approx(
+        assert rebuilt.t1.mean() + rebuilt.t2.mean() == pytest.approx(
             payload["lp_optimum"], rel=0.0, abs=1e-9
         )
 
@@ -225,14 +229,14 @@ class TestUpperBoundCommand:
 class TestMpsCheckCommand:
     def test_failing_prior_reports_but_exits_zero(self, capsys, tmp_path):
         path = tmp_path / "prior.csv"
-        PiecewiseCdf.from_discrete([0.0, 0.5, 1.0], [0.25, 0.5, 0.25]).to_csv(path)
+        write_cdf_csv(path, [0.0, 0.5, 1.0], [0.25, 0.75, 1.0], [0.25, 0.5, 0.25])
         code, out = run_cli(capsys, "mps-check", "--mu", "0.5", "--prior", str(path))
         assert code == 0
         assert json.loads(out)["passed"] is False
 
     def test_mean_mismatch_exits_2(self, capsys, tmp_path):
         path = tmp_path / "prior.csv"
-        PiecewiseCdf.from_discrete([0.0, 1.0], [0.4, 0.6]).to_csv(path)
+        write_cdf_csv(path, [0.0, 1.0], [0.4, 1.0], [0.4, 0.6])
         code, _ = run_cli(capsys, "mps-check", "--mu", "0.5", "--prior", str(path))
         assert code == 2
 
@@ -276,6 +280,12 @@ class TestSecondMomentCommand:
     def test_bad_delta_exits_2(self, capsys):
         code, _ = run_cli(capsys, "second-moment", "--delta", "1.5")
         assert code == 2
+
+    def test_tiny_delta(self, capsys):
+        # 1 - sqrt(1 - delta) rounds to 0 below delta ~ 5.6e-17
+        code, out = run_cli(capsys, "second-moment", "--delta", "1e-17")
+        assert code == 0
+        assert json.loads(out)["a"] == 5e-18
 
 
 class TestVerifyCommand:

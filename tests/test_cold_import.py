@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from maxmin_auction import PiecewiseCdf
+from maxmin_auction import write_cdf_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCIPY = ("scipy.special", "scipy.optimize", "scipy.sparse")
@@ -67,5 +67,5 @@ def test_command_loads_only_what_it_calls(argv, expected):
 
 def test_mps_check_loads_no_scipy(tmp_path):
     path = tmp_path / "prior.csv"
-    PiecewiseCdf.from_discrete([0.0, 0.5, 1.0], [0.25, 0.5, 0.25]).to_csv(path)
+    write_cdf_csv(path, [0.0, 0.5, 1.0], [0.25, 0.75, 1.0], [0.25, 0.5, 0.25])
     assert loaded_scipy("mps-check", "--mu", "0.5", "--prior", str(path)) == set()

@@ -78,7 +78,7 @@ class TestDiscrete:
         assert dist.second_moment() == pytest.approx(0.25 * 0.4 + 0.3, abs=1e-14)
 
     def test_point_mass(self):
-        pm = PiecewiseCdf.point_mass(0.7)
+        pm = PiecewiseCdf.from_discrete([0.7], [1.0])
         assert pm.cdf(0.69) == 0.0
         assert pm.cdf(0.7) == 1.0
         assert pm.mean() == pytest.approx(0.7, abs=1e-14)
@@ -87,8 +87,8 @@ class TestDiscrete:
         assert np.all(pm.quantile(u) == 0.7)
 
     def test_point_mass_at_boundary(self):
-        assert PiecewiseCdf.point_mass(1.0).quantile(0.5) == 1.0
-        assert PiecewiseCdf.point_mass(0.0).mean() == pytest.approx(0.0, abs=1e-14)
+        assert PiecewiseCdf.from_discrete([1.0], [1.0]).quantile(0.5) == 1.0
+        assert PiecewiseCdf.from_discrete([0.0], [1.0]).mean() == pytest.approx(0.0, abs=1e-14)
 
     def test_masses_must_sum_to_one(self):
         with pytest.raises(DomainError):
@@ -130,6 +130,28 @@ class TestMoments:
         ):
             with pytest.raises(DomainError):
                 dist.second_moment()
+
+    # (kind, method) pairs that evaluate outside [0, 1] without the check; a
+    # custom CDF has no integral to evaluate
+    @pytest.mark.parametrize(
+        ("kind", "method"),
+        [
+            ("uniform", "pdf"),
+            ("uniform", "integral_to"),
+            ("grid", "pdf"),
+            ("grid", "integral_to"),
+            ("custom", "pdf"),
+        ],
+    )
+    @pytest.mark.parametrize("x", [-1.0, 5.0, [0.5, 1.0 + 1e-12]], ids=["below", "above", "array"])
+    def test_density_and_integral_reject_points_off_the_unit_interval(self, kind, method, x):
+        dist = {
+            "uniform": PiecewiseCdf.uniform(),
+            "grid": PiecewiseCdf.from_grid([0.0, 0.5, 1.0], [0.0, 0.25, 1.0]),
+            "custom": PiecewiseCdf.custom(cdf_fn=np.asarray, pdf_fn=np.ones_like),
+        }[kind]
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+            getattr(dist, method)(x)
 
     def test_grid_integral_matches_quadrature(self):
         dist = PiecewiseCdf.from_grid(
@@ -226,7 +248,7 @@ class TestCsv:
             [0.0, 0.3, 1.0], [0.0, 0.45, 1.0], atoms=[(0.3, 0.2), (1.0, 0.1)]
         )
         path = tmp_path / "cdf.csv"
-        dist.to_csv(path)
+        write_cdf_csv(path, dist.knots, dist.values, dist.masses)
         back = read_cdf_csv(path)
         assert np.allclose(back.knots, dist.knots)
         assert np.allclose(back.values, dist.values)
@@ -245,10 +267,6 @@ class TestCsv:
         path.write_text("0,0\n1,1\n")
         with pytest.raises(DomainError):
             read_cdf_csv(path)
-
-    def test_csv_only_for_grids(self, c05, tmp_path):
-        with pytest.raises(DomainError):
-            PiecewiseCdf.reserve(c05).to_csv(tmp_path / "h.csv")
 
 
 def csv_writer_reference(path, x, values, masses=None):

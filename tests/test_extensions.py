@@ -1,5 +1,8 @@
 """Second-moment variant and mean-preserving-spread checks."""
 
+import decimal
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -37,6 +40,21 @@ class TestSecondMomentSolution:
             assert sol.guarantee == delta
             assert sol.signal.second_moment() == pytest.approx(delta, abs=1e-12)
 
+    @pytest.mark.parametrize("delta", [0.5, 1e-6, 1e-9, 1e-17, 1e-300, 5e-324])
+    def test_atom_free_of_cancellation(self, delta):
+        # a = 1 - sqrt(1 - delta) in 800-digit decimal arithmetic, enough to
+        # resolve 1 - delta at every positive double
+        with decimal.localcontext() as ctx:
+            ctx.prec = 800
+            exact = 1 - (1 - decimal.Decimal(delta)).sqrt()
+        a = second_moment_solution(SecondMomentParams(delta=delta)).a
+        assert math.isfinite(a) and a > 0.0
+        if delta == 5e-324:
+            # the exact atom, about 2.5e-324, lies below every positive double
+            assert a == 5e-324
+        else:
+            assert abs(decimal.Decimal(a) - exact) <= 2 * decimal.Decimal(math.ulp(a))
+
     def test_domain(self):
         with pytest.raises(DomainError):
             SecondMomentParams(delta=0.0)
@@ -73,7 +91,7 @@ class TestSecondMomentSolution:
         sol = second_moment_solution(SecondMomentParams(delta=delta))
         distributions = [
             PiecewiseCdf.from_discrete([0.0, 1.0], [0.5, 0.5]),
-            PiecewiseCdf.point_mass(float(np.sqrt(delta))),
+            PiecewiseCdf.from_discrete([float(np.sqrt(delta))], [1.0]),
             PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], atoms=[(1.0, 0.25)]),
             PiecewiseCdf.from_discrete([0.0, 0.5, 1.0], [0.2, 0.4, 0.4]),
             PiecewiseCdf.from_discrete([0.0, 0.6, 1.0], [0.18, 0.5, 0.32]),

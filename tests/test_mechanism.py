@@ -121,6 +121,26 @@ class TestWinnerPayment:
         assert o.t2 == winner_payment(c05, 0.8, 0.3)
 
 
+class TestExPostIncentiveCompatibility:
+    @pytest.mark.parametrize("mu", [0.5, 1e-6, 0.99])
+    def test_truth_is_a_best_reply(self, mu):
+        # for every value s, report r and opponent bid t, reporting s earns
+        # at least as much as reporting r; ties split H and the price
+        c = solve_a(ModelParams(mu=mu))
+        grid = np.concatenate((np.linspace(0.0, 1.0, 41), c.a * np.geomspace(1e-3, 1e3, 21)))
+        bids = np.unique(np.minimum(grid, 1.0))
+
+        def utility(s, r, t):
+            h = reserve_cdf(c, r)
+            win = h * s - winner_payment(c, r, np.minimum(t, r))
+            return np.where(r > t, win, np.where(r == t, h * (s - r) / 2.0, 0.0))
+
+        s, r, t = bids[:, None, None], bids[None, :, None], bids[None, None, :]
+        gain = utility(s, r, t) - utility(s, s, t)
+        # measured: the largest gain is exactly 0.0 (the truthful report)
+        assert gain.max() <= 1e-13 * c.a
+
+
 class TestUniformPairs:
     def test_partition_invariance(self):
         full = uniform_pairs(9, 0, 777)
@@ -153,12 +173,12 @@ class TestMcRevenue:
         assert r1.value == r2.value and r1.std_error == r2.std_error
 
     def test_point_mass_at_one(self, c05):
-        r = mc_revenue(c05, PiecewiseCdf.point_mass(1.0), 500, seed=1)
+        r = mc_revenue(c05, PiecewiseCdf.from_discrete([1.0], [1.0]), 500, seed=1)
         assert r.value == pytest.approx(1.0, abs=1e-15)
         assert r.std_error == pytest.approx(0.0, abs=1e-15)
 
     def test_point_mass_at_mean(self, c05):
-        r = mc_revenue(c05, PiecewiseCdf.point_mass(0.5), 500, seed=1)
+        r = mc_revenue(c05, PiecewiseCdf.from_discrete([0.5], [1.0]), 500, seed=1)
         assert r.value == pytest.approx(0.5 * reserve_cdf(c05, 0.5), abs=1e-12)
 
     def test_matches_quadrature_within_three_sigma(self, c05):

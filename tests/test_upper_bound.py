@@ -1,41 +1,47 @@
-"""Quantile-grid LP cap and the discretised truthful auction."""
+"""Quantile-grid LP cap, checked against the exact discrete optimum."""
+
+import json
 
 import numpy as np
 import pytest
 
 from maxmin_auction import (
+    DiscreteDirectMechanism,
     DomainError,
     ModelParams,
-    analytic_bound,
-    bic_bir_violations,
-    discretize_truthful_mechanism,
     lp_max_revenue,
     signal_quantile,
     solve_a,
-    truthful_interim_allocation,
 )
+from maxmin_auction.cli import main
 
 import oracles
+from mechanism_reference import bic_bir_violations, myerson_revenue
 
 
 class TestAnalyticBound:
+    """The ``analytic_bound`` field that ``upper-bound`` prints is the
+    guarantee ``2a - a^2`` itself."""
+
     @pytest.mark.parametrize("mu", [0.1, 0.3, 0.5, 0.75, 0.9])
-    def test_bitwise_equal_to_guarantee(self, mu):
+    def test_bitwise_equal_to_guarantee(self, capsys, mu):
         c = solve_a(ModelParams(mu=mu))
-        assert analytic_bound(c) == c.revenue_guarantee
+        assert main(["upper-bound", "--mu", str(mu), "--grid-n", "10"]) == 0
+        printed = json.loads(capsys.readouterr().out)["analytic_bound"]
+        assert printed == float(format(c.revenue_guarantee, ".12g"))
 
     def test_frozen_values(self, c05, c075):
-        assert analytic_bound(c05) == pytest.approx(oracles.GUARANTEE_MU_05, abs=1e-13)
-        assert analytic_bound(c075) == pytest.approx(
+        assert c05.revenue_guarantee == pytest.approx(oracles.GUARANTEE_MU_05, abs=1e-13)
+        assert c075.revenue_guarantee == pytest.approx(
             oracles.GUARANTEE_MU_075, abs=1e-13
         )
-        assert analytic_bound(c05) == pytest.approx(0.3385, abs=5e-4)
+        assert c05.revenue_guarantee == pytest.approx(0.3385, abs=5e-4)
 
 
 class TestLp:
     def test_optimum_near_bound(self, c05):
         opt, mech = lp_max_revenue(c05, 25)
-        bound = analytic_bound(c05)
+        bound = c05.revenue_guarantee
         assert bound - 0.03 <= opt <= bound + 0.03
         # the certificate is itself feasible
         viol = bic_bir_violations(mech)
@@ -43,12 +49,18 @@ class TestLp:
         assert viol["max_bir_violation"] <= 1e-6
         assert viol["max_feasibility_excess"] <= 1e-6
 
-    def test_beats_every_feasible_mechanism(self, c05):
-        opt, _ = lp_max_revenue(c05, 25)
-        truthful = discretize_truthful_mechanism(c05, 25)
-        assert opt >= truthful.expected_revenue() - 1e-7
-        # and stays within O(1/n) of it (the saddle attains the cap)
-        assert opt - truthful.expected_revenue() <= 2.0 / 25
+    # Myerson's ironed virtual values give the exact optimum over all BIC,
+    # BIR mechanisms on the same grid of types, so equality catches a
+    # constraint set that is too loose as well as one that is too tight.
+    @pytest.mark.parametrize(
+        ("mu", "n"),
+        [(0.5, 10), (0.5, 25), (0.5, 50), (0.3, 25), (0.95, 50), (1e-6, 50), (1e-9, 50)],
+    )
+    def test_equals_myerson_optimum(self, mu, n):
+        c = solve_a(ModelParams(mu=mu))
+        opt, mech = lp_max_revenue(c, n)
+        exact = myerson_revenue(signal_quantile(c, mech.z), 1.0 / n)
+        assert opt == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     # Optima of the LP with every ordered misreport pair as a BIC row; the
     # adjacent-plus-monotone rows must leave them unchanged.
@@ -70,9 +82,8 @@ class TestLp:
         assert viol["max_bir_violation"] <= 1e-12
         assert viol["max_feasibility_excess"] <= 1e-12
         # the monotone rows order Q even among the tied top types (value 1)
-        Q1, Q2, _, _ = mech.interim()
-        assert np.diff(Q1).min() >= -1e-12
-        assert np.diff(Q2).min() >= -1e-12
+        assert np.diff(mech.q1.mean(axis=1)).min() >= -1e-12
+        assert np.diff(mech.q2.mean(axis=0)).min() >= -1e-12
 
     def test_constraint_rows(self, c05, monkeypatch):
         import maxmin_auction.upper_bound as ub
@@ -103,26 +114,22 @@ class TestLp:
         np.testing.assert_array_equal(mech.types, signal_quantile(c, mech.z))
         sigma = mech.types.max()
         assert sigma < 1.0
-        assert mech.expected_revenue() == pytest.approx(opt, rel=1e-9, abs=0.0)
+        assert mech.t1.mean() + mech.t2.mean() == pytest.approx(opt, rel=1e-9, abs=0.0)
         viol = bic_bir_violations(mech)
         assert viol["max_bic_gain"] <= 1e-9 * sigma
         assert viol["max_bir_violation"] <= 1e-9 * sigma
         assert viol["max_feasibility_excess"] <= 1e-9
 
     def test_zero_mechanism_feasible_baseline(self, c05):
-        mech = discretize_truthful_mechanism(c05, 15)
-        zero = type(mech)(
-            z=mech.z,
-            types=mech.types,
-            q1=np.zeros_like(mech.q1),
-            q2=np.zeros_like(mech.q2),
-            t1=np.zeros_like(mech.t1),
-            t2=np.zeros_like(mech.t2),
+        z = (np.arange(15) + 0.5) / 15
+        cells = np.zeros((15, 15))
+        zero = DiscreteDirectMechanism(
+            z=z, types=signal_quantile(c05, z), q1=cells, q2=cells, t1=cells, t2=cells
         )
         viol = bic_bir_violations(zero)
         assert viol["max_bic_gain"] <= 0.0
         assert viol["max_bir_violation"] <= 0.0
-        assert zero.expected_revenue() == 0.0
+        assert zero.t1.mean() + zero.t2.mean() == 0.0
         opt, _ = lp_max_revenue(c05, 15)
         assert opt >= 0.0
 
@@ -135,30 +142,3 @@ class TestLp:
         d = mech.to_json_dict()
         assert set(d) == {"z", "types", "q1", "q2", "t1", "t2"}
         assert len(d["q1"]) == 12 and len(d["q1"][0]) == 12
-
-
-class TestTruthfulDiscretization:
-    def test_exactly_feasible(self, c05):
-        mech = discretize_truthful_mechanism(c05, 40)
-        viol = bic_bir_violations(mech)
-        # truthful play is ex-post optimal, so grid feasibility is exact
-        assert viol["max_bic_gain"] <= 1e-8
-        assert viol["max_bir_violation"] <= 1e-8
-        assert viol["max_feasibility_excess"] <= 1e-12
-
-    def test_revenue_converges_to_guarantee(self, c05):
-        revs = [
-            discretize_truthful_mechanism(c05, n).expected_revenue()
-            for n in (25, 50, 100)
-        ]
-        errs = [abs(r - c05.revenue_guarantee) for r in revs]
-        assert errs[2] < errs[0]
-        assert errs[2] < 1e-3
-
-    def test_interim_allocation_closed_form(self, c05):
-        mech = discretize_truthful_mechanism(c05, 200)
-        Q1, _, _, _ = mech.interim()
-        target = truthful_interim_allocation(c05, mech.z)
-        # interim over the opponent grid vs the continuum closed form
-        assert np.max(np.abs(Q1 - target)) < 5e-3
-
