@@ -40,14 +40,8 @@ from .errors import (
     MaxminError,
     MeanMismatchError,
 )
-from .extensions import (
-    MpsReport,
-    SecondMomentParams,
-    SecondMomentSolution,
-    mps_check,
-    second_moment_solution,
-)
-from .functional import FunctionalValue, check_ode, revenue_functional
+from .extensions import MpsReport, mps_check, second_moment_solution
+from .functional import check_ode, revenue_functional
 from .mechanism import (
     BidProfile,
     Outcome,

@@ -15,6 +15,7 @@ the exit code is 2.  The other commands never read ``MAXMIN_SEED``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -154,15 +155,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_second_moment(args: argparse.Namespace) -> int:
-    sol = ext.second_moment_solution(ext.SecondMomentParams(delta=args.delta))
+    c = ext.second_moment_solution(args.delta)
     _emit(
         "second-moment",
         {
             "delta": args.delta,
-            "a": sol.a,
-            "guarantee": sol.guarantee,
-            "reserve_kind": sol.reserve.kind,
-            "signal_atom_at_one": sol.a,
+            "a": c.a,
+            "guarantee": args.delta,
+            "reserve_kind": "uniform",
+            "signal_atom_at_one": c.a,
         },
     )
     return EXIT_OK
@@ -170,19 +171,8 @@ def cmd_second_moment(args: argparse.Namespace) -> int:
 
 def cmd_mps_check(args: argparse.Namespace) -> int:
     c = _constants(args)
-    prior = read_cdf_csv(args.prior)
-    report = ext.mps_check(prior, c, grid=args.grid)
-    _emit(
-        "mps-check",
-        {
-            "mu": c.mu,
-            "passed": report.passed,
-            "max_violation": report.max_violation,
-            "worst_x": report.worst_x,
-            "gap_at_one": report.gap_at_one,
-            "grid_size": report.grid_size,
-        },
-    )
+    report = ext.mps_check(read_cdf_csv(args.prior), c)
+    _emit("mps-check", {"mu": c.mu, **dataclasses.asdict(report)})
     return EXIT_OK
 
 
@@ -257,8 +247,9 @@ def cmd_upper_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    if args.grid < 1:
-        raise DomainError(f"--grid must be at least 1, got {args.grid}")
+    # a curve on [0, 1] needs both ends, or read_cdf_csv rejects the file
+    if args.grid < 2:
+        raise DomainError(f"--grid must be at least 2, got {args.grid}")
     c = _constants(args)
     x = np.linspace(0.0, 1.0, args.grid)
     if args.which == "reserve":
@@ -331,13 +322,13 @@ def run_verification(args: argparse.Namespace) -> dict:
     )
 
     quad = fn.revenue_functional(g_bar, h_bar)
-    quad_gap = abs(quad.value - c.revenue_guarantee)
+    quad_gap = abs(quad - c.revenue_guarantee)
     # measured relative gap: 1.8e-13 at mu = 0.5, at most 2.7e-9 over [1e-9, 1 - 1e-6]
     gap_ok = quad_gap <= 1e-7 * c.revenue_guarantee
     record("functional_vs_closed_form", gap_ok, value=quad_gap)
 
     report = mech.mc_revenue(c, g_bar, args.n_samples, args.seed, tail_weighted=True)
-    mc_gap = abs(report.value - quad.value)
+    mc_gap = abs(report.value - quad)
     record(
         "mc_vs_quadrature",
         mc_gap <= 3.0 * report.std_error,
@@ -469,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         "mps-check", parents=[mu_arg], help="mean-preserving-spread admissibility of a prior"
     )
     p.add_argument("--prior", type=str, required=True)
-    p.add_argument("--grid", type=int, default=4001)
 
     p = sub.add_parser("second-moment", help="saddle point under a known second moment")
     p.add_argument("--delta", type=float, required=True)

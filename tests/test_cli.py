@@ -87,6 +87,17 @@ class TestCurves:
         assert rows[0] == ["x", "F", "atom_mass"]
         assert float(rows[-1][2]) == pytest.approx(0.186682308851, abs=1e-9)
 
+    def test_shortest_signal_curve_reads_back(self, capsys, tmp_path):
+        # two rows are the least that reach both ends of [0, 1]
+        out_path = tmp_path / "g.csv"
+        code, _ = run_cli(
+            capsys, "curves", "--mu", "0.5", "--which", "signal", "--grid", "2",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        g = read_cdf_csv(out_path)
+        assert g.atoms == ((1.0, pytest.approx(0.186682308851, abs=1e-9)),)
+
     def test_adversary_curve_close_to_signal_cdf(self, capsys, tmp_path):
         out_path = tmp_path / "adv.csv"
         code, _ = run_cli(
@@ -248,8 +259,9 @@ BAD_INPUTS = {
     "nan knot": ("mps-check", "x,F\n0,0.5\nnan,1\n", []),
     "nan value": ("simulate", "x,F\n0,nan\n1,1\n", []),
     "nan atom mass": ("simulate", "x,F,atom_mass\n0,0.5,nan\n1,1,0.5\n", []),
-    "negative mps grid": ("mps-check", "x,F,atom_mass\n0,0.5,0.5\n1,1,0.5\n", ["--grid", "-1"]),
     "negative curves grid": ("curves", None, ["--grid", "-3"]),
+    # one row reaches only x = 0, which read_cdf_csv would reject
+    "one-row signal curve": ("curves", None, ["--grid", "1", "--which", "signal"]),
 }
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from maxmin_auction import (
@@ -12,7 +14,6 @@ from maxmin_auction import (
     MeanMismatchError,
     ModelParams,
     PiecewiseCdf,
-    SecondMomentParams,
     mps_check,
     revenue_functional,
     second_moment_solution,
@@ -26,19 +27,34 @@ def three_point_prior(b: float) -> PiecewiseCdf:
     return PiecewiseCdf.from_discrete([0.0, 0.5, 1.0], [b, 1.0 - 2.0 * b, b])
 
 
+def touching_prior(a: float, cells: int) -> PiecewiseCdf:
+    """The worst-case signal law with the mass of each cell of a geometric grid
+    on [a, 1] moved to the cell's two ends, keeping the cell's mean: a
+    mean-preserving spread whose integrated CDF touches the signal's at every
+    knot."""
+    xs = a * (1.0 / a) ** (np.arange(cells + 1) / cells)
+    xs[-1] = 1.0
+    x0, x1 = xs[:-1], xs[1:]
+    cell = a / x0 - a / x1
+    right = (a * np.log(x1 / x0) - x0 * cell) / (x1 - x0)
+    mass = np.zeros(cells + 1)
+    mass[:-1] += cell - right
+    mass[1:] += right
+    mass[-1] += a
+    return PiecewiseCdf.from_discrete(xs, mass)
+
+
 class TestSecondMomentSolution:
     def test_half(self):
-        sol = second_moment_solution(SecondMomentParams(delta=0.5))
-        assert sol.a == pytest.approx(1.0 - np.sqrt(0.5), abs=1e-15)
-        assert sol.guarantee == 0.5
-        assert sol.reserve.kind == "uniform"
-        assert sol.signal.second_moment() == pytest.approx(0.5, abs=1e-12)
+        c = second_moment_solution(0.5)
+        assert c.a == pytest.approx(1.0 - np.sqrt(0.5), abs=1e-15)
+        assert PiecewiseCdf.signal(c).second_moment() == pytest.approx(0.5, abs=1e-12)
 
     def test_guarantee_always_delta(self):
         for delta in (0.2, 0.5, 0.9):
-            sol = second_moment_solution(SecondMomentParams(delta=delta))
-            assert sol.guarantee == delta
-            assert sol.signal.second_moment() == pytest.approx(delta, abs=1e-12)
+            c = second_moment_solution(delta)
+            assert c.revenue_guarantee == pytest.approx(delta, abs=1e-15)
+            assert PiecewiseCdf.signal(c).second_moment() == pytest.approx(delta, abs=1e-12)
 
     @pytest.mark.parametrize("delta", [0.5, 1e-6, 1e-9, 1e-17, 1e-300, 5e-324])
     def test_atom_free_of_cancellation(self, delta):
@@ -47,7 +63,7 @@ class TestSecondMomentSolution:
         with decimal.localcontext() as ctx:
             ctx.prec = 800
             exact = 1 - (1 - decimal.Decimal(delta)).sqrt()
-        a = second_moment_solution(SecondMomentParams(delta=delta)).a
+        a = second_moment_solution(delta).a
         assert math.isfinite(a) and a > 0.0
         if delta == 5e-324:
             # the exact atom, about 2.5e-324, lies below every positive double
@@ -55,11 +71,10 @@ class TestSecondMomentSolution:
         else:
             assert abs(decimal.Decimal(a) - exact) <= 2 * decimal.Decimal(math.ulp(a))
 
-    def test_domain(self):
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, float("nan")])
+    def test_domain(self, delta):
         with pytest.raises(DomainError):
-            SecondMomentParams(delta=0.0)
-        with pytest.raises(DomainError):
-            SecondMomentParams(delta=1.0)
+            second_moment_solution(delta)
 
     def test_uniform_reserve_interim_revenue(self):
         # under the uniform reserve the winner pays
@@ -82,13 +97,12 @@ class TestSecondMomentSolution:
             values = np.sort(rng.uniform(0.0, 1.0, size=12))
             g = PiecewiseCdf.from_grid(knots, values)
             fv = revenue_functional(g, uniform)
-            assert fv.value == pytest.approx(g.second_moment(), abs=1e-6)
+            assert fv == pytest.approx(g.second_moment(), abs=1e-6)
 
     def test_flat_landscape_across_distributions(self):
         # five grid CDFs sharing the same second moment all earn exactly
         # delta under the uniform reserve
         delta = 0.5
-        sol = second_moment_solution(SecondMomentParams(delta=delta))
         distributions = [
             PiecewiseCdf.from_discrete([0.0, 1.0], [0.5, 0.5]),
             PiecewiseCdf.from_discrete([float(np.sqrt(delta))], [1.0]),
@@ -98,8 +112,8 @@ class TestSecondMomentSolution:
         ]
         for g in distributions:
             assert g.second_moment() == pytest.approx(delta, abs=1e-12)
-            fv = revenue_functional(g, sol.reserve)
-            assert fv.value == pytest.approx(delta, abs=1e-6)
+            fv = revenue_functional(g, PiecewiseCdf.uniform())
+            assert fv == pytest.approx(delta, abs=1e-6)
 
 
 class TestIntegratedSignalCdf:
@@ -172,3 +186,57 @@ class TestMpsCheck:
         assert np.all(diffs[falling] <= 1e-12)
         assert np.all(diffs[rising] >= -1e-12)
         assert np.max(gap) <= 1e-9  # never above the prior's integrated CDF
+
+    @pytest.mark.parametrize("mu", [1e-6, 1e-9])
+    def test_point_mass_at_mean_fails_at_small_mu(self, mu):
+        # the least spread prior there is: its integrated CDF is 0 up to mu,
+        # where the signal's is already about 0.78 mu above it
+        report = mps_check(PiecewiseCdf.from_discrete([mu], [1.0]), solve_a(ModelParams(mu=mu)))
+        assert not report.passed
+        assert report.worst_x == mu
+        assert report.max_violation > 0.5 * mu
+
+    @pytest.mark.parametrize("mu", [1e-6, 1e-9])
+    def test_point_mass_at_zero_is_a_mean_mismatch_at_small_mu(self, mu):
+        with pytest.raises(MeanMismatchError):
+            mps_check(PiecewiseCdf.from_discrete([0.0], [1.0]), solve_a(ModelParams(mu=mu)))
+
+    @pytest.mark.parametrize("cells", [256, 10_000, 100_000])
+    @pytest.mark.parametrize("mu", [0.5, 1e-3, 1e-6, 1e-9])
+    def test_touching_spreads_pass(self, mu, cells):
+        c = solve_a(ModelParams(mu=mu))
+        report = mps_check(touching_prior(c.a, cells), c)
+        assert report.passed
+        assert report.grid_size >= cells + 1
+
+    def test_non_grid_prior_is_a_domain_error(self, c05):
+        with pytest.raises(DomainError):
+            mps_check(PiecewiseCdf.uniform(), c05)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        knots=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6, unique=True),
+        rises=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
+        atoms=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8),
+    )
+    def test_exact_maximum_bounds_a_dense_grid(self, knots, rises, atoms):
+        # random grid priors with atoms, at the mu of their own mean; D' is
+        # a difference of CDFs, so |D'| <= 1 and the exact maximum exceeds
+        # the dense one by at most half the spacing
+        x = np.concatenate(([0.0], np.sort(knots), [1.0]))
+        mass = np.asarray(atoms[: x.size])
+        rise = np.concatenate(([0.0], rises[: x.size - 1]))
+        steps = mass + rise
+        if steps.sum() == 0.0:
+            steps[-1] = 1.0
+        values = np.cumsum(steps / steps.sum())
+        values[-1] = 1.0
+        prior = PiecewiseCdf.from_grid(x, values, atoms=list(zip(x, mass / steps.sum())))
+        mean = prior.mean()
+        assume(1e-6 < mean < 1.0 - 1e-6)
+        c = solve_a(ModelParams(mu=mean))
+        report = mps_check(prior, c)
+        dense = np.linspace(0.0, 1.0, 20_001)
+        gap = PiecewiseCdf.signal(c).integral_to(dense) - prior.integral_to(dense)
+        assert report.max_violation >= gap.max() - 1e-15
+        assert report.max_violation <= gap.max() + 0.5 / 20_000

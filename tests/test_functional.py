@@ -24,7 +24,7 @@ class TestRevenueFunctional:
     def test_saddle_value_matches_closed_form(self, mu):
         c = solve_a(ModelParams(mu=mu))
         fv = revenue_functional(PiecewiseCdf.signal(c), PiecewiseCdf.reserve(c))
-        assert abs(fv.value - c.revenue_guarantee) < 1e-6
+        assert abs(fv - c.revenue_guarantee) < 1e-6
 
     @pytest.mark.parametrize("mu", np.geomspace(1e-9, 1.0 - 1e-6, 12).tolist())
     def test_relative_error_across_mu(self, mu):
@@ -32,12 +32,12 @@ class TestRevenueFunctional:
         c = solve_a(ModelParams(mu=mu))
         fv = revenue_functional(PiecewiseCdf.signal(c), PiecewiseCdf.reserve(c))
         g = c.revenue_guarantee
-        assert abs(fv.value - g) <= 1e-8 * g
+        assert abs(fv - g) <= 1e-8 * g
 
     def test_relative_error_at_half(self, c05):
         fv = revenue_functional(PiecewiseCdf.signal(c05), PiecewiseCdf.reserve(c05))
         g = c05.revenue_guarantee
-        assert abs(fv.value - g) <= 3e-13 * g
+        assert abs(fv - g) <= 3e-13 * g
 
     def test_breakdown_identity(self, c05):
         # one pass over the combined integrand equals the two terms integrated
@@ -55,19 +55,19 @@ class TestRevenueFunctional:
 
         fv = revenue_functional(g, h)
         two_pass = composite_simpson(first, edges) - composite_simpson(second, edges)
-        assert fv.value == pytest.approx(two_pass, rel=1e-14, abs=0.0)
+        assert fv == pytest.approx(two_pass, rel=1e-14, abs=0.0)
 
     def test_point_mass_at_one_extracts_everything(self, c05):
         # G = 0 on [0, 1): the integrand reduces to the exact derivative of
         # x H(x), so the integral telescopes to H(1) = 1
         g = PiecewiseCdf.from_discrete([1.0], [1.0])
         fv = revenue_functional(g, PiecewiseCdf.reserve(c05))
-        assert fv.value == pytest.approx(1.0, abs=1e-9)
+        assert fv == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_reserve_gives_second_moment(self, c05):
         g = PiecewiseCdf.signal(c05)
         fv = revenue_functional(g, PiecewiseCdf.uniform())
-        assert fv.value == pytest.approx(g.second_moment(), abs=1e-9)
+        assert fv == pytest.approx(g.second_moment(), abs=1e-9)
 
     @pytest.mark.parametrize(
         "make_g",
@@ -81,7 +81,7 @@ class TestRevenueFunctional:
         g = make_g(c05)
         fv = revenue_functional(g, PiecewiseCdf.reserve(c05))
         r = mc_revenue(c05, g, 200_000, seed=29)
-        assert abs(fv.value - r.value) <= 4.0 * r.std_error
+        assert abs(fv - r.value) <= 4.0 * r.std_error
 
     def test_rejects_reserve_with_interior_atom(self, c05):
         bad_h = PiecewiseCdf.from_grid(
@@ -99,7 +99,7 @@ class TestRevenueFunctional:
             PiecewiseCdf.uniform(),
             PiecewiseCdf.from_discrete([0.0, 1.0], [0.5, 0.5]),
         ):
-            value = revenue_functional(g, h).value
+            value = revenue_functional(g, h)
             lagrangian = value - c05.lam * g.mean()
             assert lagrangian + c05.lam * c05.mu == pytest.approx(value, abs=1e-9)
 

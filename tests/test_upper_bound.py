@@ -98,7 +98,7 @@ class TestLp:
 
         monkeypatch.setattr(ub, "linprog", spy)
         lp_max_revenue(c05, 12)
-        assert seen == {"ub": 12 * 12 + 8 * 12 - 6, "eq": 2 * 12}
+        assert seen == {"ub": 12 * 12 + 6 * 12 - 4, "eq": 2 * 12}
 
     # At small mu the top type value s.max() is far below 1, and the payments
     # would sit under the solver's absolute tolerances without rescaling.
