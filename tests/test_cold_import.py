@@ -2,8 +2,9 @@
 
 ``import maxmin_auction`` loads numpy and nothing from scipy; ``spence``,
 ``isotonic_regression``, ``scipy.sparse`` and ``linprog`` are imported inside
-the functions that use them.  Each case runs in a fresh interpreter, since
-the test process itself has long since imported scipy.
+the functions that use them, and ``concurrent.futures`` inside the Monte
+Carlo run that starts a thread pool.  Each case runs in a fresh interpreter,
+since the test process itself has long since imported scipy.
 """
 
 import json
@@ -18,13 +19,14 @@ from maxmin_auction import write_cdf_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCIPY = ("scipy.special", "scipy.optimize", "scipy.sparse")
+WATCHED = SCIPY + ("concurrent.futures",)
 
 # Runs its arguments as ``python -m maxmin_auction`` would, then writes the
-# scipy subpackages loaded by exit time as the last line of stderr.
+# watched modules loaded by exit time as the last line of stderr.
 PROBE = f"""
 import atexit, json, runpy, sys
 atexit.register(
-    lambda: print(json.dumps([m for m in {SCIPY!r} if m in sys.modules]), file=sys.stderr)
+    lambda: print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]), file=sys.stderr)
 )
 if len(sys.argv) > 1:
     sys.argv[0] = "maxmin_auction"
@@ -34,7 +36,7 @@ else:
 """
 
 
-def loaded_scipy(*argv: str) -> set[str]:
+def loaded_modules(*argv: str) -> set[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -49,7 +51,7 @@ def loaded_scipy(*argv: str) -> set[str]:
 
 
 def test_package_import_loads_no_scipy():
-    assert loaded_scipy() == set()
+    assert loaded_modules() == set()
 
 
 @pytest.mark.parametrize(
@@ -62,10 +64,11 @@ def test_package_import_loads_no_scipy():
     ids=["adversary", "simulate", "verify"],
 )
 def test_command_loads_only_what_it_calls(argv, expected):
-    assert loaded_scipy(*argv) == expected
+    # scipy.special itself loads concurrent.futures
+    assert loaded_modules(*argv) & set(SCIPY) == expected
 
 
 def test_mps_check_loads_no_scipy(tmp_path):
     path = tmp_path / "prior.csv"
     write_cdf_csv(path, [0.0, 0.5, 1.0], [0.25, 0.75, 1.0], [0.25, 0.5, 0.25])
-    assert loaded_scipy("mps-check", "--mu", "0.5", "--prior", str(path)) == set()
+    assert loaded_modules("mps-check", "--mu", "0.5", "--prior", str(path)) == set()

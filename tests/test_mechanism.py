@@ -1,5 +1,7 @@
 """Auction outcomes, counter-based uniforms, Monte Carlo revenue."""
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,6 +26,7 @@ from maxmin_auction import (
     winner_payment,
 )
 
+from maxmin_auction import mechanism
 from maxmin_auction.mechanism import _MC_CHUNK, _tail_weighted_levels
 
 import oracles
@@ -164,6 +167,33 @@ class TestUniformPairs:
             with pytest.raises(DomainError):
                 uniform_pairs(seed, 0, 3)
 
+    @pytest.mark.parametrize(
+        "seed, start, count",
+        [
+            (7, 0, 65536),
+            (123456789, 196609, 1001),
+            (2**127 + 5, 3, 7),
+            (0, 1, 65536),
+            (2**128 - 1, 5, 9),
+        ],
+        ids=str,
+    )
+    def test_matches_shifted_word_formula(self, seed, start, count):
+        # each Philox word w becomes (w >> 11) * 2**-53
+        block, offset = divmod(2 * start, 4)
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=[block, 0, 0, 0]))
+        words = gen.integers(0, 2**64, size=2 * count + offset, dtype=np.uint64)
+        expected = (words[offset:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        assert np.array_equal(uniform_pairs(seed, start, count), expected.reshape(count, 2))
+
+
+# 33 chunks, the last one ragged: four CPUs get four worker threads
+THREADED_N = 32 * _MC_CHUNK + 17
+
+
+def pin_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
 
 class TestMcRevenue:
     def test_deterministic_given_seed(self, c05):
@@ -290,6 +320,53 @@ class TestMcRevenue:
             g = PiecewiseCdf.from_discrete([0.0, 1.0], [0.5, 0.5])
         r = mc_revenue(c, g, 1000, 3, tail_weighted=True)
         assert np.isfinite(r.value) and np.isfinite(r.std_error)
+
+    # value and std_error as computed on one thread, chunk after chunk
+    @pytest.mark.parametrize(
+        "cpus", [None, {0}, {0, 1, 2, 3}], ids=["own-affinity", "one-cpu", "four-cpus"]
+    )
+    @pytest.mark.parametrize(
+        "tail_weighted, value, std_error",
+        [
+            (False, "0x1.5a9399a9456c1p-2", "0x1.31f7bfbb3c9a3p-13"),
+            (True, "0x1.59c51722911ddp-2", "0x1.976f1e44c0be3p-12"),
+        ],
+        ids=["plain", "tail-weighted"],
+    )
+    def test_bits_do_not_depend_on_cpu_count(
+        self, c05, monkeypatch, cpus, tail_weighted, value, std_error
+    ):
+        if cpus is not None:
+            pin_cpus(monkeypatch, cpus)
+        r = mc_revenue(c05, PiecewiseCdf.signal(c05), THREADED_N, 11, tail_weighted)
+        assert (r.value.hex(), r.std_error.hex()) == (value, std_error)
+
+    @pytest.mark.parametrize("n, pooled", [(_MC_CHUNK + 17, False), (THREADED_N, True)])
+    def test_only_long_runs_start_a_pool(self, c05, monkeypatch, n, pooled):
+        threads = set()
+
+        def recording(seed, start, count):
+            threads.add(threading.get_ident())
+            return uniform_pairs(seed, start, count)
+
+        monkeypatch.setattr(mechanism, "uniform_pairs", recording)
+        pin_cpus(monkeypatch, {0, 1})
+        mc_revenue(c05, PiecewiseCdf.signal(c05), n, 11)
+        assert (threading.get_ident() not in threads) == pooled
+
+    def test_chunk_error_propagates_and_stops_the_pool(self, c05, monkeypatch):
+        baseline = threading.active_count()
+
+        def failing(seed, start, count):
+            if start == 5 * _MC_CHUNK:
+                raise DomainError("chunk 5 failed")
+            return uniform_pairs(seed, start, count)
+
+        monkeypatch.setattr(mechanism, "uniform_pairs", failing)
+        pin_cpus(monkeypatch, {0, 1, 2, 3})
+        with pytest.raises(DomainError, match="chunk 5 failed"):
+            mc_revenue(c05, PiecewiseCdf.signal(c05), THREADED_N, 11)
+        assert threading.active_count() == baseline
 
     def test_memory_does_not_grow_with_samples(self, c05):
         signal = PiecewiseCdf.signal(c05)
