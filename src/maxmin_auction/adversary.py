@@ -24,9 +24,13 @@ Three things keep it cheap without changing a bit of its output:
 * each step decides ``moment < target`` from a plain numpy sum; when that
   sum lies within its rigorous error bound of the target, from an
   error-free split of the terms whose high parts sum exactly; and only when
-  that also cannot decide does it recompute the moment with ``math.fsum``;
+  that also cannot decide does it recompute the moment exactly with
+  ``quadrature.exact_sum``, which repeats the split until nothing is left
+  and gives ``math.fsum``'s bits without building a Python list;
 * the convexity split and the multiplier-free factors of the pointwise
-  argmin are computed once per solve, not once per step.
+  argmin are computed once per solve, not once per step; where no point is
+  convex, as for the uniform reserve, the argmin is a sign test over the
+  full arrays with no mask.
 
 A pool-adjacent-violators pass, scipy's ``isotonic_regression``, enforces
 monotonicity afterwards.  It is a no-op at the solved reserve, where the
@@ -53,6 +57,7 @@ from .constants import (
 from .distributions import PiecewiseCdf
 from .errors import ConvergenceError, DegenerateError, DomainError
 from .functional import _h_atom_check, _lagrangian, _revenue_integrand
+from .quadrature import exact_sum
 
 __all__ = [
     "GridDistribution",
@@ -92,7 +97,7 @@ class AdversaryResult:
 
     ``bisect_steps`` counts the multiplier bisection steps taken, and
     ``exact_sums`` the steps whose plain and split moment sums both lay too
-    close to the target to decide the comparison, so ``math.fsum`` decided
+    close to the target to decide the comparison, so the exact sum decided
     it.
     """
 
@@ -186,8 +191,7 @@ def _sum_below(t: np.ndarray, target: float) -> bool | None:
 def _grid_objective(
     g: np.ndarray, h: np.ndarray, xhp: np.ndarray, dx: float
 ) -> float:
-    terms = _revenue_integrand(g, h, xhp) * dx
-    return math.fsum(terms.tolist())
+    return exact_sum(_revenue_integrand(g, h, xhp) * dx)
 
 
 def _pointwise_argmin(h: np.ndarray, coef: np.ndarray, w):
@@ -198,13 +202,25 @@ def _pointwise_argmin(h: np.ndarray, coef: np.ndarray, w):
     points and the multiplier-free factors 2h and 2coef are computed once
     here; when every point is convex, as for every reserve of the solved
     family, the convex arrays are the full arrays and no masked copy is made.
-    ``w`` is the constraint weight, an array or a scalar.
+    When no point is convex, as for the uniform reserve, the minimizer is
+    1.0 where the slope lam*w - 2h is negative and 0.0 elsewhere, computed on
+    the full arrays with no mask; these are the float operations of the
+    masked linear branch, so the bits agree.  ``w`` is the constraint weight,
+    an array or a scalar.
     """
     convex = coef > _COEF_TOL
+    two_h = 2.0 * h
+    if not convex.any():
+
+        def argmin_linear(lam: float, out: np.ndarray) -> np.ndarray:
+            np.multiply(w, lam, out=out)
+            np.subtract(out, two_h, out=out)
+            return np.less(out, 0.0, out=out)
+
+        return argmin_linear
     lin = np.flatnonzero(~convex)
     if lin.size == 0:
         convex = slice(None)
-    two_h = 2.0 * h
     two_h_c, two_coef_c = two_h[convex], 2.0 * coef[convex]
     two_h_lin = two_h[lin]
     w_c, w_lin = (w, w) if np.ndim(w) == 0 else (w[convex], w[lin])
@@ -279,19 +295,19 @@ def minimize_revenue(
         return np.multiply(terms, dx, out=terms)
 
     def moment(g: np.ndarray) -> float:
-        return math.fsum(moment_terms(g).tolist())
+        return exact_sum(moment_terms(g))
 
     exact_sums = 0
 
     def below_target(g: np.ndarray) -> bool:
-        """moment(g) < target, with math.fsum only where numpy sums cannot
-        decide it."""
+        """moment(g) < target, with the exact sum only where the plain and
+        split sums cannot decide it."""
         nonlocal exact_sums
         t = moment_terms(g)
         below = _sum_below(t, target)
         if below is None:
             exact_sums += 1
-            below = math.fsum(t.tolist()) < target
+            below = exact_sum(t) < target
         return below
 
     lam_lo, lam_hi = 0.0, 2.0 * float(h_dist.cdf(1.0))
@@ -335,7 +351,7 @@ def minimize_revenue(
     del argmin, g  # release the loop buffers before the projection stage
 
     lag_terms = _lagrangian(g_raw, h, xhp, lam_hat * w) * dx
-    lagrangian_bound = math.fsum(lag_terms.tolist()) + lam_hat * target
+    lagrangian_bound = exact_sum(lag_terms) + lam_hat * target
     del lag_terms
 
     g_proj = np.clip(pav_nondecreasing(g_raw), 0.0, 1.0)

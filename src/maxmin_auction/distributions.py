@@ -32,6 +32,7 @@ import numpy as np
 from . import constants as cf
 from .constants import _as_array, _check_unit_interval
 from .errors import DomainError
+from .quadrature import exact_sum
 
 __all__ = ["PiecewiseCdf", "read_cdf_csv", "write_cdf_csv"]
 
@@ -306,7 +307,7 @@ class PiecewiseCdf:
             int_xf = left * (q * q - p * p) / 2.0 + slope * (
                 (q**3 - p**3) / 3.0 - p * (q * q - p * p) / 2.0
             )
-            return 1.0 - 2.0 * math.fsum(int_xf.tolist())
+            return 1.0 - 2.0 * exact_sum(int_xf)
         if self.kind == "uniform":
             return 1.0 / 3.0
         if self.kind == "signal":

@@ -8,9 +8,12 @@ Two rules:
   payment oracle, lo H(lo) + integral of t H'(t), over all pairs at once.
 * ``composite_simpson`` -- a fixed-panel Simpson rule over an explicit edge
   grid, for functionals whose integrands have known kinks or one-sided
-  limits.  Panel contributions are combined with ``math.fsum`` so the result
+  limits.  Panel contributions are combined by ``exact_sum`` so the result
   does not depend on summation order.  ``build_edges`` lays the grid out
   geometrically, so that its error is relative at every scale.
+
+``exact_sum`` is the package's one exact summation: ``math.fsum`` bit for
+bit, from numpy sums.
 """
 
 from __future__ import annotations
@@ -23,12 +26,55 @@ import numpy as np
 
 from .errors import ConvergenceError
 
-__all__ = ["adaptive_simpson", "composite_simpson", "build_edges"]
+__all__ = ["adaptive_simpson", "composite_simpson", "build_edges", "exact_sum"]
 
 # Geometric panels per e-fold of x: neighbouring edges differ by the factor
 # e^(1/400).  Simpson's error falls as the fourth power of this count; at 400
 # it is about 2e-13 relative on the revenue functional (3e-12 at 200).
 _PANELS_PER_EFOLD = 400
+# Cap on the extraction levels of ``exact_sum``.  Each level takes at least
+# 52 - bitlen(n - 1) bits off the residual, so terms within a few dozen
+# binades of each other need two or three levels.
+_EXACT_SUM_LEVELS = 40
+
+
+def exact_sum(t: np.ndarray) -> float:
+    """``math.fsum`` of the terms ``t``, bit for bit, from numpy sums.
+
+    Each level splits the residual terms r against sigma = 2**(E + M), where
+    max |r| < 2**E and M = bitlen(n - 1) + 1 (Rump, Ogita & Oishi, "Accurate
+    floating-point summation, part I", SIAM J. Sci. Comput. 31(1), 2008):
+    hi = (r + sigma) - sigma and r - hi are exact, every hi is a multiple of
+    2**-53 sigma and the n of them add up to at most sigma / 2 in magnitude,
+    so sum(hi) is exact in any order.  Once the residual is all zeros the
+    level sums add up to the exact total, which ``math.fsum`` rounds
+    correctly.  Non-finite terms, terms so large that sigma would overflow,
+    and spreads that need more than _EXACT_SUM_LEVELS levels go to
+    ``math.fsum`` itself, which also gives its errors and special values.
+    """
+    terms = np.asarray(t, dtype=float).ravel()
+    if terms.size == 0:
+        return 0.0
+    shift = (terms.size - 1).bit_length() + 1
+    levels: list[float] = []
+    r, hi = terms, np.empty_like(terms)
+    for _ in range(_EXACT_SUM_LEVELS):
+        r_max, r_min = float(r.max()), float(r.min())
+        if not (math.isfinite(r_max) and math.isfinite(r_min)):
+            break
+        top = max(r_max, -r_min)
+        if top == 0.0:
+            return math.fsum(levels)
+        exponent = math.frexp(top)[1] + shift
+        if exponent >= sys.float_info.max_exp:  # sigma would overflow
+            break
+        sigma = math.ldexp(1.0, exponent)
+        np.add(r, sigma, out=hi)
+        np.subtract(hi, sigma, out=hi)
+        levels.append(float(hi.sum()))
+        # the first level leaves the caller's terms as they are
+        r = r - hi if r is terms else np.subtract(r, hi, out=r)
+    return math.fsum(terms)
 
 
 def adaptive_simpson(
@@ -125,4 +171,4 @@ def composite_simpson(
     hi_in = np.nextafter(hi, lo)
     f_lo, f_mid, f_hi = np.split(f(np.concatenate((lo, mid, hi_in))), 3)
     panels = (hi - lo) / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-    return math.fsum(panels.tolist())
+    return exact_sum(panels)

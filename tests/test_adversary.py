@@ -1,5 +1,6 @@
 """Constrained revenue minimization over signal CDFs."""
 
+import hashlib
 import math
 
 import adversary_reference as reference
@@ -111,6 +112,62 @@ class TestMatchesFixedStepReference:
         )
         ref = reference.minimize_revenue(h_dist, K, "second-moment", delta)
         self.assert_bitwise(res, ref)
+
+
+class TestPinnedFineGrid:
+    """The K = 4e5 certificates keep their bits.
+
+    The frozen reference stops at K = 65 537, while ``certify-fine`` runs at
+    K = 4e5; these values were recorded from the solver before the exact sums
+    moved to numpy and the all-linear argmin dropped its masks.  The second
+    moment on the uniform reserve is linear at every grid point.
+    """
+
+    K = 400_000
+    PINNED = {
+        "optimal": (
+            {
+                "value": "0x1.5aa3805aa8ebbp-2",
+                "lambda_hat": "0x1.f039893954e4ep-1",
+                "constraint_residual": "0x1.0000000000000p-53",
+                "projection_delta": "0x0.0p+0",
+                "lagrangian_bound": "0x1.5aa3805aa8ebap-2",
+            },
+            "a7fed3201e414bfa029984482cc946e9cc27dd94d21f09b73ac4635290e0181f",
+        ),
+        "linear-ramp": (
+            {
+                "value": "0x1.5aa3837612e6bp-2",
+                "lambda_hat": "0x1.f039893954e4ep-1",
+                "constraint_residual": "0x1.0000000000000p-53",
+                "projection_delta": "0x0.0p+0",
+                "lagrangian_bound": "0x1.5aa3837612e6ap-2",
+            },
+            "a7fed3201e414bfa029984482cc946e9cc27dd94d21f09b73ac4635290e0181f",
+        ),
+        "second-moment": (
+            {
+                "value": "0x1.0000000000000p-1",
+                "lambda_hat": "0x1.0000000000000p+0",
+                "constraint_residual": "-0x1.0000000000000p-54",
+                "projection_delta": "0x0.0p+0",
+                "lagrangian_bound": "0x1.0000000000000p-1",
+            },
+            "197dedc62f29953db6e368a73650bebbd57843ef6f110098321b6f6c6c89767b",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_matches_pinned(self, case, c05):
+        if case == "second-moment":
+            res = minimize_revenue(
+                PiecewiseCdf.uniform(), None, self.K, constraint="second-moment", target=0.5
+            )
+        else:
+            res = minimize_revenue(RESERVES[case](c05), ModelParams(mu=0.5), self.K)
+        fields, digest = self.PINNED[case]
+        assert {name: float(getattr(res, name)).hex() for name in fields} == fields
+        assert hashlib.sha256(res.grid.values.tobytes()).hexdigest() == digest
 
 
 class TestBisectionDiagnostics:

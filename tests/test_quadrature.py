@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxmin_auction import ConvergenceError, ModelParams, reserve_pdf, solve_a
 from maxmin_auction.mechanism import uniform_pairs
-from maxmin_auction.quadrature import adaptive_simpson, build_edges
+from maxmin_auction.quadrature import adaptive_simpson, build_edges, exact_sum
 
 
 def recursive_simpson(f, lo, hi, tol=1e-9, max_depth=60):
@@ -117,3 +119,84 @@ class TestBuildEdges:
         edges = build_edges()
         assert edges[1] == 2.0**-40
         assert edges.size == math.ceil(400 * 40 * math.log(2.0)) + 2
+
+
+def sum_outcome(total, t):
+    """float.hex of total(t), or the type and message of what it raised."""
+    try:
+        return float.hex(total(t))
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def fsum_of_list(t):
+    return math.fsum(t.tolist())
+
+
+SIZES = [0, 1] + [n for j in range(1, 13) for n in (2**j, 2**j + 1)]
+
+
+class TestExactSum:
+    """``exact_sum`` gives ``math.fsum``'s bits, errors and special values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.sampled_from(SIZES),
+        seed=st.integers(0, 2**32 - 1),
+        # binade of the largest terms: 1024 makes sigma overflow
+        top=st.sampled_from([-1060, -300, 0, 1, 600, 1000, 1024]),
+        # at 2100 binades most draws of 4096 terms need more levels than the cap
+        spread=st.sampled_from([0, 1, 30, 200, 1000, 2100]),
+        # all negative, mixed or non-negative
+        sign=st.sampled_from([-1.0, 0.0, 1.0]),
+        zeros=st.sampled_from([0.0, 0.1, 1.0]),
+        subnormals=st.sampled_from([0.0, 0.1]),
+    )
+    def test_matches_fsum(self, n, seed, top, spread, sign, zeros, subnormals):
+        rng = np.random.default_rng(seed)
+        exponents = rng.integers(top - spread, top + 1, n)
+        t = np.ldexp(rng.uniform(0.5, 1.0, n), exponents)
+        sub = rng.random(n) < subnormals
+        t[sub] = np.ldexp(rng.integers(1, 2**52, n)[sub].astype(float), -1074)
+        t[rng.random(n) < zeros] = 0.0
+        t *= sign if sign else rng.choice([-1.0, 1.0], n)
+        before = t.tobytes()
+        assert sum_outcome(exact_sum, t) == sum_outcome(fsum_of_list, t)
+        assert t.tobytes() == before  # the caller's terms are left alone
+
+    @pytest.mark.parametrize(
+        "special, want",
+        [
+            ([math.inf], "inf"),
+            ([-math.inf], "-inf"),
+            ([math.nan], "nan"),
+            ([math.inf, math.nan], "nan"),
+            ([math.inf, -math.inf], ("ValueError", "-inf + inf in fsum")),
+        ],
+    )
+    @pytest.mark.parametrize("n", [0, 1024])
+    def test_non_finite_terms(self, special, want, n):
+        t = np.concatenate((special, np.linspace(-1.0, 3.0, n)))
+        assert sum_outcome(exact_sum, t) == sum_outcome(fsum_of_list, t) == want
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            # 1 + 2**-53 is a tie that rounds down; the 2**-107 level must
+            # round it up, which only a correctly rounded total of the
+            # levels does
+            np.array([1.0, 2.0**-53, 2.0**-107]),
+            np.array([-1.0, -(2.0**-53), -(2.0**-107)]),
+            # full mantissas about every second binade from 2**1000 down: a
+            # level takes 52 - 10 bits off 1024 terms, so this needs 49
+            # levels, 9 past the cap
+            np.ldexp(np.full(1024, 2.0 - 2.0**-52), np.linspace(1000, -1020, 1024).astype(int)),
+            np.array([-0.0]),
+            np.array([-0.0, -0.0]),
+            np.array([0.0, -0.0]),
+            np.array([1.0, -1.0]),
+        ],
+        ids=["tie", "negative-tie", "past-level-cap", "-0", "-0-0", "+0-0", "cancel"],
+    )
+    def test_hand_picked(self, t):
+        assert sum_outcome(exact_sum, t) == sum_outcome(fsum_of_list, t)
