@@ -21,16 +21,15 @@ Three things keep it cheap without changing a bit of its output:
   unchanged, since each step is a function of the bracket alone and every
   later step would leave it unchanged as well (after about 55 steps, when
   the ends are adjacent doubles);
-* each step decides ``moment < target`` from a plain numpy sum; when that
-  sum lies within its rigorous error bound of the target, from an
-  error-free split of the terms whose high parts sum exactly; and only when
-  that also cannot decide does it recompute the moment exactly with
-  ``quadrature.exact_sum``, which repeats the split until nothing is left
-  and gives ``math.fsum``'s bits without building a Python list;
-* the convexity split and the multiplier-free factors of the pointwise
-  argmin are computed once per solve, not once per step; where no point is
-  convex, as for the uniform reserve, the argmin is a sign test over the
-  full arrays with no mask.
+* each step decides ``moment < target`` from a plain numpy sum, and only
+  when that sum lies within its rigorous error bound of the target does it
+  compute the moment exactly with ``quadrature.exact_sum``, which gives
+  ``math.fsum``'s bits from error-free splits in numpy;
+* the pointwise argmin is one formula over the full arrays,
+  clip((2 H - lambda w) / d, 0, 1), whose divisor d is computed once per
+  solve: twice the coefficient at convex points and zero at linear ones,
+  where the quotient is +-inf and clips to the cheaper endpoint.  Convex,
+  linear and mixed grids take the same path, with no mask.
 
 A pool-adjacent-violators pass, scipy's ``isotonic_regression``, enforces
 monotonicity afterwards.  It is a no-op at the solved reserve, where the
@@ -72,6 +71,8 @@ __all__ = [
     "reserve_with_linear_ramp",
 ]
 
+# H - xH' above this is a convex point, below its negative a degenerate
+# reserve (DegenerateError), and in between a linear point.
 _COEF_TOL = 1e-12
 # Allowed miss of the moment constraint, before and after the bisection.
 _TOL_MEAN = 1e-9
@@ -96,9 +97,8 @@ class AdversaryResult:
     """Output of the constrained minimization.
 
     ``bisect_steps`` counts the multiplier bisection steps taken, and
-    ``exact_sums`` the steps whose plain and split moment sums both lay too
-    close to the target to decide the comparison, so the exact sum decided
-    it.
+    ``exact_sums`` the steps whose plain moment sum lay within its error
+    bound of the target, so the exact sum decided the comparison.
     """
 
     grid: GridDistribution
@@ -154,33 +154,15 @@ def pav_nondecreasing(y: np.ndarray) -> np.ndarray:
 
 def _sum_below(t: np.ndarray, target: float) -> bool | None:
     """``math.fsum(t) < target`` for finite non-negative terms ``t``, decided
-    with numpy sums, or None where only the exact sum can decide it.
+    from the plain numpy sum, or None inside its error bound.
 
     A plain sum of K non-negative terms is off by at most about K * 2**-53
     times itself, in any order; twice that plus four ulps of the target
     keeps the comparison below exact, since fsum rounds the exact sum
-    monotonically.  Inside that slack the terms are split against
-    sigma = 2**(E + ceil(log2 K)), where max t < 2**E (Rump, Ogita & Oishi,
-    "Accurate floating-point summation, part I", SIAM J. Sci. Comput. 31(1),
-    2008): hi = (t + sigma) - sigma and lo = t - hi are exact, each hi is a
-    multiple of ulp(sigma) and their sum is at most sigma, so sum(hi) is
-    exact in any order.  Only the lo parts, each below ulp(sigma), carry a
-    rounding error, bounded the same way by their absolute sum.
+    monotonically.
     """
-    n = t.size
-    sum_err = 2.0 * n * 2.0**-53
-    target_ulps = 4.0 * math.ulp(target)
     s = float(t.sum())
-    slack = sum_err * s + target_ulps
-    if s < target - slack:
-        return True
-    if s > target + slack:
-        return False
-    sigma = math.ldexp(1.0, math.frexp(float(t.max()))[1] + (n - 1).bit_length())
-    hi = (t + sigma) - sigma
-    lo = t - hi
-    s = float(hi.sum()) + float(lo.sum())
-    slack = sum_err * float(np.abs(lo).sum()) + 2.0 * math.ulp(s) + target_ulps
+    slack = 2.0 * t.size * 2.0**-53 * s + 4.0 * math.ulp(target)
     if s < target - slack:
         return True
     if s > target + slack:
@@ -188,55 +170,33 @@ def _sum_below(t: np.ndarray, target: float) -> bool | None:
     return None
 
 
-def _grid_objective(
-    g: np.ndarray, h: np.ndarray, xhp: np.ndarray, dx: float
-) -> float:
-    return exact_sum(_revenue_integrand(g, h, xhp) * dx)
-
-
 def _pointwise_argmin(h: np.ndarray, coef: np.ndarray, w):
     """Minimizer of coef*g^2 + (lam*w - 2h)*g + const over g in [0, 1].
 
     Returns ``argmin(lam, out)``, which fills ``out`` with the minimizer at
-    multiplier ``lam`` and returns it.  The split into convex and linear
-    points and the multiplier-free factors 2h and 2coef are computed once
-    here; when every point is convex, as for every reserve of the solved
-    family, the convex arrays are the full arrays and no masked copy is made.
-    When no point is convex, as for the uniform reserve, the minimizer is
-    1.0 where the slope lam*w - 2h is negative and 0.0 elsewhere, computed on
-    the full arrays with no mask; these are the float operations of the
-    masked linear branch, so the bits agree.  ``w`` is the constraint weight,
-    an array or a scalar.
+    multiplier ``lam`` and returns it; ``w`` is the constraint weight, an
+    array or a scalar.  Every point takes clip((2h - lam*w) / d, 0, 1), with
+    the divisor d = 2 coef where coef > _COEF_TOL, the clamped vertex, and
+    d = +0.0 where the point is linear.  There a positive numerator, a
+    negative slope lam*w - 2h, divides to +inf and clips to 1.0, and a
+    negative one to -inf and 0.0.  The 0/0 of exact indifference is NaN,
+    which ``fmax`` with -1 sends below the clip's floor to 0.0.  The bound is
+    -1, not 0, because ``fmax`` with 0 turns a -0.0 quotient into +0.0 at
+    some array positions and not at others, while the clip keeps it.  Those
+    are the bits of the vertex at convex points and of the sign test at
+    linear ones.  A subnormal in place of the zero divisor would give the
+    same bits, but division by a denormal takes a slow path.
     """
-    convex = coef > _COEF_TOL
     two_h = 2.0 * h
-    if not convex.any():
-
-        def argmin_linear(lam: float, out: np.ndarray) -> np.ndarray:
-            np.multiply(w, lam, out=out)
-            np.subtract(out, two_h, out=out)
-            return np.less(out, 0.0, out=out)
-
-        return argmin_linear
-    lin = np.flatnonzero(~convex)
-    if lin.size == 0:
-        convex = slice(None)
-    two_h_c, two_coef_c = two_h[convex], 2.0 * coef[convex]
-    two_h_lin = two_h[lin]
-    w_c, w_lin = (w, w) if np.ndim(w) == 0 else (w[convex], w[lin])
-    buf = np.empty_like(two_h_c) if lin.size else None
+    d = np.where(coef > _COEF_TOL, 2.0 * coef, 0.0)
 
     def argmin(lam: float, out: np.ndarray) -> np.ndarray:
-        g_c = out if buf is None else buf
-        np.multiply(w_c, lam, out=g_c)
-        np.subtract(two_h_c, g_c, out=g_c)
-        np.divide(g_c, two_coef_c, out=g_c)
-        np.clip(g_c, 0.0, 1.0, out=g_c)
-        if buf is not None:
-            out[convex] = g_c
-            slope = lam * w_lin - two_h_lin
-            out[lin] = np.where(slope < 0.0, 1.0, 0.0)
-        return out
+        np.multiply(w, lam, out=out)
+        np.subtract(two_h, out, out=out)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(out, d, out=out)
+        np.fmax(out, -1.0, out=out)
+        return np.clip(out, 0.0, 1.0, out=out)
 
     return argmin
 
@@ -300,8 +260,8 @@ def minimize_revenue(
     exact_sums = 0
 
     def below_target(g: np.ndarray) -> bool:
-        """moment(g) < target, with the exact sum only where the plain and
-        split sums cannot decide it."""
+        """moment(g) < target, with the exact sum only where the plain sum
+        cannot decide it."""
         nonlocal exact_sums
         t = moment_terms(g)
         below = _sum_below(t, target)
@@ -356,7 +316,7 @@ def minimize_revenue(
 
     g_proj = np.clip(pav_nondecreasing(g_raw), 0.0, 1.0)
     projection_delta = float(np.max(np.abs(g_proj - g_raw)))
-    value = _grid_objective(g_proj, h, xhp, dx)
+    value = exact_sum(_revenue_integrand(g_proj, h, xhp) * dx)
     grid = GridDistribution(x=x, values=g_proj)
     return AdversaryResult(
         grid=grid,
@@ -399,7 +359,8 @@ def check_p1_p2(h_star: PiecewiseCdf, c: SolvedConstants) -> P1P2Report:
     """Verify the reserve-family conditions for an alternative reserve CDF.
 
     P1: the CDF agrees with the solved reserve on [a, 1] (sup gap <= 1e-9).
-    P2: H*(x) - x (H*)'(x) >= 0 on a midpoint grid of (0, a).
+    P2: H*(x) - x (H*)'(x) >= -_COEF_TOL on a midpoint grid of (0, a), the
+    bound below which ``minimize_revenue`` raises DegenerateError.
     """
     a = c.a
     x1 = np.linspace(a, 1.0, _P1P2_GRID)
@@ -413,7 +374,7 @@ def check_p1_p2(h_star: PiecewiseCdf, c: SolvedConstants) -> P1P2Report:
         p1_passed=bool(gap[i1] <= 1e-9),
         p1_worst_gap=float(gap[i1]),
         p1_worst_x=float(x1[i1]),
-        p2_passed=bool(vals[i2] >= -1e-12),
+        p2_passed=bool(vals[i2] >= -_COEF_TOL),
         p2_worst_value=float(vals[i2]),
         p2_worst_x=float(x2[i2]),
     )

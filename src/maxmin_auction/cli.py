@@ -293,6 +293,9 @@ def _payment_identity_worst_gap(c: SolvedConstants, seed: int, n_pairs: int) -> 
 
 def run_verification(args: argparse.Namespace) -> dict:
     """Execute every cross-check and return a JSON-ready report."""
+    if args.n_samples < 2:
+        # one sample has no standard error, so mc_vs_quadrature has no verdict
+        raise DomainError(f"verify needs --samples of at least 2, got {args.n_samples}")
     c = _constants(args)
     g_bar = PiecewiseCdf.signal(c)
     h_bar = PiecewiseCdf.reserve(c)

@@ -144,6 +144,11 @@ class TestSimulate:
         )
         assert json.loads(out_env)["value"] == json.loads(out_explicit)["value"]
 
+    def test_simulate_takes_one_sample(self, capsys):
+        code, out = run_cli(capsys, "simulate", "--mu", "0.5", "--samples", "1", "--seed", "7")
+        assert code == 0
+        assert json.loads(out)["std_error"] is None
+
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])
     def test_seed_out_of_range_exits_2(self, capsys, seed):
         code = main(["simulate", "--mu", "0.5", "--samples", "10", "--seed", seed])
@@ -301,6 +306,15 @@ class TestSecondMomentCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("samples", ["1", "0"])
+    def test_verify_needs_two_samples(self, capsys, samples):
+        # one sample has no standard error, so the Monte Carlo check has no
+        # verdict: a domain error, not a failed check
+        code = main(["verify", "--mu", "0.5", "--seed", "7", "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: verify needs --samples of at least 2, got {samples}\n"
+
     def test_all_checks_pass_and_deterministic(self, capsys):
         args = (
             "verify",
