@@ -28,7 +28,6 @@ from .constants import (
     reserve_cdf_integral,
     reserve_pdf,
     signal_cdf,
-    signal_pdf,
     signal_quantile,
     solve_a,
 )

@@ -191,8 +191,10 @@ def _pointwise_argmin(h: np.ndarray, coef: np.ndarray, w):
     d = np.where(coef > _COEF_TOL, 2.0 * coef, 0.0)
 
     def argmin(lam: float, out: np.ndarray) -> np.ndarray:
-        np.multiply(w, lam, out=out)
-        np.subtract(two_h, out, out=out)
+        # a scalar weight (the mean constraint's 1.0) folds into lam first,
+        # so the numerator is one pass
+        lam_w = w * lam if np.ndim(w) == 0 else np.multiply(w, lam, out=out)
+        np.subtract(two_h, lam_w, out=out)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(out, d, out=out)
         np.fmax(out, -1.0, out=out)

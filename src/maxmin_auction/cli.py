@@ -150,7 +150,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         signal = PiecewiseCdf.signal(c)
     report = mech.mc_revenue(c, signal, args.n_samples, args.seed)
-    _emit("simulate", report.to_json_dict())
+    _emit("simulate", dataclasses.asdict(report))
     return EXIT_OK
 
 

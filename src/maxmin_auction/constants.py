@@ -45,7 +45,6 @@ __all__ = [
     "reserve_pdf",
     "reserve_cdf_integral",
     "signal_cdf",
-    "signal_pdf",
     "signal_quantile",
 ]
 
@@ -340,17 +339,6 @@ def signal_cdf(c: SolvedConstants, x):
     with np.errstate(divide="ignore"):
         body = 1.0 - a / np.where(arr > 0.0, arr, np.nan)
     out = np.where(arr < a, 0.0, np.where(arr >= 1.0, 1.0, body))
-    return float(out) if scalar else out
-
-
-def signal_pdf(c: SolvedConstants, x):
-    """Density of the continuous part of the signal CDF: a/x^2 on (a, 1), else 0."""
-    arr, scalar = _as_array(x)
-    _check_unit_interval(arr, "signal point")
-    a = c.a
-    with np.errstate(divide="ignore"):
-        body = a / np.where(arr > 0.0, arr * arr, np.nan)
-    out = np.where((arr > a) & (arr < 1.0), body, 0.0)
     return float(out) if scalar else out
 
 

@@ -1,17 +1,15 @@
 """CDFs on [0, 1] with explicit atoms.
 
-One container covers the five shapes the package needs:
+One container covers the three kinds the package needs:
 
-* ``reserve``  -- the analytic reserve-price CDF (continuous, strictly
-  increasing, removable point at ``a``);
 * ``signal``   -- the analytic worst-case signal CDF (unit-elastic body with
-  an atom at 1);
-* ``uniform``  -- the identity CDF, used by the second-moment variant;
+  an atom at 1), with its exact integral, moments and quantile;
 * ``grid``     -- a right-continuous piecewise-linear CDF given by knots,
   values and explicit atom masses (adversary iterates, user CSV input,
-  discrete priors);
-* ``custom``   -- arbitrary vectorised callables, for reserve variants that
-  differ from the analytic one below ``a``.
+  discrete priors, and the uniform reserve of the second-moment variant,
+  the two-knot grid through (0, 0) and (1, 1));
+* ``custom``   -- vectorised callables with no integral: the analytic
+  reserve-price CDF and its variants that differ from it below ``a``.
 
 Atoms are carried explicitly, never smeared into the linear parts: the value
 stored at a knot is the right limit, and the left limit is value minus atom
@@ -60,8 +58,18 @@ class PiecewiseCdf:
 
     @classmethod
     def reserve(cls, c: "cf.SolvedConstants") -> "PiecewiseCdf":
-        """The analytic reserve-price CDF for solved constants ``c``."""
-        return cls(kind="reserve", constants=c, breakpoints=(c.a,))
+        """The analytic reserve-price CDF for solved constants ``c``, a
+        ``custom`` law like its zero-atom and linear-ramp variants.
+
+        The callables look ``cf.reserve_cdf`` and ``cf.reserve_pdf`` up at
+        each call, so a later rebinding of those names (the tracer in
+        ``perfbench/trace_child.py``) reaches them.
+        """
+        return cls.custom(
+            cdf_fn=lambda x: cf.reserve_cdf(c, x),
+            pdf_fn=lambda x: cf.reserve_pdf(c, x),
+            breakpoints=(c.a,),
+        )
 
     @classmethod
     def signal(cls, c: "cf.SolvedConstants") -> "PiecewiseCdf":
@@ -75,8 +83,9 @@ class PiecewiseCdf:
 
     @classmethod
     def uniform(cls) -> "PiecewiseCdf":
-        """The identity CDF on [0, 1]."""
-        return cls(kind="uniform")
+        """The identity CDF on [0, 1]: the two-knot grid, whose one segment
+        gives back ``x``, slope 1 and ``x*x/2`` exactly."""
+        return cls.from_grid((0.0, 1.0), (0.0, 1.0))
 
     @classmethod
     def from_grid(
@@ -197,14 +206,10 @@ class PiecewiseCdf:
         """Right-continuous CDF value at ``x`` (scalar or array)."""
         arr, scalar = _as_array(x)
         _check_unit_interval(arr, "CDF argument")
-        if self.kind == "reserve":
-            out = cf.reserve_cdf(self.constants, arr)
-        elif self.kind == "signal":
+        if self.kind == "signal":
             out = cf.signal_cdf(self.constants, arr)
-        elif self.kind == "uniform":
-            out = arr.copy()
         elif self.kind == "custom":
-            out = np.asarray(self.cdf_fn(arr), dtype=float)
+            out = self.cdf_fn(arr)
         else:
             out = self._grid_cdf(arr)
         out = np.asarray(out, dtype=float)
@@ -230,22 +235,18 @@ class PiecewiseCdf:
         """Density of the continuous part at ``x``; 0 where the CDF is flat.
 
         For grid CDFs this is the right-continuous segment slope.  Atom
-        locations carry no density.
+        locations carry no density.  A ``custom`` CDF has the density of its
+        ``pdf_fn``; one without it, and the ``signal`` kind, raise
+        DomainError.
         """
         arr, scalar = _as_array(x)
         _check_unit_interval(arr, "density argument")
-        if self.kind == "reserve":
-            out = cf.reserve_pdf(self.constants, arr)
-        elif self.kind == "signal":
-            out = cf.signal_pdf(self.constants, arr)
-        elif self.kind == "uniform":
-            out = np.ones_like(arr)
-        elif self.kind == "custom":
-            if self.pdf_fn is None:
-                raise DomainError("this CDF has no density available")
-            out = np.asarray(self.pdf_fn(arr), dtype=float)
-        else:
+        if self.kind == "grid":
             out = self._grid_segments()[2][self._segment(arr)]
+        elif self.pdf_fn is None:
+            raise DomainError(f"this {self.kind} CDF has no density available")
+        else:
+            out = self.pdf_fn(arr)
         out = np.asarray(out, dtype=float)
         return float(out) if scalar else out
 
@@ -256,14 +257,10 @@ class PiecewiseCdf:
         """
         arr, scalar = _as_array(x)
         _check_unit_interval(arr, "integral bound")
-        if self.kind == "reserve":
-            out = cf.reserve_cdf_integral(self.constants, arr)
-        elif self.kind == "signal":
+        if self.kind == "signal":
             a = self.constants.a
             gated = np.maximum(arr, a)
             out = np.where(arr <= a, 0.0, gated - a - a * np.log(gated / a))
-        elif self.kind == "uniform":
-            out = 0.5 * arr * arr
         elif self.kind == "custom":
             raise DomainError("a custom CDF has no integral available")
         else:
@@ -292,13 +289,11 @@ class PiecewiseCdf:
         """E[X] = integral of (1 - F) over [0, 1], exact per kind."""
         if self.kind == "signal":
             return self.constants.mu
-        if self.kind == "uniform":
-            return 0.5
         return 1.0 - float(self.integral_to(1.0))
 
     def second_moment(self) -> float:
-        """E[X^2] = 2 * integral of x(1 - F(x)), exact for the grid, uniform
-        and signal kinds; DomainError for ``reserve`` and ``custom``."""
+        """E[X^2] = 2 * integral of x(1 - F(x)), exact for the grid and
+        signal kinds; DomainError for ``custom``."""
         if self.kind == "grid":
             x = self.knots
             width, left, slope = self._grid_segments()
@@ -308,8 +303,6 @@ class PiecewiseCdf:
                 (q**3 - p**3) / 3.0 - p * (q * q - p * p) / 2.0
             )
             return 1.0 - 2.0 * exact_sum(int_xf)
-        if self.kind == "uniform":
-            return 1.0 / 3.0
         if self.kind == "signal":
             return self.constants.revenue_guarantee
         raise DomainError(f"no second moment available for a {self.kind} CDF")
@@ -321,8 +314,6 @@ class PiecewiseCdf:
         _check_unit_interval(arr, "quantile level")
         if self.kind == "signal":
             out = cf.signal_quantile(self.constants, arr)
-        elif self.kind == "uniform":
-            out = arr.copy()
         elif self.kind == "grid":
             out = self._grid_quantile(np.maximum(arr, 1e-300))
         else:

@@ -109,17 +109,6 @@ class RevenueReport:
     mu: float
     a: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "value": self.value,
-            "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "mu": self.mu,
-            "a": self.a,
-        }
-
 
 def winner_payment(c: SolvedConstants, s_hi, s_lo):
     """Payment of a winner bidding ``s_hi`` against ``s_lo <= s_hi``.

@@ -19,7 +19,6 @@ from maxmin_auction import (
     reserve_cdf_integral,
     reserve_pdf,
     signal_cdf,
-    signal_pdf,
     signal_quantile,
     solve_a,
 )
@@ -330,11 +329,6 @@ class TestSignal:
             limit=200,
         )
         assert abs(val - c05.mu) < 1e-9 + 10 * err
-
-    def test_density(self, c05):
-        a = c05.a
-        assert signal_pdf(c05, a / 2.0) == 0.0
-        assert signal_pdf(c05, 0.5) == pytest.approx(a / 0.25, abs=1e-14)
 
     def test_nondecreasing_on_fine_grid(self, c05):
         x = np.linspace(0.0, 1.0, 10_001)

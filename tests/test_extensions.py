@@ -211,7 +211,7 @@ class TestMpsCheck:
 
     def test_non_grid_prior_is_a_domain_error(self, c05):
         with pytest.raises(DomainError):
-            mps_check(PiecewiseCdf.uniform(), c05)
+            mps_check(PiecewiseCdf.reserve(c05), c05)
 
     @settings(max_examples=60, deadline=None)
     @given(

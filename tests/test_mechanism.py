@@ -1,5 +1,6 @@
 """Auction outcomes, counter-based uniforms, Monte Carlo revenue."""
 
+import dataclasses
 import os
 import threading
 import tracemalloc
@@ -232,7 +233,7 @@ class TestMcRevenue:
 
     def test_report_fields(self, c05):
         r = mc_revenue(c05, PiecewiseCdf.signal(c05), 100, seed=2)
-        d = r.to_json_dict()
+        d = dataclasses.asdict(r)
         assert set(d) == {"method", "value", "std_error", "n_samples", "seed", "mu", "a"}
         assert d["method"] == "monte-carlo"
         assert d["n_samples"] == 100 and d["seed"] == 2
