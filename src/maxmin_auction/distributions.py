@@ -215,10 +215,14 @@ class PiecewiseCdf:
         out = np.asarray(out, dtype=float)
         return float(out) if scalar else out
 
-    def _segment(self, arr: np.ndarray) -> np.ndarray:
+    def _segment(self, arr: np.ndarray) -> np.ndarray | int:
         """Index of the grid segment [x_i, x_{i+1}) holding each point; the last
-        segment also holds x = 1."""
+        segment also holds x = 1.  A one-segment grid (the uniform law) gives
+        the scalar 0, so its callers index scalars instead of gathering the
+        same element at every point, with the same bits."""
         x = self.knots
+        if x.size == 2:
+            return 0
         return np.clip(np.searchsorted(x, arr, side="right") - 1, 0, x.size - 2)
 
     def _grid_cdf(self, arr: np.ndarray) -> np.ndarray:
@@ -242,7 +246,9 @@ class PiecewiseCdf:
         arr, scalar = _as_array(x)
         _check_unit_interval(arr, "density argument")
         if self.kind == "grid":
-            out = self._grid_segments()[2][self._segment(arr)]
+            idx = self._segment(arr)
+            slope = self._grid_segments()[2]
+            out = slope[idx] if np.ndim(idx) else np.full(arr.shape, slope[idx])
         elif self.pdf_fn is None:
             raise DomainError(f"this {self.kind} CDF has no density available")
         else:
@@ -315,7 +321,7 @@ class PiecewiseCdf:
         if self.kind == "signal":
             out = cf.signal_quantile(self.constants, arr)
         elif self.kind == "grid":
-            out = self._grid_quantile(np.maximum(arr, 1e-300))
+            out = self._grid_quantile(arr)
         else:
             out = self._bisect_quantile(arr)
         out = np.asarray(out, dtype=float)
@@ -324,7 +330,13 @@ class PiecewiseCdf:
     def _grid_quantile(self, u: np.ndarray) -> np.ndarray:
         x, v, m = self.knots, self.values, self.masses
         left = v - m
-        # first knot whose right value reaches u
+        # the infimum of the support: the knot where F leaves 0, or the one
+        # before it where F leaves 0 continuously
+        first = int(np.searchsorted(v, 0.0, side="right"))
+        if first > 0 and left[first] > 0.0:
+            first -= 1
+        # first knot whose right value reaches u; levels at or below F(0) get
+        # index 0 and the infimum of the support (u = 0 alone where F(0) = 0)
         idx = np.clip(np.searchsorted(v, u, side="left"), 0, x.size - 1)
         at_atom = u > left[idx]
         prev = np.clip(idx - 1, 0, x.size - 1)
@@ -332,8 +344,8 @@ class PiecewiseCdf:
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = (u - v[prev]) / rise
         inside = x[prev] + np.where(rise > 0.0, frac, 0.0) * (x[idx] - x[prev])
-        out = np.where(at_atom | (idx == 0), x[idx], inside)
-        return out
+        knot = x if first == 0 else np.concatenate(([x[first]], x[1:]))
+        return np.where(at_atom | (idx == 0), knot[idx], inside)
 
     def _bisect_quantile(self, u: np.ndarray) -> np.ndarray:
         """Bisection that keeps F(hi) >= u and returns hi, so the result

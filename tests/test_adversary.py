@@ -23,7 +23,13 @@ from maxmin_auction import (
     solve_a,
     verify_pointwise_saddle,
 )
-from maxmin_auction.adversary import _pointwise_argmin, _sum_below
+from maxmin_auction.adversary import (
+    _ITP_N0,
+    _MonotoneMemo,
+    _moment_terms,
+    _pointwise_argmin,
+    _sum_below,
+)
 
 
 RESERVES = {
@@ -197,14 +203,137 @@ class TestPinnedFineGrid:
 class TestBisectionDiagnostics:
     def test_early_exit_at_fine_grid(self, c05):
         res = minimize_revenue(PiecewiseCdf.reserve(c05), ModelParams(mu=0.5), 400_000)
-        # the bracket ends are adjacent doubles after about 55 halvings
-        assert res.bisect_steps <= 64
-        assert 0 <= res.exact_sums <= res.bisect_steps
-        # the plain sum's relative slack 2K * 2**-53 is about 2**-33.4, so the
-        # guard leaves to the exact sum about the last 55 - 33 = 22 steps,
-        # where the moments of the bracket ends differ by less than it; 24
-        # allows two steps of margin
-        assert res.exact_sums <= 24
+        # the bracket ends are adjacent doubles after 55 halvings
+        assert res.bisect_steps == 55
+        # the search leaves p and q adjacent after 11 probes, so the replayed
+        # steps probe nothing; 16 allows five probes of margin
+        assert res.probes <= 16
+        assert 0 <= res.exact_sums <= res.probes
+
+    @pytest.mark.parametrize("reserve", sorted(RESERVES))
+    def test_probes_within_bisection_count_plus_n0(self, reserve):
+        # ITP's projection keeps the search within n0 probes of bisection,
+        # on smooth moments and on the step functions of the linear grids
+        for mu in (1e-6, 1e-3, 0.05, 0.31, 0.5, 0.69, 0.9, 0.99):
+            res = minimize_revenue(RESERVES[reserve](solve_a(ModelParams(mu=mu))), ModelParams(mu=mu), 4096)
+            assert res.probes <= res.bisect_steps + _ITP_N0, mu
+
+    def test_probes_within_bisection_count_plus_n0_second_moment(self):
+        for delta in (1e-6, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            res = minimize_revenue(
+                PiecewiseCdf.uniform(), None, 4096, constraint="second-moment", target=delta
+            )
+            assert res.probes <= res.bisect_steps + _ITP_N0, delta
+
+
+def bisect_bracket(below, lo, hi):
+    """The adversary's bisection loop over a predicate: (lo, hi, steps)."""
+    for steps in range(1, 101):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            if mid == lo:
+                break
+            lo = mid
+        else:
+            if mid == hi:
+                break
+            hi = mid
+    return lo, hi, steps
+
+
+class TestMonotoneMemo:
+    """The bisection asked through the memo ends on the bracket that asking
+    the predicate at every step gives, in at most n0 more probes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        root=st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 1.0, 2.0, 5e-324, 1e-300])),
+        shape=st.sampled_from(["step", "linear", "cubic", "hockey", "noisy"]),
+        scale=st.sampled_from([1.0, 1e-12, 1e12]),
+    )
+    def test_replay_matches_direct_bisection(self, root, shape, scale):
+        def f(lam):
+            d = lam - root
+            value = {
+                "step": math.copysign(1.0, d) if d else 0.0,
+                "linear": d,
+                "cubic": d**3,
+                "hockey": max(d, 0.0) + 1e-3 * d,
+                # an estimate off by up to 1e-9 of the truth, sign kept
+                "noisy": d + 1e-9 * math.sin(1e9 * lam) * abs(d),
+            }[shape]
+            return value * scale
+
+        def decide(lam):
+            return lam < root, f(lam)
+
+        lam_hi = 2.0
+        memo = _MonotoneMemo(decide)
+        memo.record(0.0, 0.0 < root, f(0.0))
+        memo.record(lam_hi, lam_hi < root, f(lam_hi))
+        memo.search()
+        got = bisect_bracket(memo, 0.0, lam_hi)
+        want = bisect_bracket(lambda lam: lam < root, 0.0, lam_hi)
+        assert got == want
+        assert memo.probes <= want[2] + _ITP_N0
+
+
+# convex (coefficient above _COEF_TOL), linear (0) and near-linear points
+MOMENT_POINTS = st.tuples(
+    st.floats(0.0, 1.0),  # h
+    st.one_of(st.just(0.0), st.floats(0.0, 1e-12), st.floats(1e-12, 1.0, exclude_min=True)),
+    st.floats(0.0, 2.0),  # this point's weight, if w is an array
+)
+
+
+class TestMomentTermsMonotone:
+    """Every grid term of the moment is nondecreasing in the multiplier, so
+    the exactly rounded moment is too: the fact the memo's answers rest on."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        points=st.lists(MOMENT_POINTS, min_size=1, max_size=40),
+        grid=st.sampled_from(["convex", "linear", "mixed"]),
+        lams=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+        scalar_w=st.booleans(),
+    )
+    @example(points=[(0.5, 0.0, 1.0), (0.5, 0.25, 1.0)], grid="mixed", lams=(1.0, 1.0000000000000002), scalar_w=True)
+    def test_terms_nondecreasing(self, points, grid, lams, scalar_w):
+        h, coef, w_arr = (np.array(col) for col in zip(*points))
+        if grid == "convex":
+            coef = np.maximum(coef, 2e-12)
+        elif grid == "linear":
+            coef = np.zeros_like(coef)
+        w = 1.0 if scalar_w else w_arr
+        argmin = _pointwise_argmin(h, coef, w)
+        lam1, lam2 = sorted(lams)
+        dx = 1.0 / 400_000
+        t1 = _moment_terms(argmin(lam1, np.empty_like(h)), w, dx, np.empty_like(h))
+        t2 = _moment_terms(argmin(lam2, np.empty_like(h)), w, dx, np.empty_like(h))
+        assert np.all(t1 <= t2)
+        assert math.fsum(t1.tolist()) <= math.fsum(t2.tolist())
+
+
+class TestStepFunctionCases:
+    """The moments of the all-linear grids are step functions of the
+    multiplier, where the search falls back to bisection's midpoints: the
+    bits still match the fixed-step reference."""
+
+    K = 65537
+
+    @pytest.mark.parametrize("mu", [0.31, 0.69])
+    def test_uniform_reserve_under_the_mean(self, mu):
+        h_dist = PiecewiseCdf.uniform()
+        res = minimize_revenue(h_dist, ModelParams(mu=mu), self.K)
+        ref = reference.minimize_revenue(h_dist, self.K, "mean", mu)
+        TestMatchesFixedStepReference.assert_bitwise(res, ref)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.9])
+    def test_second_moment(self, delta):
+        h_dist = PiecewiseCdf.uniform()
+        res = minimize_revenue(h_dist, None, self.K, constraint="second-moment", target=delta)
+        ref = reference.minimize_revenue(h_dist, self.K, "second-moment", delta)
+        TestMatchesFixedStepReference.assert_bitwise(res, ref)
 
 
 def ulp_steps(x, n):

@@ -114,6 +114,27 @@ class TestUniform:
         assert np.array_equal(u.pdf(x), np.ones_like(x))
         assert np.array_equal(u.integral_to(x), 0.5 * x * x)
 
+    @pytest.mark.parametrize("K", [500, 400_000])
+    def test_one_segment_bits_match_the_gathered_path(self, K):
+        # the two-knot grid indexes its one segment's scalars; a gather of
+        # segment 0 at every point is the general path, which must agree
+        x = np.concatenate(((np.arange(K) + 0.5) * (1.0 / K), [0.0, 1.0, 5e-324]))
+        for dist in (
+            PiecewiseCdf.uniform(),
+            PiecewiseCdf.from_grid([0.0, 1.0], [0.25, 1.0]),
+            PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], atoms=[(1.0, 0.25)]),
+        ):
+            knots, v, m = dist.knots, dist.values, dist.masses
+            idx = np.zeros(x.size, dtype=np.intp)
+            frac = (x - knots[idx]) / (knots[idx + 1] - knots[idx])
+            cdf = v[idx] + frac * ((v[idx + 1] - m[idx + 1]) - v[idx])
+            cdf = np.where(x >= 1.0, 1.0, cdf)
+            slope = (v[1:] - m[1:] - v[:-1]) / np.diff(knots)
+            assert dist.cdf(x).tobytes() == cdf.tobytes()
+            assert dist.pdf(x).tobytes() == slope[idx].tobytes()
+        assert isinstance(PiecewiseCdf.uniform().pdf(0.5), float)
+        assert PiecewiseCdf.uniform().pdf(np.zeros((2, 3))).shape == (2, 3)
+
 
 class TestMoments:
     def test_uniform(self):
@@ -192,6 +213,24 @@ class TestQuantile:
         assert dist.quantile(1.0) == 1.0
         # u = 0 maps to the infimum of the support
         assert dist.quantile(0.0) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "dist, inf_support",
+        [
+            (PiecewiseCdf.uniform(), 0.0),
+            (PiecewiseCdf.from_grid([0.0, 0.5, 1.0], [0.0, 0.0, 1.0]), 0.5),
+            # flat to 0.5, then a jump there
+            (PiecewiseCdf.from_grid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], atoms=[(0.5, 0.5)]), 0.5),
+            (PiecewiseCdf.from_discrete([0.2, 0.7], [0.5, 0.5]), 0.2),
+            # an atom at 0
+            (PiecewiseCdf.from_grid([0.0, 1.0], [0.25, 1.0]), 0.0),
+        ],
+    )
+    def test_level_zero_is_the_infimum_of_the_support(self, dist, inf_support):
+        assert dist.quantile(0.0) == inf_support
+        assert np.array_equal(dist.quantile(np.array([0.0, 0.0])), [inf_support] * 2)
+        # the quantile is nondecreasing from there
+        assert dist.quantile(5e-324) >= inf_support
 
     @settings(max_examples=100, deadline=None)
     @given(u=st.floats(min_value=0.0, max_value=1.0))
