@@ -13,31 +13,23 @@ the CDF value with leading coefficient H(x) - x H'(x):
 * a strictly concave coefficient means the reserve is invalid for this
   argument and raises DegenerateError.
 
-The outer bisection moves the multiplier until the constraint holds.  Each
-step asks P(lam): is the moment of the pointwise minimizer at lam, summed
-exactly (``math.fsum``'s bits), below the target?  P is monotone, True below
-one point and False from it on, because every float operation on its path
-is monotone in lam: lam * w with w >= 0, 2 H minus that, the divide by
-d >= 0 (a zero divisor sends a positive numerator to +inf, zero to NaN and a
-negative one to -inf, which the next two steps map to 1, 0 and 0), ``fmax``
-with -1, the clip to [0, 1], 1 - G, the products with w and dx, and the
-correctly rounded sum.  So the bisection's final bracket depends only on
-where P changes value, and four things keep it cheap without changing a bit
-of its output:
+The multiplier is found where the constraint flips.  P(lam) asks: is the
+moment of the pointwise minimizer at lam, summed exactly (``math.fsum``'s
+bits), below the target?  P is monotone, True below one point and False
+from it on, because every float operation on its path is monotone in lam:
+lam * w with w >= 0, 2 H minus that, the divide by d >= 0 (a zero divisor
+sends a positive numerator to +inf, zero to NaN and a negative one to -inf,
+which the next two steps map to 1, 0 and 0), ``fmax`` with -1, the clip to
+[0, 1], 1 - G, the products with w and dx, and the correctly rounded sum.
+The solver returns the adjacent doubles (p, q) with P(p) True and P(q)
+False, and three things keep that cheap:
 
-* a memo of two facts answers the steps: p, the largest multiplier known
-  below the target, and q, the smallest known at or above it.  A midpoint
-  at or below p is True and one at or above q False; only a midpoint
-  strictly between them is probed on the grid, so no answer depends on how
-  the facts were found;
-* a safeguarded root search fills the memo before the bisection runs: ITP
-  with Illinois halving on the moment (``_MonotoneMemo.search``).  At the
-  solved reserve it leaves p and q adjacent doubles after about a dozen
-  probes (10-11 at K = 4e5 for mu in [0.3, 0.7], against 55 bisection
-  steps), and the replayed steps then probe nothing.  Where the moment is a
-  step function of the multiplier (the uniform reserve, and ``--delta`` away
-  from 0.5) interpolation gains nothing, and the search takes at most one
-  probe more than bisection would;
+* a safeguarded root search finds them: ITP with Illinois halving on the
+  moment (``_flip_pair``).  At the solved reserve it takes about a dozen
+  probes (10-11 at K = 4e5 for mu in [0.3, 0.7]).  Where the moment is a
+  step function of the multiplier (the uniform reserve, and ``--delta``
+  away from 0.5) interpolation gains nothing, and the search takes at most
+  one probe more than bisection of [0, 2 H(1)] would;
 * each probe decides ``moment < target`` from a plain numpy sum, and only
   when that sum lies within its rigorous error bound of the target does it
   compute the moment exactly with ``quadrature.exact_sum``, which gives
@@ -48,10 +40,10 @@ of its output:
   where the quotient is +-inf and clips to the cheaper endpoint.  Convex,
   linear and mixed grids take the same path, with no mask.
 
-The bisection itself stops at the first step that leaves the bracket
-(lam_lo, lam_hi) unchanged, since each step is a function of the bracket
-alone and every later step would leave it unchanged as well (after about
-55 steps, when the ends are adjacent doubles).
+The pair is the bracket a bisection on P would end on: each bisection
+bracket (lo, hi) has P(lo) True and P(hi) False, so lo <= p and hi >= q, and
+bisection stops only once its ends are adjacent doubles, which leaves
+lo = p and hi = q.  The multiplier is their midpoint.
 
 A pool-adjacent-violators pass, scipy's ``isotonic_regression``, enforces
 monotonicity afterwards.  It is a no-op at the solved reserve, where the
@@ -96,7 +88,7 @@ __all__ = [
 # H - xH' above this is a convex point, below its negative a degenerate
 # reserve (DegenerateError), and in between a linear point.
 _COEF_TOL = 1e-12
-# Allowed miss of the moment constraint, before and after the bisection.
+# Allowed miss of the moment constraint, before and after the search.
 _TOL_MEAN = 1e-9
 # Grid points of each P1/P2 check in ``check_p1_p2``.
 _P1P2_GRID = 1000
@@ -104,10 +96,9 @@ _P1P2_GRID = 1000
 # the probes the multiplier search may take beyond bisection's count.
 _ITP_KAPPA1 = 0.2
 _ITP_N0 = 1
-# Cap on the multiplier bisection.  The loop leaves earlier, exactly, at the
-# first step that leaves the bracket unchanged: about 55 steps from the
-# initial bracket [0, 2 H(1)].  The count taken is AdversaryResult.bisect_steps.
-_BISECT_STEPS = 100
+# Cap on the multiplier search: bisection of [0, 2] ends on adjacent doubles
+# within 1076 steps wherever the flip lies, subnormals included.
+_MAX_PROBES = 1076 + _ITP_N0
 
 
 @dataclass(frozen=True)
@@ -122,12 +113,10 @@ class GridDistribution:
 class AdversaryResult:
     """Output of the constrained minimization.
 
-    ``bisect_steps`` counts the multiplier bisection steps taken.
-    ``probes`` counts the full-grid moment evaluations that decided them,
-    at multipliers inside the initial bracket, made by the search or by a
-    step the search left open; bisection alone makes one per step.
-    ``exact_sums`` counts the probes whose plain moment sum lay within its
-    error bound of the target, so the exact sum decided the comparison.
+    ``probes`` counts the multiplier search's full-grid moment evaluations,
+    at multipliers inside the initial bracket.  ``exact_sums`` counts the
+    probes whose plain moment sum lay within its error bound of the target,
+    so the exact sum decided the comparison.
     """
 
     grid: GridDistribution
@@ -138,7 +127,6 @@ class AdversaryResult:
     constraint_residual: float
     projection_delta: float
     lagrangian_bound: float
-    bisect_steps: int
     probes: int
     exact_sums: int
 
@@ -182,18 +170,15 @@ def pav_nondecreasing(y: np.ndarray) -> np.ndarray:
     return isotonic_regression(arr).x
 
 
-def _sum_below(t: np.ndarray, target: float, s: float | None = None) -> bool | None:
+def _sum_below(t: np.ndarray, target: float, s: float) -> bool | None:
     """``math.fsum(t) < target`` for finite non-negative terms ``t``, decided
-    from the plain numpy sum ``s`` (taken here if not given), or None inside
-    its error bound.
+    from their plain numpy sum ``s``, or None inside its error bound.
 
     A plain sum of K non-negative terms is off by at most about K * 2**-53
     times itself, in any order; twice that plus four ulps of the target
     keeps the comparison below exact, since fsum rounds the exact sum
     monotonically.
     """
-    if s is None:
-        s = float(t.sum())
     slack = 2.0 * t.size * 2.0**-53 * s + 4.0 * math.ulp(target)
     if s < target - slack:
         return True
@@ -242,92 +227,67 @@ def _moment_terms(g: np.ndarray, w, dx: float, out: np.ndarray) -> np.ndarray:
     return np.multiply(out, dx, out=out)
 
 
-class _MonotoneMemo:
-    """Answers for a predicate P that is True below some point and False
-    from it on, taken from two facts wherever they settle the question.
+def _flip_pair(decide, lo: float, f_lo: float, hi: float, f_hi: float):
+    """The adjacent doubles (p, q) in [lo, hi] where a monotone predicate P
+    flips from True at p to False at q, and the probes taken: (p, q, probes).
 
-    ``p`` is the largest point known True and ``q`` the smallest known
-    False.  Called at ``lam <= p`` the memo answers True, and at
-    ``lam >= q`` False, without evaluating anything: P is monotone, so
-    P(lam) = P(p) or P(q) there.  Only ``p < lam < q`` calls
-    ``decide(lam)``, which returns P(lam) and f(lam), an estimate of a
-    function that is negative where P holds and non-negative where it
-    fails, and records both.  ``probes`` counts those calls.  A bisection
-    that asks the memo gets the answers that evaluating P at every step
-    would give, however the facts were found.
+    ``decide(lam)`` returns P(lam) and f(lam), an estimate of a function that
+    is negative where P holds and non-negative where it fails; ``f_lo`` and
+    ``f_hi`` are f at the ends, exact there, so their signs give P.  Where P
+    already fails at ``lo`` the pair is (lo, lo), and where it still holds
+    at ``hi`` it is (hi, hi), with no probe.
 
-    ``search`` finds them first.  It is the ITP method (Oliveira &
-    Takahashi, ACM TOMS 47(1), 2020) on f: regula falsi, truncated towards
-    the midpoint by kappa1 w**2 and projected into a radius of it, with the
-    Illinois halving (Dowell & Jarratt, BIT 11, 1971) of the f value of an
-    end kept twice in a row.  The radius keeps the bracket after j probes no
-    wider than bisection's after j - ``_ITP_N0`` steps, whatever f does, so
-    on a step function, where regula falsi alone creeps, the search takes at
-    most ``_ITP_N0`` probes more than bisection would.  It stops once p and
-    q are adjacent doubles, after which no midpoint lies between them, or
-    after ``_BISECT_STEPS + _ITP_N0`` probes.
+    The search is the ITP method (Oliveira & Takahashi, ACM TOMS 47(1),
+    2020) on f: regula falsi, truncated towards the midpoint by kappa1 w**2
+    and projected into a radius of it, with the Illinois halving (Dowell &
+    Jarratt, BIT 11, 1971) of the f value of an end kept twice in a row.  The
+    radius keeps the bracket after j probes no wider than bisection's after
+    j - ``_ITP_N0`` steps, whatever f does, so on a step function, where
+    regula falsi alone creeps, the search takes at most ``_ITP_N0`` probes
+    more than bisection of [lo, hi] run until its ends are adjacent.  Going
+    past ``_MAX_PROBES`` raises ConvergenceError.
     """
-
-    def __init__(self, decide) -> None:
-        self.decide = decide
-        self.p, self.fp = -math.inf, -math.inf
-        self.q, self.fq = math.inf, math.inf
-        self.probes = 0
-
-    def record(self, lam: float, below: bool, f: float) -> bool:
-        if below and lam > self.p:
-            self.p, self.fp = lam, f
-        elif not below and lam < self.q:
-            self.q, self.fq = lam, f
-        return below
-
-    def probe(self, lam: float) -> bool:
-        self.probes += 1
-        return self.record(lam, *self.decide(lam))
-
-    def __call__(self, lam: float) -> bool:
-        if lam <= self.p:
-            return True
-        if lam >= self.q:
-            return False
-        return self.probe(lam)
-
-    def search(self) -> None:
-        a, b = self.p, self.q
-        if not (math.isfinite(a) and math.isfinite(b)):
-            return
-        fa, fb = self.fp, self.fq
-        width0 = b - a
-        kappa1 = _ITP_KAPPA1 / width0
-        last = None  # the previous probe's answer: which end it moved
-        for j in range(_BISECT_STEPS + _ITP_N0):
-            if math.nextafter(a, math.inf) >= b:
-                return
-            mid = 0.5 * (a + b)
-            # keeps the next bracket within bisection's after j + 1 - n0 steps
-            radius = math.ldexp(width0, _ITP_N0 - j - 1) - 0.5 * (b - a)
-            # interpolate (bisect where f gives no slope, as where an
-            # estimate underflows to zero at both ends), truncate towards the
-            # midpoint, project into the radius
-            x_f = a + (b - a) * (fa / (fa - fb)) if fa < fb else mid
-            sigma = 1.0 if mid >= x_f else -1.0
-            shift = kappa1 * (b - a) ** 2
-            x_t = x_f + sigma * shift if shift <= abs(mid - x_f) else mid
-            x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
-            if x <= a:
-                x = math.nextafter(a, math.inf)
-            elif x >= b:
-                x = math.nextafter(b, -math.inf)
-            below = self.probe(x)
-            if below:
-                a, fa = x, self.fp
-                if last is True:  # b kept twice in a row
-                    fb *= 0.5
-            else:
-                b, fb = x, self.fq
-                if last is False:
-                    fa *= 0.5
-            last = below
+    if f_lo >= 0.0:
+        return lo, lo, 0
+    if f_hi < 0.0:
+        return hi, hi, 0
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    width0 = b - a
+    kappa1 = _ITP_KAPPA1 / width0
+    last = None  # the previous probe's answer: which end it moved
+    probes = 0
+    while math.nextafter(a, math.inf) != b:
+        if probes == _MAX_PROBES:
+            raise ConvergenceError(
+                f"multiplier search left [{a!r}, {b!r}] open after {probes} probes"
+            )
+        mid = 0.5 * (a + b)
+        # keeps the next bracket within bisection's after probes + 1 - n0 steps
+        radius = math.ldexp(width0, _ITP_N0 - probes - 1) - 0.5 * (b - a)
+        # interpolate (bisect where f gives no slope, as where an estimate
+        # underflows to zero at both ends), truncate towards the midpoint,
+        # project into the radius
+        x_f = a + (b - a) * (fa / (fa - fb)) if fa < fb else mid
+        sigma = 1.0 if mid >= x_f else -1.0
+        shift = kappa1 * (b - a) ** 2
+        x_t = x_f + sigma * shift if shift <= abs(mid - x_f) else mid
+        x = x_t if abs(x_t - mid) <= radius else mid - sigma * radius
+        if x <= a:
+            x = math.nextafter(a, math.inf)
+        elif x >= b:
+            x = math.nextafter(b, -math.inf)
+        below, f = decide(x)
+        probes += 1
+        if below:
+            a, fa = x, f
+            if last is True:  # b kept twice in a row
+                fb *= 0.5
+        else:
+            b, fb = x, f
+            if last is False:
+                fa *= 0.5
+        last = below
+    return a, b, probes
 
 
 def minimize_revenue(
@@ -381,8 +341,8 @@ def minimize_revenue(
     def moment(g: np.ndarray) -> float:
         return exact_sum(_moment_terms(g, w, dx, terms))
 
-    lam_lo, lam_hi = 0.0, 2.0 * float(h_dist.cdf(1.0))
-    m_lo = moment(argmin(lam_lo, g))
+    lam_hi = 2.0 * float(h_dist.cdf(1.0))
+    m_lo = moment(argmin(0.0, g))
     m_hi = moment(argmin(lam_hi, g))
     if not (m_lo <= target + _TOL_MEAN and m_hi >= target - _TOL_MEAN):
         raise ConvergenceError(
@@ -404,21 +364,9 @@ def minimize_revenue(
             below = s < target
         return below, s - target
 
-    below_target = _MonotoneMemo(decide)
-    below_target.record(lam_lo, m_lo < target, m_lo - target)
-    below_target.record(lam_hi, m_hi < target, m_hi - target)
-    below_target.search()
-    for bisect_steps in range(1, _BISECT_STEPS + 1):
-        # break where the update would leave the bracket as it is
-        lam_mid = 0.5 * (lam_lo + lam_hi)
-        if below_target(lam_mid):
-            if lam_mid == lam_lo:
-                break
-            lam_lo = lam_mid
-        else:
-            if lam_mid == lam_hi:
-                break
-            lam_hi = lam_mid
+    lam_lo, lam_hi, probes = _flip_pair(
+        decide, 0.0, m_lo - target, lam_hi, m_hi - target
+    )
     lam_hat = 0.5 * (lam_lo + lam_hi)
     g_raw = argmin(lam_hat, g)
     residual = moment(g_raw) - target
@@ -457,8 +405,7 @@ def minimize_revenue(
         constraint_residual=moment(g_proj) - target,
         projection_delta=projection_delta,
         lagrangian_bound=lagrangian_bound,
-        bisect_steps=bisect_steps,
-        probes=below_target.probes,
+        probes=probes,
         exact_sums=exact_sums,
     )
 

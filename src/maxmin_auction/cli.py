@@ -5,7 +5,8 @@ is machine-readable JSON on stdout (CSV files for ``curves``), floats are
 printed with 12 significant digits, and repeated runs are byte-identical.
 
 Exit codes: 0 success; 1 a verification check failed; 2 invalid input or
-domain error; 3 an iterative routine failed to converge; 4 file I/O error.
+domain error, a size too large to allocate included; 3 an iterative routine
+failed to converge; 4 file I/O error.
 Only ``verify`` and ``simulate`` draw random numbers, so only they take
 ``--seed``; for them the environment variable ``MAXMIN_SEED`` supplies the
 seed when ``--seed`` is absent.  A seed must be an integer in [0, 2**128), or
@@ -53,6 +54,16 @@ EXIT_CHECK_FAILED = 1
 EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 EXIT_IO = 4
+
+# Size flags (dest -> flag) and the largest value they take: an array of that
+# many doubles still has a byte count numpy can index.
+_SIZE_FLAGS = {
+    "n_samples": "--samples",
+    "grid_k": "--grid-k",
+    "grid_n": "--grid-n",
+    "grid": "--grid",
+}
+_MAX_SIZE = np.iinfo(np.intp).max // 8
 
 
 # --------------------------------------------------------------------- #
@@ -503,9 +514,17 @@ def main(argv: list[str] | None = None) -> int:
         mu, delta = getattr(args, "mu", None), getattr(args, "delta", None)
         if mu is not None and delta is not None:
             raise DomainError("give exactly one of --mu and --delta")
+        for dest, flag in _SIZE_FLAGS.items():
+            size = getattr(args, dest, None)
+            if size is not None and size > _MAX_SIZE:
+                raise DomainError(f"{flag} must be at most {_MAX_SIZE}, got {size}")
         return _HANDLERS[args.command](args)
     except (DomainError, MeanMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:
+        reason = str(exc) or "allocation failed"
+        print(f"error: size too large for memory: {reason}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ConvergenceError, DegenerateError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -286,6 +286,32 @@ def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, case):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+# (argv, what fails) for sizes that fail at once, before any work starts:
+# 2**55 doubles are 2**58 bytes, beyond any address space, and 1e23 or 1e30
+# is beyond what numpy can size or ``len(range(...))`` can count
+HUGE = str(2**55)
+OVERSIZED = {
+    "adversary grid": ["adversary", "--mu", "0.5", "--grid-k", HUGE],
+    "second-moment grid": ["adversary", "--delta", "0.5", "--grid-k", HUGE],
+    "adversary grid past numpy": ["adversary", "--mu", "0.5", "--grid-k", str(10**23)],
+    "curves grid": ["curves", "--mu", "0.5", "--grid", HUGE, "--out", "OUT"],
+    "upper-bound grid": ["upper-bound", "--mu", "0.5", "--grid-n", HUGE],
+    "simulate samples": ["simulate", "--mu", "0.5", "--samples", str(10**30), "--seed", "1"],
+    "verify samples": ["verify", "--mu", "0.5", "--samples", str(10**30), "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("case", list(OVERSIZED))
+def test_oversized_size_exits_2_with_one_line(capsys, tmp_path, case):
+    out = tmp_path / "out.csv"
+    argv = [str(out) if arg == "OUT" else arg for arg in OVERSIZED[case]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestSecondMomentCommand:
     def test_json(self, capsys):
         code, out = run_cli(capsys, "second-moment", "--delta", "0.5")
