@@ -39,6 +39,7 @@ from .constants import (
 )
 from .distributions import PiecewiseCdf, read_cdf_csv, write_cdf_csv
 from .errors import (
+    MAX_SIZE,
     ConvergenceError,
     DegenerateError,
     DomainError,
@@ -55,15 +56,13 @@ EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 EXIT_IO = 4
 
-# Size flags (dest -> flag) and the largest value they take: an array of that
-# many doubles still has a byte count numpy can index.
+# Size flags (dest -> flag); none may exceed ``errors.MAX_SIZE``.
 _SIZE_FLAGS = {
     "n_samples": "--samples",
     "grid_k": "--grid-k",
     "grid_n": "--grid-n",
     "grid": "--grid",
 }
-_MAX_SIZE = np.iinfo(np.intp).max // 8
 
 
 # --------------------------------------------------------------------- #
@@ -516,8 +515,8 @@ def main(argv: list[str] | None = None) -> int:
             raise DomainError("give exactly one of --mu and --delta")
         for dest, flag in _SIZE_FLAGS.items():
             size = getattr(args, dest, None)
-            if size is not None and size > _MAX_SIZE:
-                raise DomainError(f"{flag} must be at most {_MAX_SIZE}, got {size}")
+            if size is not None and size > MAX_SIZE:
+                raise DomainError(f"{flag} must be at most {MAX_SIZE}, got {size}")
         return _HANDLERS[args.command](args)
     except (DomainError, MeanMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the size bound shared across the package."""
+
+import numpy as np
+
+# The largest size (sample count or grid length) any validator accepts: an
+# array of that many doubles still has a byte count numpy can index.
+MAX_SIZE = np.iinfo(np.intp).max // 8
 
 
 class MaxminError(Exception):

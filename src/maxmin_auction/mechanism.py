@@ -49,7 +49,7 @@ from .constants import (
     reserve_cdf_integral,
 )
 from .distributions import PiecewiseCdf
-from .errors import DomainError
+from .errors import MAX_SIZE, DomainError
 
 # Signal pairs per Monte Carlo chunk: a fixed constant, so a result depends
 # on (seed, n_samples) alone.
@@ -230,8 +230,8 @@ def mc_revenue(
     error of 0.4-0.6% of the revenue at 1e5 samples for every mu, because
     about (1 - ln(1/a) / ln 2**53) / 2 of the levels land on the atom at 1.
     """
-    if n_samples < 1:
-        raise DomainError("n_samples must be at least 1")
+    if not 1 <= n_samples <= MAX_SIZE:
+        raise DomainError(f"n_samples must be in [1, {MAX_SIZE}], got {n_samples}")
     # No level exceeds 1 - 2**-53, so no payment exceeds this top bid.
     top = float(signal.quantile(1.0 - 2.0**-53))
     scale = math.ldexp(1.0, -math.frexp(top)[1])

@@ -28,6 +28,7 @@ from maxmin_auction import (
 )
 
 from maxmin_auction import mechanism
+from maxmin_auction.errors import MAX_SIZE
 from maxmin_auction.mechanism import _MC_CHUNK, _tail_weighted_levels
 
 import oracles
@@ -241,6 +242,18 @@ class TestMcRevenue:
     def test_sample_count_validation(self, c05):
         with pytest.raises(DomainError):
             mc_revenue(c05, PiecewiseCdf.signal(c05), 0, seed=1)
+
+    # 2**63 * _MC_CHUNK + 1 samples make 2**63 + 1 chunks, more than
+    # ``len(range(...))`` can count; both sizes are above MAX_SIZE.
+    @pytest.mark.parametrize("n", [10**30, 2**63 * _MC_CHUNK + 1], ids=str)
+    def test_huge_sample_count_rejected_before_drawing(self, c05, monkeypatch, n):
+        def no_draws(*args):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(mechanism, "uniform_pairs", no_draws)
+        assert n > MAX_SIZE
+        with pytest.raises(DomainError, match="n_samples"):
+            mc_revenue(c05, PiecewiseCdf.signal(c05), n, seed=1)
 
     @pytest.mark.parametrize(
         "n", [1, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 17], ids=str

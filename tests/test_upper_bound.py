@@ -54,7 +54,17 @@ class TestLp:
     # constraint set that is too loose as well as one that is too tight.
     @pytest.mark.parametrize(
         ("mu", "n"),
-        [(0.5, 10), (0.5, 25), (0.5, 50), (0.3, 25), (0.95, 50), (1e-6, 50), (1e-9, 50)],
+        [
+            (0.5, 10),
+            (0.5, 25),
+            (0.5, 50),
+            (0.3, 25),
+            (0.95, 50),
+            (1e-6, 50),
+            (1e-9, 50),
+            (0.99999, 50),
+            (0.5, 100),
+        ],
     )
     def test_equals_myerson_optimum(self, mu, n):
         c = solve_a(ModelParams(mu=mu))
@@ -98,7 +108,15 @@ class TestLp:
 
         monkeypatch.setattr(ub, "linprog", spy)
         lp_max_revenue(c05, 12)
-        assert seen == {"ub": 12 * 12 + 6 * 12 - 4, "eq": 2 * 12}
+        # one row per unordered cell pair, then one bidder's interim rows
+        assert seen == {"ub": 12 * 13 // 2 + 3 * 12 - 2, "eq": 12}
+
+    # The LP is solved for bidder 1 alone; bidder 2 is the mirror image.
+    @pytest.mark.parametrize("mu", [1e-9, 0.5, 0.99999])
+    def test_mechanism_mirrors_exactly(self, mu):
+        _, mech = lp_max_revenue(solve_a(ModelParams(mu=mu)), 20)
+        assert np.array_equal(mech.q2, mech.q1.T)
+        assert np.array_equal(mech.t2, mech.t1.T)
 
     # At small mu the top type value s.max() is far below 1, and the payments
     # would sit under the solver's absolute tolerances without rescaling.
