@@ -4,8 +4,8 @@ The package solves the reserve parameter from the known signal mean, builds
 the reserve and worst-case signal distributions in closed form, evaluates
 revenue three independent ways (closed form, quadrature, Monte Carlo), runs
 the adversary's constrained minimization, bounds all incentive-compatible
-mechanisms with a quantile-grid LP, and covers the second-moment and
-multi-valuation extensions.
+mechanisms with a reduced-form LP on geometric cells, and covers the
+second-moment and multi-valuation extensions.
 """
 
 from .adversary import (
@@ -51,6 +51,11 @@ from .mechanism import (
     uniform_pairs,
     winner_payment,
 )
-from .upper_bound import DiscreteDirectMechanism, lp_max_revenue
+from .upper_bound import (
+    DiscreteDirectMechanism,
+    ReducedFormBound,
+    lp_max_revenue,
+    reduced_form_bound,
+)
 
 __version__ = "0.1.0"

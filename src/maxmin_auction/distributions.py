@@ -292,10 +292,18 @@ class PiecewiseCdf:
         return cum[idx] + left[idx] * t + 0.5 * slope[idx] * t * t
 
     def mean(self) -> float:
-        """E[X] = integral of (1 - F) over [0, 1], exact per kind."""
+        """E[X] = integral of (1 - F) over [0, 1], exact per kind.
+
+        A grid CDF integrates 1 - F piece by piece and adds the pieces with
+        ``exact_sum``, so a small mean keeps its relative accuracy; 1 minus
+        the integral of F would lose it to cancellation.
+        """
         if self.kind == "signal":
             return self.constants.mu
-        return 1.0 - float(self.integral_to(1.0))
+        if self.kind == "custom":
+            raise DomainError("a custom CDF has no integral available")
+        width, left, slope = self._grid_segments()
+        return exact_sum(width * (1.0 - left) - 0.5 * slope * width * width)
 
     def second_moment(self) -> float:
         """E[X^2] = 2 * integral of x(1 - F(x)), exact for the grid and

@@ -31,12 +31,15 @@ import numpy as np
 from .constants import SolvedConstants, constants_from_a
 from .distributions import PiecewiseCdf
 from .errors import DomainError, MeanMismatchError
+from .quadrature import exact_sum
 
 __all__ = ["MpsReport", "second_moment_solution", "mps_check"]
 
-# Allowances relative to x and to mu, on top of the prior's own rounding.
+# Allowances relative to x and to mu, on top of the prior's stored drift.
 _MPS_RTOL = 1e-12
 _MPS_MEAN_RTOL = 1e-9
+# Largest rise between atoms of a grid CDF that counts as stored drift.
+_MPS_DRIFT_MAX = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -65,22 +68,42 @@ def second_moment_solution(delta: float) -> SolvedConstants:
     return constants_from_a(a * (1.0 - math.log(a)), a)
 
 
+def _stored_drift(prior: PiecewiseCdf) -> float:
+    """Sum of the rounding-sized rises v_k - m_k - v_{k-1} of a grid CDF.
+
+    A step CDF stored as running sums of its atom masses m_k keeps values
+    v_k that drift from the exact sums by up to half an ulp per knot.  The
+    drift shows as rises of at most 2^-52 between atoms, where a step CDF
+    has none, and the stored law's mean and integrated CDF differ from the
+    step law's by at most the sum of the drifts.  Each rise is taken in the
+    order that is exact for a running sum: v_k - v_{k-1} first where
+    m_k <= v_{k-1} (Fast2Sum), v_k - m_k first otherwise (Sterbenz).  Rises
+    above 2^-52 are linear pieces of the law, not drift.
+    """
+    v, m = prior.values, prior.masses
+    prev = v[:-1]
+    rise = np.where(m[1:] <= prev, (v[1:] - prev) - m[1:], (v[1:] - m[1:]) - prev)
+    drift = np.abs(rise)
+    return exact_sum(drift[drift <= _MPS_DRIFT_MAX])
+
+
 def mps_check(prior: PiecewiseCdf, c: SolvedConstants) -> MpsReport:
     """Check that the grid CDF ``prior`` is a mean-preserving spread of the
     worst-case signals, at the candidates of the module docstring
     (``grid_size`` counts them).
 
     The prior's integral to x is a running sum over its knots of rounded
-    CDF values, so it is exact to knots * 2^-52 * x (measured: 2.6e-13 x at
-    1e5 knots).  The check passes when D <= (1e-12 + knots * 2^-52) x at
-    every candidate.  The prior's mean, 1 minus that integral at x = 1, must
-    match mu to 1e-9 mu + knots * 2^-52, or MeanMismatchError is raised.
+    CDF values, exact to 2.6e-13 x at 1e5 knots (measured).  The drift of
+    its stored values (``_stored_drift``) moves both the integral and the
+    mean of a prior written as running sums.  The check passes when
+    D <= (1e-12 + drift) x at every candidate.  The prior's mean must match
+    mu to 1e-9 mu + drift, or MeanMismatchError is raised.
     """
     if prior.kind != "grid":
         raise DomainError(f"the prior must be a grid CDF, got a {prior.kind} CDF")
-    rounding = prior.knots.size * 2.0**-52
+    drift = _stored_drift(prior)
     prior_mean = prior.mean()
-    if abs(prior_mean - c.mu) > _MPS_MEAN_RTOL * c.mu + rounding:
+    if abs(prior_mean - c.mu) > _MPS_MEAN_RTOL * c.mu + drift:
         raise MeanMismatchError(f"prior mean {prior_mean} does not match mu = {c.mu}")
     x0, x1 = prior.knots[:-1], prior.knots[1:]
     _, v, s = prior._grid_segments()
@@ -93,7 +116,7 @@ def mps_check(prior: PiecewiseCdf, c: SolvedConstants) -> MpsReport:
     gap = PiecewiseCdf.signal(c).integral_to(xs) - prior.integral_to(xs)
     worst = int(np.argmax(gap))
     return MpsReport(
-        passed=bool(np.all(gap <= (_MPS_RTOL + rounding) * xs)),
+        passed=bool(np.all(gap <= (_MPS_RTOL + drift) * xs)),
         max_violation=float(max(gap[worst], 0.0)),
         worst_x=float(xs[worst]),
         gap_at_one=float(gap[-1]),  # D(1) = 0 when the means are equal

@@ -238,8 +238,35 @@ class TestUpperBoundCommand:
         viol = bic_bir_violations(rebuilt)
         assert max(viol.values()) <= 1e-9
         assert rebuilt.t1.mean() + rebuilt.t2.mean() == pytest.approx(
-            payload["lp_optimum"], rel=0.0, abs=1e-9
+            payload["mechanism_revenue"], rel=0.0, abs=1e-9
         )
+
+    # The reduced-form bound needs no mechanism, so only --dump-mechanism
+    # runs the cell LP, and only then is its optimum printed.
+    def test_cell_lp_only_for_the_dump(self, capsys, monkeypatch):
+        import maxmin_auction.upper_bound as ub
+
+        def no_cell_lp(*args, **kwargs):
+            raise AssertionError("the cell LP ran")
+
+        monkeypatch.setattr(ub, "lp_max_revenue", no_cell_lp)
+        code, out = run_cli(capsys, "upper-bound", "--mu", "0.5", "--grid-n", "64")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload)[2:] == [
+            "mu",
+            "n",
+            "lp_optimum",
+            "analytic_bound",
+            "gap",
+            "safe_bound",
+            "rounded_up_bound",
+        ]
+        assert payload["analytic_bound"] <= payload["safe_bound"]
+        code, out = run_cli(
+            capsys, "verify", "--mu", "0.5", "--seed", "7", "--samples", "30000"
+        )
+        assert code == 0
 
 
 class TestMpsCheckCommand:
@@ -371,6 +398,20 @@ class TestVerifyCommand:
             "dominated_below_guarantee",
             "payment_identity",
         } <= names
+
+    # The LP check is relative at every mu, at verify's default grid.  At
+    # 1e-30 and 1e-300 the run still fails on functional_vs_closed_form and
+    # mc_vs_quadrature, which this check does not touch.
+    @pytest.mark.parametrize("mu", ["0.99999", "0.5", "1e-3", "1e-9", "1e-30", "1e-300"])
+    def test_lp_upper_bound_passes_at_every_stratum(self, capsys, mu):
+        _, out = run_cli(capsys, "verify", "--mu", mu, "--seed", "7", "--samples", "30000")
+        checks = {ch["name"]: ch for ch in json.loads(out)["checks"]}
+        lp = checks["lp_upper_bound"]
+        assert lp["passed"] is True
+        assert lp["analytic_bound"] <= lp["safe_bound"] <= lp["rounded_up_bound"] * (1.0 + 1e-9)
+        failing = {name for name, ch in checks.items() if not ch["passed"]}
+        if float(mu) <= 1e-30:
+            assert failing == {"functional_vs_closed_form", "mc_vs_quadrature"}
 
     def test_other_mean(self, capsys):
         code, out = run_cli(

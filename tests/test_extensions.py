@@ -1,7 +1,10 @@
 """Second-moment variant and mean-preserving-spread checks."""
 
 import decimal
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +18,16 @@ from maxmin_auction import (
     ModelParams,
     PiecewiseCdf,
     mps_check,
+    read_cdf_csv,
     revenue_functional,
     second_moment_solution,
     solve_a,
+    write_cdf_csv,
 )
 
 import oracles
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def three_point_prior(b: float) -> PiecewiseCdf:
@@ -200,6 +207,35 @@ class TestMpsCheck:
     def test_point_mass_at_zero_is_a_mean_mismatch_at_small_mu(self, mu):
         with pytest.raises(MeanMismatchError):
             mps_check(PiecewiseCdf.from_discrete([0.0], [1.0]), solve_a(ModelParams(mu=mu)))
+
+    # The mean floor comes from the prior's own stored drift, not from its
+    # knot count: spreading the point mass at 0 over many zero-mass knots
+    # adds no drift, so the mean mismatch shows at every mu.
+    @pytest.mark.parametrize("mu", [1e-12, 1e-9])
+    def test_point_mass_at_zero_over_many_knots_is_a_mean_mismatch(self, tmp_path, mu):
+        path = tmp_path / "point_at_zero.csv"
+        knots = np.linspace(0.0, 1.0, 10_001)
+        masses = np.zeros(knots.size)
+        masses[0] = 1.0
+        write_cdf_csv(path, knots, np.ones(knots.size), masses)
+        prior = read_cdf_csv(path)
+        assert prior.knots.size == 10_001 and prior.mean() == 0.0
+        with pytest.raises(MeanMismatchError):
+            mps_check(prior, solve_a(ModelParams(mu=mu)))
+
+    # the benchmark's 256-knot prior, written as running sums of its masses
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_certify_fine_prior_passes(self, tmp_path, monkeypatch, seed):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        workload = workloads.build("certify-fine", seed, tmp_path)
+        for path, text in workload.files.items():
+            Path(path).write_text(text)
+        (op,) = [op for op in workload.ops if op.argv[0] == "mps-check"]
+        mu, prior = float(workloads.flag(op.argv, "--mu")), read_cdf_csv(workloads.flag(op.argv, "--prior"))
+        assert mps_check(prior, solve_a(ModelParams(mu=mu))).passed
 
     @pytest.mark.parametrize("cells", [256, 10_000, 100_000])
     @pytest.mark.parametrize("mu", [0.5, 1e-3, 1e-6, 1e-9])
