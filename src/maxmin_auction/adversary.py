@@ -33,12 +33,15 @@ False, and three things keep that cheap:
 * each probe decides ``moment < target`` from a plain numpy sum, and only
   when that sum lies within its rigorous error bound of the target does it
   compute the moment exactly with ``quadrature.exact_sum``, which gives
-  ``math.fsum``'s bits from error-free splits in numpy;
+  ``math.fsum``'s bits from error-free splits in numpy.  It stops at the
+  first split whose residual's plain sum, within its own error bound,
+  decides the rounding: one split on the moment's terms at K = 4e5;
 * the pointwise argmin is one formula over the full arrays,
   clip((2 H - lambda w) / d, 0, 1), whose divisor d is computed once per
   solve: twice the coefficient at convex points and zero at linear ones,
   where the quotient is +-inf and clips to the cheaper endpoint.  Convex,
-  linear and mixed grids take the same path, with no mask.
+  linear and mixed grids take the same formula, with no mask; on an all
+  linear grid it comes to the sign test alone.
 
 The pair is the bracket a bisection on P would end on: each bisection
 bracket (lo, hi) has P(lo) True and P(hi) False, so lo <= p and hi >= q, and
@@ -203,14 +206,22 @@ def _pointwise_argmin(h: np.ndarray, coef: np.ndarray, w):
     are the bits of the vertex at convex points and of the sign test at
     linear ones.  A subnormal in place of the zero divisor would give the
     same bits, but division by a denormal takes a slow path.
+
+    On an all linear grid (the uniform reserve) the numerator, divide,
+    ``fmax`` and clip come to that sign test, 2h > lam*w, written as 1.0 or
+    +0.0 in one pass: a rounded difference of finite doubles is positive
+    just when the exact one is, and a NaN gives 0.0 both ways.
     """
     two_h = 2.0 * h
-    d = np.where(coef > _COEF_TOL, 2.0 * coef, 0.0)
+    convex = coef > _COEF_TOL
+    d = np.where(convex, 2.0 * coef, 0.0) if convex.any() else None
 
     def argmin(lam: float, out: np.ndarray) -> np.ndarray:
         # a scalar weight (the mean constraint's 1.0) folds into lam first,
         # so the numerator is one pass
         lam_w = w * lam if np.ndim(w) == 0 else np.multiply(w, lam, out=out)
+        if d is None:
+            return np.greater(two_h, lam_w, out=out)
         np.subtract(two_h, lam_w, out=out)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(out, d, out=out)
@@ -221,9 +232,11 @@ def _pointwise_argmin(h: np.ndarray, coef: np.ndarray, w):
 
 
 def _moment_terms(g: np.ndarray, w, dx: float, out: np.ndarray) -> np.ndarray:
-    """The moment's grid terms w * (1 - g) * dx, written to ``out``."""
+    """The moment's grid terms w * (1 - g) * dx, written to ``out``; a
+    weight of 1.0 (the mean constraint's) takes no pass, since y * 1.0 is y."""
     np.subtract(1.0, g, out=out)
-    np.multiply(w, out, out=out)
+    if np.ndim(w) or w != 1.0:
+        np.multiply(w, out, out=out)
     return np.multiply(out, dx, out=out)
 
 
@@ -323,8 +336,7 @@ def minimize_revenue(
     dx = 1.0 / K
     x = (np.arange(K) + 0.5) * dx
     h = np.asarray(h_dist.cdf(x), dtype=float)
-    hp = np.asarray(h_dist.pdf(x), dtype=float)
-    xhp = x * hp
+    xhp = x * np.asarray(h_dist.pdf(x), dtype=float)
     coef = h - xhp
     if np.any(coef < -_COEF_TOL):
         worst = float(np.min(coef))
@@ -402,7 +414,7 @@ def minimize_revenue(
         lambda_hat=lam_hat,
         constraint=constraint,
         target=float(target),
-        constraint_residual=moment(g_proj) - target,
+        constraint_residual=residual if projection_delta == 0.0 else moment(g_proj) - target,
         projection_delta=projection_delta,
         lagrangian_bound=lagrangian_bound,
         probes=probes,
@@ -459,14 +471,22 @@ def check_p1_p2(h_star: PiecewiseCdf, c: SolvedConstants) -> P1P2Report:
 
 
 def _piecewise_at(a: float, below, above):
-    """Vectorised evaluator split at ``a``; keeps the input's shape."""
+    """Vectorised evaluator split at ``a``: ``below`` left of it, ``above``
+    from it on.
+
+    ``above`` runs over the whole array, with the points below ``a`` moved
+    to 1 (a point it accepts), and ``np.where`` then puts ``below`` at those
+    points; ``below`` must be cheap, since it runs at every point too.
+    """
 
     def evaluate(x):
         arr = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(arr).copy()
-        hi = flat >= a
-        flat[~hi] = below(flat[~hi])
-        flat[hi] = above(flat[hi])
+        flat = np.atleast_1d(arr)
+        low = flat < a
+        if low.any():
+            flat = np.where(low, below(flat), above(np.where(low, 1.0, flat)))
+        else:
+            flat = above(flat)
         return flat.reshape(arr.shape)
 
     return evaluate

@@ -175,23 +175,32 @@ def _check_unit_interval(x: np.ndarray, what: str) -> None:
 
 
 def _log_ratio_over_u(u: np.ndarray) -> np.ndarray:
-    """log1p(u)/u with the removable point u = 0 filled by its series."""
+    """log1p(u)/u with the removable point u = 0 filled by its series.
+
+    The quotient runs over the whole array; only the points with |u| below
+    _CDF_SERIES_HALFWIDTH, where it is NaN or inexact, are overwritten.
+    """
     out = np.empty_like(u)
+    np.divide(np.log1p(u, out=out), u, out=out)
     small = np.abs(u) < _CDF_SERIES_HALFWIDTH
-    us = u[small]
-    out[small] = 1.0 - us / 2.0 + us * us / 3.0
-    ub = u[~small]
-    out[~small] = np.log1p(ub) / ub
+    if small.any():
+        us = u[small]
+        out[small] = 1.0 - us / 2.0 + us * us / 3.0
     return out
 
 
 def _one_minus_log_ratio_over_u2(u: np.ndarray) -> np.ndarray:
     """(u - log1p(u))/u^2; equals 1/2 at u = 0.
 
-    Below |u| = _PDF_SERIES_CUT it is the series sum_j (-u)^j/(j+2), summed
-    by Horner's rule; above u = _PDF_SQUARE_CUT it is divided by u twice.
+    The direct form runs over the whole array.  The points below |u| =
+    _PDF_SERIES_CUT are then overwritten by the series sum_j (-u)^j/(j+2),
+    summed by Horner's rule, and those above u = _PDF_SQUARE_CUT by the
+    direct form divided by u twice.
     """
     out = np.empty_like(u)
+    np.subtract(u, np.log1p(u, out=out), out=out)
+    with np.errstate(over="ignore"):  # u * u past 2**1024; overwritten below
+        np.divide(out, u * u, out=out)
     small = np.abs(u) < _PDF_SERIES_CUT
     if small.any():
         neg_us = -u[small]
@@ -199,11 +208,10 @@ def _one_minus_log_ratio_over_u2(u: np.ndarray) -> np.ndarray:
         for j in range(_PDF_SERIES_TERMS - 1, -1, -1):
             acc = acc * neg_us + 1.0 / (j + 2)
         out[small] = acc
-    ub = u[~small]
-    num = ub - np.log1p(ub)
-    big = ub > _PDF_SQUARE_CUT
-    num[big] /= ub[big]
-    out[~small] = num / (ub * np.where(big, 1.0, ub))
+    big = u > _PDF_SQUARE_CUT
+    if big.any():
+        ub = u[big]
+        out[big] = (ub - np.log1p(ub)) / ub / ub
     return out
 
 

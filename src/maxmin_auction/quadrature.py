@@ -13,7 +13,14 @@ Two rules:
   geometrically, so that its error is relative at every scale.
 
 ``exact_sum`` is the package's one exact summation: ``math.fsum`` bit for
-bit, from numpy sums.
+bit, from numpy sums.  It extracts error-free levels of the n terms and
+stops at the first level after which the residual's plain numpy sum decides
+the rounding, as AccSum does (Rump, Ogita & Oishi 2008).  That sum is off by
+at most B = n**2 * 2**-52 times 2**-53 sigma, the bound on each residual
+term left by a split at sigma; the total is returned once it lies strictly
+inside its rounding cell with B to spare on either side.  On terms within a
+few dozen binades of each other, the adversary's moments among them, one
+level is enough.
 """
 
 from __future__ import annotations
@@ -33,8 +40,8 @@ __all__ = ["adaptive_simpson", "composite_simpson", "build_edges", "exact_sum"]
 # it is about 2e-13 relative on the revenue functional (3e-12 at 200).
 _PANELS_PER_EFOLD = 400
 # Cap on the extraction levels of ``exact_sum``.  Each level takes at least
-# 52 - bitlen(n - 1) bits off the residual, so terms within a few dozen
-# binades of each other need two or three levels.
+# 52 - bitlen(n - 1) bits off the residual, and the early exit usually stops
+# after the first.
 _EXACT_SUM_LEVELS = 40
 
 
@@ -46,16 +53,38 @@ def exact_sum(t: np.ndarray) -> float:
     floating-point summation, part I", SIAM J. Sci. Comput. 31(1), 2008):
     hi = (r + sigma) - sigma and r - hi are exact, every hi is a multiple of
     2**-53 sigma and the n of them add up to at most sigma / 2 in magnitude,
-    so sum(hi) is exact in any order.  Once the residual is all zeros the
-    level sums add up to the exact total, which ``math.fsum`` rounds
-    correctly.  Non-finite terms, terms so large that sigma would overflow,
-    and spreads that need more than _EXACT_SUM_LEVELS levels go to
-    ``math.fsum`` itself, which also gives its errors and special values.
+    so sum(hi) is exact in any order.  The level sums L and the residual
+    then add up to the exact total.
+
+    After each level the sum stops early, as AccSum does, once the plain
+    numpy sum s of the residual decides the rounding.  Every new residual has
+    |r_i| <= 2**-53 sigma, so s, summed in any order, is off by at most
+    gamma_(n-1) * n * 2**-53 sigma.  B = n**2 * 2**-105 sigma is about twice
+    that, enough to cover rounding n**2 to a double, and since the error is
+    a multiple of 2**-1074, B rounded onto the subnormal grid still bounds
+    it.  The exact total T thus lies in [L + s - B, L + s + B].  With
+    c = fsum(L + [s]) and h+, h- the half-gaps from c up and down to its
+    neighbouring doubles, the exact signs
+
+        fsum(L + [s, B, -c, -h+]) < 0  and  fsum(L + [s, -B, -c, h-]) > 0
+
+    put T strictly inside the interval of reals that round to c, so
+    ``math.fsum`` of the terms is c.  fsum rounds correctly, rounding keeps
+    the sign, and no summand reaches 2**1023, so fsum cannot overflow; a
+    half-gap is exact except 2**-1075, which rounds to 0 and so only shrinks
+    the interval.  Otherwise, and always where c is zero or non-finite, the
+    next level is extracted; the residual stays in one buffer.  Once the
+    residual is all zeros the level sums add up to the exact total, which
+    ``math.fsum`` rounds correctly.  Non-finite terms, terms so large that
+    sigma would overflow, and spreads that need more than _EXACT_SUM_LEVELS
+    levels go to ``math.fsum`` itself, which also gives its errors and
+    special values.
     """
     terms = np.asarray(t, dtype=float).ravel()
-    if terms.size == 0:
+    n = terms.size
+    if n == 0:
         return 0.0
-    shift = (terms.size - 1).bit_length() + 1
+    shift = (n - 1).bit_length() + 1
     levels: list[float] = []
     r, hi = terms, np.empty_like(terms)
     for _ in range(_EXACT_SUM_LEVELS):
@@ -72,8 +101,26 @@ def exact_sum(t: np.ndarray) -> float:
         np.add(r, sigma, out=hi)
         np.subtract(hi, sigma, out=hi)
         levels.append(float(hi.sum()))
-        # the first level leaves the caller's terms as they are
-        r = r - hi if r is terms else np.subtract(r, hi, out=r)
+        if r is terms:
+            # the first residual takes hi's buffer, leaving the caller's
+            # terms as they are; later residuals stay in it
+            r, hi = np.subtract(terms, hi, out=hi), None
+        else:
+            np.subtract(r, hi, out=r)
+        s = float(r.sum())
+        c = math.fsum(levels + [s])
+        if c != 0.0 and math.isfinite(c):
+            bound = math.ldexp(float(n * n), exponent - 105)
+            away = 0.5 * math.ulp(c)
+            toward = 0.5 * (abs(c) - math.nextafter(abs(c), 0.0))
+            up, down = (away, toward) if c > 0.0 else (toward, away)
+            if (
+                math.fsum(levels + [s, bound, -c, -up]) < 0.0
+                and math.fsum(levels + [s, -bound, -c, down]) > 0.0
+            ):
+                return c
+        if hi is None:
+            hi = np.empty_like(terms)
     return math.fsum(terms)
 
 

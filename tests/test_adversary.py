@@ -201,6 +201,44 @@ class TestPinnedFineGrid:
         assert hashlib.sha256(res.grid.values.tobytes()).hexdigest() == digest
 
 
+class TestConstraintResidual:
+    """``constraint_residual`` is the exact moment of the returned grid minus
+    the target: the solve's own residual where the projection moved nothing,
+    and the projected grid's moment where it did."""
+
+    @staticmethod
+    def assert_matches_grid(res, K):
+        x, g = res.grid.x, res.grid.values
+        w = np.ones_like(x) if res.constraint == "mean" else 2.0 * x
+        want = math.fsum((w * (1.0 - g) * (1.0 / K)).tolist()) - res.target
+        assert res.constraint_residual.hex() == want.hex()
+
+    @pytest.mark.parametrize("mu, K", [(0.3, 4096), (0.5, 4096), (0.9, 4096), (0.5, 400_000)])
+    @pytest.mark.parametrize("reserve", sorted(RESERVES))
+    def test_mean_constraint(self, reserve, mu, K):
+        h_dist = RESERVES[reserve](solve_a(ModelParams(mu=mu)))
+        res = minimize_revenue(h_dist, ModelParams(mu=mu), K)
+        assert res.projection_delta == 0.0
+        self.assert_matches_grid(res, K)
+
+    @pytest.mark.parametrize("delta, K", [(0.1, 4096), (0.5, 4096), (0.9, 4096), (0.5, 400_000)])
+    def test_second_moment(self, delta, K):
+        res = minimize_revenue(
+            PiecewiseCdf.uniform(), None, K, constraint="second-moment", target=delta
+        )
+        assert res.projection_delta == 0.0
+        self.assert_matches_grid(res, K)
+
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 0.7])
+    def test_after_a_projection(self, mu):
+        # a concave kink in the reserve makes the pointwise minimizer jump
+        # down there, so the projection moves it
+        h_dist = PiecewiseCdf.from_grid([0.0, 0.3, 1.0], [0.0, 0.8, 1.0])
+        res = minimize_revenue(h_dist, ModelParams(mu=mu), 4096)
+        assert res.projection_delta > 0.0
+        self.assert_matches_grid(res, 4096)
+
+
 class TestSearchDiagnostics:
     def test_fine_grid_probes(self, c05):
         res = minimize_revenue(PiecewiseCdf.reserve(c05), ModelParams(mu=0.5), 400_000)
@@ -592,6 +630,14 @@ class TestPointwiseArgmin:
         scalar_w=False,
     )
     @example(points=[(0.0, 1.0, 0.0, False), (0.0, 0.0, 0.0, False)], lam=5e-324, scalar_w=True)
+    # all linear grids take the sign test alone: a tie, both signs, and a NaN
+    @example(
+        points=[(0.5, 0.0, 1.0, True), (0.25, 0.0, 1.0, False), (0.75, 1e-12, 1.0, False)]
+        + [(math.nan, 0.0, 1.0, False)],
+        lam=1.0,
+        scalar_w=False,
+    )
+    @example(points=[(0.5, 0.0, 1.0, True), (0.25, -1e-13, 1.0, False)], lam=1.0, scalar_w=True)
     def test_matches_reference_bitwise(self, points, lam, scalar_w):
         h, coef, w_arr, tie = (np.array(col) for col in zip(*points))
         if scalar_w:

@@ -117,6 +117,36 @@ class TestSolveA:
             solve_a(ModelParams(mu=0.3))
 
 
+def assert_array_calls_match_scalar_calls(c):
+    """H and H' of an array equal their scalar calls bit for bit at every
+    branch seam: |u| at the series cuts 1e-8 (H) and 0.2 (H'), x = a/2 where
+    ln(x/a) changes form, u = 2**511 where H' divides by u twice, x = 0 and
+    1, and subnormal x; three ulps each side of each."""
+    a = c.a
+    centres = [a, a / 2.0, 1e-300, 0.1, 0.7]
+    centres += [a * (1.0 + sign * cut) for cut in (1e-8, 0.2) for sign in (-1.0, 1.0)]
+    if a < 2.0**-512:
+        centres.append(a * (1.0 + 2.0**511))
+    points = {0.0, 1.0, 5e-324, 1e-320, 2.2250738585072014e-308}
+    for x in centres:
+        lo = hi = x
+        for _ in range(3):
+            lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+            points |= {lo, hi}
+        points.add(x)
+    x = np.array(sorted(p for p in points if 0.0 <= p <= 1.0))
+    u = (x - a) / a
+    for cut in (1e-8, 0.2):  # both sides of each series cut are hit
+        assert np.any(np.abs(u) < cut) and np.any((np.abs(u) >= cut) & (np.abs(u) < 2 * cut))
+    assert np.any(x < a / 2.0) and np.any((x >= a / 2.0) & (x < a))
+    if a < 2.0**-512:
+        assert np.any(u > 2.0**511) and np.any((u <= 2.0**511) & (x > a))
+    for f, pts in ((reserve_cdf, x), (reserve_pdf, x[x > 0.0])):
+        vec = f(c, pts)
+        assert vec.shape == pts.shape
+        assert [v.hex() for v in vec.tolist()] == [f(c, p).hex() for p in pts.tolist()]
+
+
 class TestReserveCdf:
     def test_endpoints_and_center(self, c05):
         assert reserve_cdf(c05, 0.0) == 0.0
@@ -164,11 +194,11 @@ class TestReserveCdf:
         assert np.all((h >= 0.0) & (h <= 1.0 + 1e-15))
 
     def test_vectorised_matches_scalar(self, c05):
-        x = np.array([0.0, 0.1, c05.a, 0.7, 1.0])
-        vec = reserve_cdf(c05, x)
-        assert vec.shape == x.shape
-        for xi, vi in zip(x, vec):
-            assert reserve_cdf(c05, float(xi)) == vi
+        assert_array_calls_match_scalar_calls(c05)
+
+    def test_vectorised_matches_scalar_below_two_to_minus_512(self):
+        # a < 2**-512, so u = (x - a)/a passes H''s 2**511 cut
+        assert_array_calls_match_scalar_calls(solve_a(ModelParams(mu=1e-160)))
 
     def test_domain_error(self, c05):
         with pytest.raises(DomainError):

@@ -195,8 +195,117 @@ class TestExactSum:
             np.array([-0.0, -0.0]),
             np.array([0.0, -0.0]),
             np.array([1.0, -1.0]),
+            # nonzero terms that cancel to a zero, whose sign fsum sets
+            np.array([1e300, 1.0, -1e300, -1.0]),
+            np.array([2.0**-1074, -(2.0**-1074)]),
+            np.array([-0.0, 1.0, -1.0]),
+            np.array([1.0, -1.0, -0.0, -0.0]),
+            np.ldexp(np.linspace(0.5, 1.0, 500), -np.arange(500) % 70) * np.repeat([1.0, -1.0], 250),
+            # where a neighbour is 2**-1074 away its half-gap rounds to 0,
+            # so the early exit declines
+            np.array([2.0**-1022, 2.0**-1074]),
+            np.array([2.0**-1021, -(2.0**-1074)]),
+            np.array([2.0**-1020, 3 * 2.0**-1074, 2.0**-1021]),
+            # the levels run up to sigma = 2**1023, with totals in 2**1022's
+            # binade; past it sigma would overflow, and fsum itself sums
+            np.array([math.ldexp(1.5, 1020)] * 2 + [math.ldexp(1.0, 968)]),
+            np.array([math.ldexp(2.0 - 2.0**-52, 1011)] * 1024 + [math.ldexp(1.0, 960)]),
+            np.array([math.ldexp(2.0 - 2.0**-52, 1011)] * 1023 + [-math.ldexp(1.0, 958)]),
+            np.array([1.7976931348623157e308, 2.0**969]),
+            np.array([1.7976931348623157e308, 2.0**970]),
+            np.array([1.7976931348623157e308, 2.0**970, -(2.0**-1074)]),
+            np.array([1.7976931348623157e308, -1.7976931348623157e308, 1.7976931348623157e308]),
         ],
-        ids=["tie", "negative-tie", "past-level-cap", "-0", "-0-0", "+0-0", "cancel"],
+        ids=["tie", "negative-tie", "past-level-cap", "-0", "-0-0", "+0-0", "cancel",
+             "big-cancel", "subnormal-cancel", "-0-first", "-0-last", "pairs",
+             "2^-1022", "2^-1021", "2^-1020", "sigma-2^1023", "2^1022-binade",
+             "2^1022-binade-down", "max-below-midpoint", "max-at-midpoint",
+             "max-below-midpoint-by-tiny", "max-cancel"],
     )
     def test_hand_picked(self, t):
+        assert sum_outcome(exact_sum, t) == sum_outcome(fsum_of_list, t)
+        assert sum_outcome(exact_sum, -t) == sum_outcome(fsum_of_list, -t)
+
+
+def first_level(t):
+    """``exact_sum``'s first level sum L, the plain sum s of its residual, and
+    the bound B on that sum's error, computed as the function does."""
+    n = t.size
+    exponent = math.frexp(float(np.max(np.abs(t))))[1] + (n - 1).bit_length() + 1
+    sigma = math.ldexp(1.0, exponent)
+    hi = (t + sigma) - sigma
+    return float(hi.sum()), float((t - hi).sum()), math.ldexp(float(n * n), exponent - 105)
+
+
+def half_gap(c, side):
+    """Half the gap from c up ("up") or down ("down") to its neighbouring double."""
+    return abs(math.nextafter(c, math.inf if side == "up" else -math.inf) - c) / 2.0
+
+
+@st.composite
+def near_ties(draw):
+    """Terms whose exact total lies at, or a few bits off, the midpoint between
+    a double c0 and its upper or lower neighbour, hidden among cancelling pairs
+    that put rounding error into the residual's plain sum."""
+    exponent = draw(st.sampled_from([-1000, -60, 0, 60, 1000]))
+    mantissa = draw(st.one_of(st.just(1.0), st.floats(1.0, 2.0, exclude_max=True)))
+    c0 = math.ldexp(mantissa, exponent)
+    side = draw(st.sampled_from(["up", "down"]))
+    half = half_gap(c0, side) * (1.0 if side == "up" else -1.0)
+    offset = draw(st.sampled_from([0.0, 1.0, -1.0])) * math.ldexp(
+        abs(half), -draw(st.integers(1, 120))
+    )
+    n_pairs = draw(st.sampled_from([0, 1, 50, 1000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = np.ldexp(rng.uniform(0.5, 1.0, n_pairs), rng.integers(exponent - 80, exponent + 1, n_pairs))
+    t = np.concatenate(([c0, half, offset], noise, -noise))
+    rng.shuffle(t)
+    return t * draw(st.sampled_from([-1.0, 1.0]))
+
+
+class TestExactSumEarlyExit:
+    """The early exit returns only where the first levels decide fsum's
+    rounding; at its edges the bits still match ``math.fsum``."""
+
+    @pytest.mark.parametrize("pairs", [0, 100, 2047])
+    @pytest.mark.parametrize("offset", [0.0, 2.0**-160, -(2.0**-160)])
+    @pytest.mark.parametrize("side", ["up", "down"])
+    @pytest.mark.parametrize("c0", [1.0, 1.5, 1.0 + 2.0**-52])
+    def test_declines_within_the_bound_of_a_midpoint(self, c0, side, offset, pairs):
+        # the first level's L + s lies within B of the midpoint next to
+        # round(L + s), so the exit must decline and a later level decide
+        mid = c0 + half_gap(c0, side) * (1.0 if side == "up" else -1.0)
+        noise = np.ldexp(np.linspace(0.5, 1.0, pairs), -np.arange(pairs) % 60)
+        t = np.concatenate(([c0, mid - c0, offset], noise, -noise))
+        np.random.default_rng(pairs).shuffle(t)
+        lead, s, bound = first_level(t)
+        assert abs(math.fsum([lead, s, -mid])) <= bound
+        assert sum_outcome(exact_sum, t) == sum_outcome(fsum_of_list, t)
+
+    @pytest.mark.parametrize("k", [-960, -1, 0, 1, 52, 960])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_power_of_two_totals(self, k, sign):
+        # the gap below 2**k is half the gap above it.  Totals at and a
+        # hair off the two midpoints, and a quarter gap inside, among
+        # cancelling pairs whose residuals the plain sum rounds: at some of
+        # them the first level's candidate is the wrong neighbour
+        c = math.ldexp(1.0, k)
+        below, above = half_gap(c, "down"), half_gap(c, "up")
+        wrong_candidates = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            noise = np.ldexp(rng.uniform(0.5, 1.0, 200), rng.integers(k - 80, k - 1, 200))
+            for delta in (-below, -below / 2.0, above / 2.0, above):
+                for extra in (0.0, below / 2.0**40, -below / 2.0**40):
+                    t = np.concatenate(([c, delta, extra], noise, -noise))
+                    rng.shuffle(t)
+                    t *= sign
+                    assert sum_outcome(exact_sum, t) == sum_outcome(fsum_of_list, t)
+                    lead, s, _ = first_level(t)
+                    wrong_candidates += math.fsum([lead, s]) != math.fsum(t.tolist())
+        assert wrong_candidates > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=near_ties())
+    def test_near_ties_match_fsum(self, t):
         assert sum_outcome(exact_sum, t) == sum_outcome(fsum_of_list, t)
