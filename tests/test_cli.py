@@ -201,6 +201,22 @@ class TestAdversaryCommand:
         assert payload["constraint"] == "second-moment"
         assert payload["value"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_certificate_reads_back_bit_for_bit(self, capsys, tmp_path):
+        # more rows than one write block, so the block seams are read back too
+        from maxmin_auction import ModelParams, PiecewiseCdf, minimize_revenue, solve_a
+
+        out_path = tmp_path / "adv.csv"
+        k = 65537
+        code, _ = run_cli(capsys, "adversary", "--mu", "0.3", "--grid-k", str(k), "--out", str(out_path))
+        assert code == 0
+        c = solve_a(ModelParams(mu=0.3))
+        grid = minimize_revenue(PiecewiseCdf.reserve(c), ModelParams(mu=0.3), k).grid
+        back = read_cdf_csv(out_path)
+        # the reader completes the cell midpoints with the knots 0 and 1
+        assert back.knots.size == k + 2 and (back.knots[0], back.knots[-1]) == (0.0, 1.0)
+        assert np.array_equal(back.knots[1:-1].view(np.int64), grid.x.view(np.int64))
+        assert np.array_equal(back.values[1:-1].view(np.int64), grid.values.view(np.int64))
+
     def test_mu_and_delta_conflict(self, capsys):
         code, _ = run_cli(capsys, "adversary", "--mu", "0.5", "--delta", "0.5")
         assert code == 2

@@ -3,8 +3,9 @@
 ``import maxmin_auction`` loads numpy and nothing from scipy; ``spence``,
 ``isotonic_regression``, ``scipy.sparse`` and ``linprog`` are imported inside
 the functions that use them, and ``concurrent.futures`` inside the Monte
-Carlo run that starts a thread pool.  Each case runs in a fresh interpreter,
-since the test process itself has long since imported scipy.
+Carlo run that starts a thread pool.  ``csvrows``, the CSV row formatter,
+is imported by the first ``write_cdf_csv`` call.  Each case runs in a fresh
+interpreter, since the test process itself has long since imported scipy.
 """
 
 import json
@@ -19,7 +20,7 @@ from maxmin_auction import write_cdf_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCIPY = ("scipy.special", "scipy.optimize", "scipy.sparse")
-WATCHED = SCIPY + ("concurrent.futures",)
+WATCHED = SCIPY + ("concurrent.futures", "maxmin_auction.csvrows")
 
 # Runs its arguments as ``python -m maxmin_auction`` would, then writes the
 # watched modules loaded by exit time as the last line of stderr.

@@ -1,6 +1,9 @@
 """PiecewiseCdf container tests: grids, atoms, CSV round trips."""
 
 import csv
+import io
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from maxmin_auction import (
     solve_a,
     write_cdf_csv,
 )
-from maxmin_auction import constants
+from maxmin_auction import constants, csvrows
 
 import oracles
 
@@ -342,6 +345,23 @@ class TestCsv:
         with pytest.raises(DomainError):
             read_cdf_csv(path)
 
+    @pytest.mark.parametrize(
+        ("x", "values", "masses"),
+        [
+            ([0.0, 1.0], [0.5], None),
+            ([0.0, 1.0], [0.5, 1.0], [0.0]),
+            ([0.0, 1.0], [0.5, 1.0], [0.0, 0.0, 0.0]),
+            ([[0.0, 1.0]], [[0.5, 1.0]], None),
+            (0.5, 1.0, None),
+        ],
+        ids=["short-values", "short-zero-masses", "long-masses", "2-d", "0-d"],
+    )
+    def test_rejects_columns_that_do_not_line_up(self, tmp_path, x, values, masses):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(DomainError, match="1-d columns of one length"):
+            write_cdf_csv(path, x, values, masses)
+        assert not path.exists()
+
 
 def csv_writer_reference(path, x, values, masses=None):
     """The row-by-row ``csv.writer`` output that ``write_cdf_csv`` reproduces."""
@@ -372,3 +392,93 @@ class TestCsvBytes:
         write_cdf_csv(got, x, values, masses)
         csv_writer_reference(want, x, values, masses)
         assert got.read_bytes() == want.read_bytes()
+
+
+def g17_fields(values):
+    """The fields ``write_cdf_csv``'s row writer prints for one column."""
+    buf = io.BytesIO()
+    csvrows.write_rows(buf, [np.asarray(values, dtype=float)])
+    return buf.getvalue().split(b"\r\n")[:-1]
+
+
+def assert_g17(values):
+    values = np.asarray(values, dtype=float)
+    want = [b"%.17g" % v for v in values.tolist()]
+    assert g17_fields(values) == want
+
+
+class TestG17Fields:
+    """Each field is byte for byte what ``b"%.17g" % v`` prints."""
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = np.array([float(f"1e{k}") for k in range(-6, 19)])
+        assert_g17(np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)]))
+
+    def test_exact_ties_round_to_even(self):
+        # m * 2**-18 in [0.1, 1) has 18 decimals ending in 5: a tie at 17 digits
+        assert_g17(np.arange(26215, 262144, 2) * 2.0**-18)
+
+    def test_log10_misplaced_decades(self):
+        # eight doubles either side of each power of ten; log10 rounds some
+        # of them into the neighbouring decade
+        values = []
+        for k in range(-4, 18):
+            for toward in (0.0, np.inf):
+                v = float(f"1e{k}")
+                for _ in range(8):
+                    values.append(v)
+                    v = float(np.nextafter(v, toward))
+        values = np.array(values)
+        exact = np.array([Decimal(v).adjusted() for v in values.tolist()])
+        assert np.any(np.floor(np.log10(values)) != exact)
+        assert_g17(values)
+
+    @pytest.mark.parametrize("shift", [-1.0, 1.0])
+    def test_any_decade_from_log10(self, monkeypatch, shift):
+        # a log10 one decade off sends every field to the checked slow path
+        rng = np.random.default_rng(5)
+        values = np.concatenate([rng.random(2000), 10.0 ** rng.uniform(-4.0, 17.0, 2000), [1e-4, 1.0, 1e16]])
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda w: log10(w) + shift)
+        assert_g17(values)
+
+    @pytest.mark.parametrize("k", range(21))
+    def test_no_double_rounds_up_into_the_decade(self, k):
+        # the exactness test 1e16 <= N < 1e17 relies on no v * 10**k lying in
+        # [1e16 - 1/2, 1e16), where N would round up to 1e16
+        v = float(Fraction(10**16, 10**k))
+        while Fraction(v) * 10**k >= 10**16:
+            v = float(np.nextafter(v, 0.0))
+        assert Fraction(v) * 10**k < 10**16 - Fraction(1, 2)
+
+    def test_edges_and_slow_path(self):
+        assert_g17([0.0, -0.0, 5e-324, 2.2e-308, 9.9999999999999995e-5, 1e-4, 1e17, np.nan, np.inf, -np.inf])
+        assert_g17([-0.5, -1e-5, 1e300, -2.2250738585072014e-308, -5e-324, 99999999999999984.0, 1e16])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=200))
+    def test_unit_interval(self, values):
+        assert_g17(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=200))
+    def test_finite_doubles(self, values):
+        assert_g17(values)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(23)
+        assert_g17(rng.integers(0, 2**64, 50000, dtype=np.uint64).view(np.float64))
+        assert_g17(10.0 ** rng.uniform(-5.0, 18.0, 50000))
+
+    @pytest.mark.parametrize("rows", [0, 1, 16384, 16385])
+    @pytest.mark.parametrize("ncols", [1, 2, 3])
+    def test_block_rows_match_csv_writer(self, rows, ncols):
+        rng = np.random.default_rng(rows + ncols)
+        columns = [rng.random(rows) ** (j + 1) for j in range(ncols)]
+        columns[0][: min(rows, 3)] = [0.0, 1e-7, -0.0][: min(rows, 3)]
+        buf, want = io.BytesIO(), io.StringIO(newline="")
+        csvrows.write_rows(buf, columns)
+        writer = csv.writer(want)
+        for row in zip(*columns):
+            writer.writerow([f"{v:.17g}" for v in row])
+        assert buf.getvalue() == want.getvalue().encode()
