@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -511,3 +515,99 @@ class TestSeedAndTolerance:
             main(list(argv))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# what the console script from pyproject.toml runs
+SCRIPT = "import sys; from maxmin_auction.cli import run; sys.argv[0] = 'maxmin-auction'; sys.exit(run())"
+# as ``python -m maxmin_auction``, with a handler that shows whether the
+# interpreter ran its exit-time teardown
+PROBE = (
+    "import atexit, runpy, sys; atexit.register(print, 'teardown', file=sys.stderr); "
+    "sys.argv[0] = 'maxmin_auction'; runpy.run_module('maxmin_auction', run_name='__main__', alter_sys=True)"
+)
+
+
+def run_process(*argv, entry=("-m", "maxmin_auction"), unbuffered=True, prefix=(), **kwargs):
+    """Run the command line in a fresh interpreter, as a user's shell would."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([*prefix, sys.executable, *entry, *argv], env=env, timeout=300, **kwargs)
+
+
+def assert_one_error_line(proc):
+    err = proc.stderr.decode()
+    assert proc.returncode == 4, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class TestProcessExit:
+    """The command line leaves through ``cli.run``: flushed streams, the exit
+    code of ``main``, and no interpreter teardown."""
+
+    ARGV = ("second-moment", "--delta", "0.5")
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_broken_pipe_exits_4(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_process(*self.ARGV, unbuffered=unbuffered, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert_one_error_line(proc)
+        assert "Broken pipe" in proc.stderr.decode()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_full_device_exits_4(self, unbuffered):
+        with open("/dev/full", "wb") as full:
+            proc = run_process(*self.ARGV, unbuffered=unbuffered, stdout=full)
+        assert_one_error_line(proc)
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs a POSIX shell")
+    def test_closed_stdout_exits_4(self):
+        # the shell starts the interpreter with descriptor 1 closed
+        proc = run_process(*self.ARGV, prefix=("sh", "-c", 'exec "$0" "$@" >&-'), stdout=None)
+        assert_one_error_line(proc)
+        assert proc.stderr == b"error: [Errno 9] stdout is closed\n"
+
+    def test_verify_through_a_pipe_prints_what_main_prints(self, capsys):
+        argv = ("verify", "--mu", "0.5", "--seed", "7")
+        proc = run_process(*argv)
+        code, out = run_cli(capsys, *argv)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out.encode()
+
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    @pytest.mark.parametrize(
+        ("argv", "expected"),
+        [
+            (("solve", "--mu", "0.5"), 0),
+            (("solve", "--mu", "2"), 2),
+            (("curves", "--mu", "0.5", "--out", "NO_DIR"), 4),
+        ],
+        ids=["ok", "domain", "io"],
+    )
+    def test_exit_code_passes_through_os_exit(self, tmp_path, entry, argv, expected):
+        argv = [str(tmp_path / "no" / "such" / "dir" / "c.csv") if a == "NO_DIR" else a for a in argv]
+        script = PROBE if entry == "module" else "import atexit; atexit.register(print, 'teardown'); " + SCRIPT
+        proc = run_process(*argv, entry=("-c", script))
+        assert proc.returncode == expected, proc.stderr
+        assert b"teardown" not in proc.stdout + proc.stderr
+
+    def test_certificate_is_complete_at_exit(self, capsys, tmp_path):
+        argv = ("adversary", "--mu", "0.3", "--grid-k", "65537", "--out")
+        proc = run_process(*argv, str(tmp_path / "process.csv"))
+        code, out = run_cli(capsys, *argv, str(tmp_path / "main.csv"))
+        assert proc.returncode == code == 0
+        assert proc.stdout == out.encode()
+        written = (tmp_path / "process.csv").read_bytes()
+        assert written.count(b"\n") == 65538
+        assert written == (tmp_path / "main.csv").read_bytes()

@@ -23,12 +23,21 @@ SCIPY = ("scipy.special", "scipy.optimize", "scipy.sparse")
 WATCHED = SCIPY + ("concurrent.futures", "maxmin_auction.csvrows")
 
 # Runs its arguments as ``python -m maxmin_auction`` would, then writes the
-# watched modules loaded by exit time as the last line of stderr.
+# watched modules loaded by exit time as the last line of stderr.  The command
+# line leaves through ``os._exit``, which runs no ``atexit`` handler, so the
+# probe reports from a wrapper around it as well.
 PROBE = f"""
-import atexit, json, runpy, sys
-atexit.register(
-    lambda: print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]), file=sys.stderr)
-)
+import atexit, json, os, runpy, sys
+
+def report():
+    print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]), file=sys.stderr, flush=True)
+
+def report_and_exit(code, _exit=os._exit):
+    report()
+    _exit(code)
+
+atexit.register(report)
+os._exit = report_and_exit
 if len(sys.argv) > 1:
     sys.argv[0] = "maxmin_auction"
     runpy.run_module("maxmin_auction", run_name="__main__", alter_sys=True)
