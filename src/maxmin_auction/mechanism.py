@@ -22,7 +22,8 @@ squared deviations into running totals with the pairwise update of Chan,
 Golub & LeVeque ("Algorithms for computing the sample variance", Amer.
 Statist. 37(3), 1983).  No full-length array is ever held, so memory does
 not grow with the sample count: ``simulate --samples 1e7`` peaks at about
-62 MB RSS.
+64.5 MB RSS, with each worker thread running its kernels on slices of
+``_MC_SLICE`` = 32768 rows.
 
 The chunks are independent -- Philox is counter-based (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so a chunk's draws
@@ -56,8 +57,11 @@ from .errors import MAX_SIZE, DomainError
 _MC_CHUNK = 65536
 
 # Rows per kernel call inside a chunk.  Smaller slices spend the thread
-# overlap on interpreter overhead; whole chunks raise the peak RSS.
-_MC_SLICE = 16384
+# overlap on interpreter overhead; whole chunks raise the peak RSS.  With the
+# heap that ``cli.run`` keeps, a slice's temporaries no longer fault their
+# pages in afresh, so 32768 rows beat 16384: ``simulate --samples 1e7``
+# 0.593 s against 0.607 s on a 2-vCPU VM, for about 2 MB more RSS.
+_MC_SLICE = 32768
 
 # A pool starts only with at least this many chunks per worker thread: a
 # short run stays on the calling thread, which saves the second thread's

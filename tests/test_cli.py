@@ -1,16 +1,20 @@
 """Command-line interface: JSON output, exit codes, determinism."""
 
 import csv
+import ctypes
+import gc
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from maxmin_auction import DiscreteDirectMechanism, read_cdf_csv, write_cdf_csv
+from maxmin_auction import cli
 from maxmin_auction.cli import dump_json, main
 
 from mechanism_reference import bic_bir_violations
@@ -540,6 +544,10 @@ def run_process(*argv, entry=("-m", "maxmin_auction"), unbuffered=True, prefix=(
     return subprocess.run([*prefix, sys.executable, *entry, *argv], env=env, timeout=300, **kwargs)
 
 
+# the shell starts the interpreter with descriptor 2 closed, so sys.stderr is None
+CLOSED_STDERR = ("sh", "-c", 'exec "$0" "$@" 2>&-')
+
+
 def assert_one_error_line(proc):
     err = proc.stderr.decode()
     assert proc.returncode == 4, err
@@ -578,12 +586,44 @@ class TestProcessExit:
         assert_one_error_line(proc)
         assert proc.stderr == b"error: [Errno 9] stdout is closed\n"
 
-    def test_verify_through_a_pipe_prints_what_main_prints(self, capsys):
-        argv = ("verify", "--mu", "0.5", "--seed", "7")
-        proc = run_process(*argv)
+    @pytest.mark.parametrize(
+        ("argv", "prefix"),
+        [
+            (("verify", "--mu", "0.5", "--seed", "7"), ()),
+            (("verify", "--mu", "0.5", "--seed", "7"), CLOSED_STDERR),
+            # long enough for the Monte Carlo pool, under the kept heap
+            (("simulate", "--mu", "0.5", "--samples", "2000000", "--seed", "7"), ()),
+        ],
+        ids=["verify", "verify-stderr-closed", "simulate"],
+    )
+    def test_process_prints_what_main_prints(self, capsys, argv, prefix):
+        if prefix and sys.platform == "win32":
+            pytest.skip("needs a POSIX shell")
+        proc = run_process(*argv, prefix=prefix, stderr=None if prefix else subprocess.PIPE)
         code, out = run_cli(capsys, *argv)
         assert proc.returncode == code == 0
         assert proc.stdout == out.encode()
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs a POSIX shell")
+    @pytest.mark.parametrize(
+        ("argv", "expected", "prefix"),
+        [
+            (("solve", "--mu", "2"), 2, CLOSED_STDERR),
+            (("curves", "--mu", "0.5", "--out", "NO_DIR"), 4, CLOSED_STDERR),
+            # sys.stderr exists, and writing to it fails
+            (("solve", "--mu", "2"), 2, ("sh", "-c", 'exec "$0" "$@" 2>/dev/full')),
+        ],
+        ids=["domain", "io", "full-device"],
+    )
+    def test_unwritable_stderr_keeps_the_exit_code(self, tmp_path, argv, expected, prefix):
+        # the error line has nowhere to go, but the exit code still says why,
+        # and stdout stays clean
+        if "/dev/full" in prefix[-1] and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        argv = [str(tmp_path / "no" / "such" / "dir" / "c.csv") if a == "NO_DIR" else a for a in argv]
+        proc = run_process(*argv, prefix=prefix, stderr=None)
+        assert proc.returncode == expected
+        assert proc.stdout == b""
 
     @pytest.mark.parametrize("entry", ["module", "script"])
     @pytest.mark.parametrize(
@@ -611,3 +651,69 @@ class TestProcessExit:
         written = (tmp_path / "process.csv").read_bytes()
         assert written.count(b"\n") == 65538
         assert written == (tmp_path / "main.csv").read_bytes()
+
+
+def fake_libc(monkeypatch, mmap_accepted=1):
+    """Stand in for glibc: record each ``mallopt`` call in order."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return mmap_accepted if param == cli._M_MMAP_THRESHOLD else 1
+
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    return calls
+
+
+class TestKeepHeap:
+    """``cli.run`` keeps freed heap memory for the life of the process."""
+
+    def test_mmap_threshold_is_fixed_before_trimming_stops(self, monkeypatch):
+        calls = fake_libc(monkeypatch)
+        cli._keep_heap()
+        assert calls == [(-3, 32 * 2**20), (-1, 2**30)]
+
+    def test_trimming_is_left_alone_if_the_mmap_threshold_is_refused(self, monkeypatch):
+        calls = fake_libc(monkeypatch, mmap_accepted=0)
+        cli._keep_heap()
+        assert calls == [(-3, 32 * 2**20)]
+
+    @pytest.mark.parametrize("confstr", ["missing", "unknown-name", "unset"])
+    def test_nothing_happens_without_glibc(self, monkeypatch, confstr):
+        calls = fake_libc(monkeypatch)
+        if confstr == "missing":
+            monkeypatch.delattr(os, "confstr")
+        elif confstr == "unknown-name":
+
+            def unknown(name):
+                raise ValueError("unrecognized configuration name")
+
+            monkeypatch.setattr(os, "confstr", unknown)
+        else:
+            monkeypatch.setattr(os, "confstr", lambda name: None)
+        cli._keep_heap()
+        assert calls == []
+
+    def test_nothing_happens_without_mallopt(self, monkeypatch):
+        fake_libc(monkeypatch)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        cli._keep_heap()
+
+    def test_run_keeps_the_heap_before_main(self, monkeypatch):
+        calls = []
+
+        class Exited(Exception):
+            pass
+
+        def exit_(code):
+            calls.append(("exit", code))
+            raise Exited
+
+        monkeypatch.setattr(gc, "disable", lambda: calls.append("gc.disable"))
+        monkeypatch.setattr(cli, "_keep_heap", lambda: calls.append("keep_heap"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 0)
+        monkeypatch.setattr(os, "_exit", exit_)
+        with pytest.raises(Exited):
+            cli.run()
+        assert calls == ["gc.disable", "keep_heap", "main", ("exit", 0)]

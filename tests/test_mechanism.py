@@ -355,6 +355,23 @@ class TestMcRevenue:
         r = mc_revenue(c05, PiecewiseCdf.signal(c05), THREADED_N, 11, tail_weighted)
         assert (r.value.hex(), r.std_error.hex()) == (value, std_error)
 
+    # slices only split the elementwise kernels of a chunk
+    @pytest.mark.parametrize("law", ["signal", "tail-weighted", "grid"])
+    def test_bits_do_not_depend_on_slice(self, c05, monkeypatch, law):
+        if law == "grid":
+            # the grid stops at 0.9, so the rest of the mass is an atom at 1
+            knots = np.linspace(0.0, 0.9, 10)
+            g = PiecewiseCdf.from_grid(knots, knots**2)
+        else:
+            g = PiecewiseCdf.signal(c05)
+        n = 3 * _MC_CHUNK + 17
+        results = set()
+        for size in (1000, 16384, 32768, 65536):
+            monkeypatch.setattr(mechanism, "_MC_SLICE", size)
+            r = mc_revenue(c05, g, n, 11, tail_weighted=law == "tail-weighted")
+            results.add((r.value.hex(), r.std_error.hex()))
+        assert len(results) == 1
+
     @pytest.mark.parametrize("n, pooled", [(_MC_CHUNK + 17, False), (THREADED_N, True)])
     def test_only_long_runs_start_a_pool(self, c05, monkeypatch, n, pooled):
         threads = set()
