@@ -496,8 +496,8 @@ def reserve_with_zero_atom(c: SolvedConstants) -> PiecewiseCdf:
     """Reserve variant that is flat at H(a) below a, with the mass parked at 0."""
     a, level = c.a, c.h_at_a
     return PiecewiseCdf.custom(
-        cdf_fn=_piecewise_at(a, lambda x: level, lambda x: reserve_cdf(c, x)),
-        pdf_fn=_piecewise_at(a, lambda x: 0.0, lambda x: reserve_pdf(c, x)),
+        cdf_fn=_piecewise_at(a, lambda x: level, lambda x: reserve_cdf(c, x, checked=True)),
+        pdf_fn=_piecewise_at(a, lambda x: 0.0, lambda x: reserve_pdf(c, x, checked=True)),
         atoms=((0.0, level),),
         breakpoints=(a,),
     )
@@ -508,7 +508,7 @@ def reserve_with_linear_ramp(c: SolvedConstants) -> PiecewiseCdf:
     a, level = c.a, c.h_at_a
     slope = level / a
     return PiecewiseCdf.custom(
-        cdf_fn=_piecewise_at(a, lambda x: slope * x, lambda x: reserve_cdf(c, x)),
-        pdf_fn=_piecewise_at(a, lambda x: slope, lambda x: reserve_pdf(c, x)),
+        cdf_fn=_piecewise_at(a, lambda x: slope * x, lambda x: reserve_cdf(c, x, checked=True)),
+        pdf_fn=_piecewise_at(a, lambda x: slope, lambda x: reserve_pdf(c, x, checked=True)),
         breakpoints=(a,),
     )

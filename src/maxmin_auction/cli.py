@@ -296,7 +296,9 @@ def cmd_curves(args: argparse.Namespace) -> int:
 # Absolute tolerance of the adaptive-Simpson leg of the payment oracle.
 _PAYMENT_ORACLE_TOL = 1e-9
 # How far the LP's safe bound may lie above its exact optimum, relative; the
-# measured excess is at most 7.3e-11 (``upper_bound.reduced_form_bound``).
+# excess is the rounding allowance of the closed-form certificate, which grows
+# as n: measured at most 6.5e-13 at n = 50 and 1.25e-11 at n = 1000, both near
+# mu = 1 (``upper_bound.reduced_form_bound``).
 _LP_BOUND_RTOL = 1e-9
 
 
@@ -319,16 +321,16 @@ def run_verification(args: argparse.Namespace) -> dict:
     revenue of every mechanism against the worst-case signal law, from the
     reduced-form LP on ``--grid-n`` geometric cells of [a, 1] plus the atom
     at 1 (``upper_bound.reduced_form_bound``).  It passes iff
-    g <= safe_bound <= a r (2 - a r) (1 + 1e-9), r = (1/a)^(1/n): sound
-    for the LP as stored, and no looser than the LP allows.  That LP's
-    coefficients (r, 1 - 1/r, q_k and 1 - q_k/2) are each rounded once, so
-    it belongs to a law a few ulps from the rounded-up one: the bound holds
-    whatever the solver's tolerances, and the LP's margin above g (at least
-    4e-12 relative for mu <= 1 - 1e-9 and n <= 1000) is what covers that
-    rounding.  The gap above g is about
-    g ln(1/a)/n; at the default n = 50 it is 3.1% of g at mu = 0.5, 61% at
-    1e-9 and 3.3 g at 1e-30, so below about mu = 1e-30 the check certifies
-    no fixed relative gap.
+    g <= safe_bound <= a r (2 - a r) (1 + 1e-9), r = (1/a)^(1/n), compared
+    in units of a r (``ReducedFormBound.certifies``), since a subnormal a r
+    rounds its products: sound for the LP as stored, and no looser than the
+    LP allows.  That LP's coefficients (r, 1 - 1/r, q_k and 1 - q_k/2) are
+    closed forms, rounded, so it belongs to a law a few ulps from the
+    rounded-up one, and the LP's margin above g (at least 4e-12 relative for
+    mu <= 1 - 1e-9 and n <= 1000) is what covers that rounding.  The gap
+    above g is about g ln(1/a)/n; at the default n = 50 it is 3.1% of g at
+    mu = 0.5, 61% at 1e-9 and 3.3 g at 1e-30, so below about mu = 1e-30 the
+    check certifies no fixed relative gap.
     """
     if args.n_samples < 2:
         # one sample has no standard error, so mc_vs_quadrature has no verdict
@@ -401,9 +403,7 @@ def run_verification(args: argparse.Namespace) -> dict:
     bound = ub.reduced_form_bound(c.a, args.grid_n)
     record(
         "lp_upper_bound",
-        c.revenue_guarantee
-        <= bound.safe_bound
-        <= bound.rounded_up_bound * (1.0 + _LP_BOUND_RTOL),
+        bound.certifies(c.revenue_guarantee, _LP_BOUND_RTOL),
         lp_optimum=bound.lp_optimum,
         analytic_bound=c.revenue_guarantee,
         safe_bound=bound.safe_bound,

@@ -245,7 +245,7 @@ def _scaled_integral_below_half_a(x: np.ndarray, a: float) -> np.ndarray:
     return out
 
 
-def reserve_cdf(c: SolvedConstants, x):
+def reserve_cdf(c: SolvedConstants, x, *, checked: bool = False):
     """CDF of the random reserve, H(x), for x in [0, 1].  Vectorised.
 
     H(x) = -x(1-a)(ln x - ln a)/((x-a) ln a) away from {0, a}, with the
@@ -253,10 +253,12 @@ def reserve_cdf(c: SolvedConstants, x):
     to at most 1 and H(1) = 1 is pinned, since near x = 1 the formula can
     miss 1 by an ulp or two on either side.  Below x = a/2 the log1p form is
     overwritten by h_at_a * x (ln x - ln a)/(x - a), with x taken first so
-    that a subnormal x meets no subnormal intermediate.
+    that a subnormal x meets no subnormal intermediate.  ``checked`` skips
+    the check that x lies in [0, 1], for a caller that has made it.
     """
     arr, scalar = _as_array(x)
-    _check_unit_interval(arr, "reserve point")
+    if not checked:
+        _check_unit_interval(arr, "reserve point")
     a = c.a
     u = (arr - a) / a
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -272,7 +274,7 @@ def reserve_cdf(c: SolvedConstants, x):
     return float(out) if scalar else out
 
 
-def reserve_pdf(c: SolvedConstants, x):
+def reserve_pdf(c: SolvedConstants, x, *, checked: bool = False):
     """Density H'(x) of the random reserve for x in (0, 1].  Vectorised.
 
     H'(x) = -(1-a)(x - a ln x - mu)/((x-a)^2 ln a); at x = a this has the
@@ -280,9 +282,12 @@ def reserve_pdf(c: SolvedConstants, x):
     a*(u - ln(x/a)) with u = (x-a)/a, which is what is actually evaluated,
     with ln(x/a) = log1p(u) from x = a/2 up and ln x - ln a below.
     Raises DomainError at x = 0, where only the limit x H'(x) -> 0 exists.
+    ``checked`` skips the check that x lies in [0, 1], for a caller that has
+    made it; the one for x = 0 stays.
     """
     arr, scalar = _as_array(x)
-    _check_unit_interval(arr, "reserve point")
+    if not checked:
+        _check_unit_interval(arr, "reserve point")
     if (arr == 0.0).any():
         raise DomainError("reserve density is undefined at x = 0")
     a = c.a

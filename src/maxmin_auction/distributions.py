@@ -62,11 +62,12 @@ class PiecewiseCdf:
 
         The callables look ``cf.reserve_cdf`` and ``cf.reserve_pdf`` up at
         each call, so a later rebinding of those names (the tracer in
-        ``perfbench/trace_child.py``) reaches them.
+        ``perfbench/trace_child.py``) reaches them.  They skip the unit
+        interval check that ``cdf`` and ``pdf`` have made.
         """
         return cls.custom(
-            cdf_fn=lambda x: cf.reserve_cdf(c, x),
-            pdf_fn=lambda x: cf.reserve_pdf(c, x),
+            cdf_fn=lambda x: cf.reserve_cdf(c, x, checked=True),
+            pdf_fn=lambda x: cf.reserve_pdf(c, x, checked=True),
             breakpoints=(c.a,),
         )
 

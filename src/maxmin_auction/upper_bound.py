@@ -1,4 +1,4 @@
-"""Revenue caps over all incentive-compatible mechanisms, via two LPs.
+"""Revenue caps over all incentive-compatible mechanisms.
 
 ``reduced_form_bound`` is the upper bound
 -----------------------------------------
@@ -17,10 +17,15 @@ is scale-free down to subnormal a.  Its optimum is a r (2 - a r): every
 posted price e_{j+1} earns a r, so only the two value-1 types have a
 positive ironed virtual value.  That exceeds g by about g ln(1/a)/n, so no
 fixed n gives a fixed relative gap at every mu: at n = 50 it is 3.1% at
-mu = 0.5, 61% at mu = 1e-9 and a factor of about 1e6 at mu = 1e-300.  The
-bound it returns is weak duality on HiGHS's marginals, safe against the
-solver's tolerances and against the rounding of its own sums, for the LP as
-stored; the rounding of that LP's coefficients is not covered.
+mu = 0.5, 61% at mu = 1e-9 and a factor of about 1e6 at mu = 1e-300.
+
+The bound needs no solver.  The LP's optimal multipliers and its optimal
+point are both closed forms in r, built in O(n).  Weak duality holds for any
+multipliers once every column is boxed (Neumaier & Shcherbina, Math.
+Program. 99(2), 2004), so the multipliers give a bound that is safe against
+the rounding of its own sums, for the LP as stored; the rounding of that
+LP's coefficients is not covered.  The point's value is reported once its
+residuals are checked.
 
 ``lp_max_revenue`` builds the dumped mechanism
 ----------------------------------------------
@@ -70,25 +75,15 @@ from .quadrature import exact_sum
 
 __all__ = ["DiscreteDirectMechanism", "ReducedFormBound", "lp_max_revenue", "reduced_form_bound"]
 
-# HiGHS's primal and dual feasibility tolerances for the reduced-form LP, at
-# HiGHS's floor.  At the default 1e-7 the solver meets the Border rows of the
-# value-1 types, whose right-hand sides lie O(a) below the unit boxes, at the
-# boxes instead once a falls below the tolerance (``reduced_form_bound``).
-_HIGHS_TOL = 1e-10
-# (method, presolve) in the order tried until one succeeds.  Over 3,000
-# random (mu, n) pairs the dual simplex without presolve failed a refinement
-# step at about 3% of them and the first solve at about 0.1%, mostly near
-# mu = 1; presolve or interior point then succeeded but for one step in
-# 3,000 (the corner points of tests/test_upper_bound.py).
-_HIGHS_SETTINGS = (("highs-ds", False), ("highs-ds", True), ("highs-ipm", False))
-# Caps on the scale factors of the refinement steps.  The primal step scales
-# its right-hand sides and boxes, and at 2^40 the dual simplex failed on some
-# mu near 1 (at 2^20 one point kept a 3.7e-9 excess); the dual step scales
-# only its objective.
-_MAX_PRIMAL_SCALE = 2.0**30
-_MAX_DUAL_SCALE = 2.0**40
 _UNIT_ROUNDOFF = 2.0**-53
 _LEAST_SUBNORMAL = 2.0**-1074
+# The closed-form point may miss a row or a box by rounding alone: by at most
+# _PRIMAL_ULPS + ln(1/a) units of roundoff times the row's magnitude
+# |A| |x| + |b| (1 for a box), plus one least subnormal per entry.  The
+# ln(1/a) is the rounding of k t in the coefficients exp(k t), which at n = 1
+# leaves the top cell's Border row up to ln(1/a)/2 units off the point; over
+# about 2,700 other (mu, n) pairs, n up to 1e5, the worst miss was 2 units.
+_PRIMAL_ULPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -134,18 +129,24 @@ class ReducedFormBound:
 
     ``safe_bound`` is the certified upper bound on the LP's optimum, and so on
     the best revenue of any mechanism against the worst-case signal law.
-    ``lp_optimum`` is HiGHS's primal value, which the solver's tolerances can
-    put on either side of the true optimum.  ``rounded_up_bound`` is the
-    LP's exact optimum a r (2 - a r), for comparison only.  ``status`` and
-    ``nit`` are HiGHS's.
+    ``lp_optimum`` is the value of the LP's closed-form optimal point.
+    ``rounded_up_bound`` is the LP's exact optimum a r (2 - a r), for
+    comparison only.  ``unit`` is a r, the LP's unit of revenue, and
+    ``safe_units`` the certified bound in that unit, before the product with
+    a r that rounds to the subnormal grid once a r is subnormal.
     """
 
     lp_optimum: float
     safe_bound: float
     rounded_up_bound: float
     n: int
-    status: int
-    nit: int
+    unit: float
+    safe_units: float
+
+    def certifies(self, guarantee: float, rtol: float) -> bool:
+        """guarantee <= safe bound <= a r (2 - a r) (1 + rtol), compared in
+        units of a r, where no product with a r rounds."""
+        return guarantee / self.unit <= self.safe_units <= (2.0 - self.unit) * (1.0 + rtol)
 
 
 def reduced_form_bound(a: float, n: int) -> ReducedFormBound:
@@ -164,12 +165,11 @@ def reduced_form_bound(a: float, n: int) -> ReducedFormBound:
         chain       sigma_k - (p_k/q_k) Q_k - (q_{k+1}/q_k) sigma_{k+1} = 0
 
     for adjacent types lo = hi - 1, with v_lo/v_hi = q_{k+1}/q_k = 1/r and
-    p_k/q_k = 1 - 1/r below the top (1 and 1 at the two value-1 types n - 1
-    and n, with no sigma_{n+1}).  The objective is
-    2 sum of (p_k v_k / (a r)) tau_k, with weights 1 - 1/r below the top and
-    1/r at the atom, so the LP's optimum times a r is the revenue.  Weights
-    of r - 1 (revenue per a) reach 1e6 at mu = 1e-300, n = 50, and HiGHS's
-    dual errors grow with them.  That is 5n + 3 rows and about 12n nonzeros.
+    p_k/q_k = 1 - 1/r below the top (v_lo/v_hi = 1 between the two value-1
+    types n - 1 and n, and p_n/q_n = 1 with no sigma_{n+1}).  The objective
+    is 2 sum of (p_k v_k / (a r)) tau_k, with weights 1 - 1/r below the top
+    and 1/r at the atom, so the LP's optimum times a r is the revenue.  That
+    is 5n + 3 rows and about 12n nonzeros.
 
     Border's condition (Border, Econometrica 59(4), 1991) for two symmetric
     bidders is 2 sum over S of p_j Q_j <= 1 - (1 - P(S))^2 for every set S of
@@ -182,11 +182,11 @@ def reduced_form_bound(a: float, n: int) -> ReducedFormBound:
     tau >= 0 at every optimum by that same binding argument.
 
     The safe bound is weak duality (Neumaier & Shcherbina, Math. Program.
-    99(2), 2004).  With HiGHS's marginals y_ub clipped to <= 0 and y_eq, and
+    99(2), 2004).  With multipliers y_ub clipped to <= 0 and y_eq, and
     d = c - A_ub^T y_ub - A_eq^T y_eq, every feasible x has
     c^T x >= y_ub^T b_ub + sum of min(0, d_j) over the unit boxes (b_eq = 0),
-    whatever the solver's tolerances; the maximum is minus that, times a r.
-    Each d_j is a dot product of at most m = 1 + (column count) terms, so its
+    whatever the multipliers; the maximum is minus that, times a r.  Each
+    d_j is a dot product of at most m = 1 + (column count) terms, so its
     rounding error is at most gamma_m (|c_j| + |A|^T |y|)_j plus m halves of
     the least subnormal (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, section 3.1), with gamma_m = m u / (1 - m u); each
@@ -194,113 +194,102 @@ def reduced_form_bound(a: float, n: int) -> ReducedFormBound:
     Twice those allowances are subtracted as terms of their own, the terms
     are added by ``exact_sum``, and the sum and the products with a r are
     each moved one ulp outward.  The bound holds for the LP as stored, whose
-    coefficients are the closed forms in r, each rounded once.
+    coefficients are the closed forms in r as rounded.
 
-    HiGHS runs at the feasibility tolerances _HIGHS_TOL: the dual simplex
-    without presolve, then with it, then interior point, until one succeeds
-    (_HIGHS_SETTINGS).  One solve is not enough.  The Border rows of the
-    value-1 types (right-hand sides 1 - q/2) lie O(a r) inside the unit boxes
-    and their neighbouring rows, and where a r / 2 is below the tolerance
-    the solver took those rows as met at the boxes: the primal and the dual
-    bound read up to a r / 2 relative high (4e-8 at mu = 1e-6 at HiGHS's
-    default 1e-7, 3.2e-11 at mu = 1e-9 at 1e-10).  Near mu = 1 the chain of
-    IC rows took up to 1e-10 of slack per row (1e-8 relative at
-    1 - mu = 5e-9); with r near 1e9 (n = 10, mu near 1e-90) the reduced
-    costs were off by 1e-9, and near mu = 1 the multipliers sat on rows
-    that do not bind (3.7e-9).  So each side gets one step of iterative
-    refinement (Gleixner, Steffy & Wolter, INFORMS J. Comput. 28(3), 2016),
-    a solve whose residuals are scaled up by the power of two that brings
-    the largest to about 1, so that the solver's tolerances act on the
-    residuals and not on the solution:
+    The multipliers are the LP's optimal ones: -2 on every IC row but the
+    last, which has -2/r, -2 on BIR row 0 and on Border row n - 1, +2 and
+    +2/r on chain rows n - 1 and n, and 0 on every other row.  Every reduced
+    cost d_j is then 0 in exact arithmetic, and the dual value is
+    -(2 - q_{n-1}) = -(2 - a r).  So the safe bound exceeds a r (2 - a r) by
+    the rounding allowance alone, which is about 8 gamma_7 for each of the
+    2n Q and tau columns that the IC rows reach, so it grows as n.  Relative
+    to a r (2 - a r) it measured 3.2e-13 to 6.5e-13 at n = 50, 6.2e-12 to
+    1.25e-11 at n = 1000, 6.2e-10 to 1.25e-9 at n = 1e5 and 6.2e-9 to
+    1.25e-8 at n = 1e6, the high end near mu = 1; from about n = 1e5 up it
+    alone exceeds the 1e-9 of ``verify``'s check.  Building and checking
+    both sides takes about 0.1 ms at n = 50 and 50 ms at n = 1e5.
 
-    * the primal step is the LP for the step from the first point, with
-      right-hand sides and boxes scaled by at most 2^30;
-    * the dual step is the LP with the refined multipliers y priced in: the
-      inequality rows become equalities with slack columns t >= 0, the cost
-      is (c - A^T y) on x and -y on t, both scaled by at most 2^40.  On the
-      feasible set that cost is c^T x less a constant, so its optimum is the
-      LP's, and its multipliers, divided by the scale, correct y; the slack
-      prices let a multiplier shrink to 0 but not change sign.
-
-    The dual step alone, priced from the first solve's marginals, is not
-    enough: near mu = 1 its bound read up to 6.8e-9 above a r (2 - a r) and
-    the first solve's primal 3.9e-8 off.  If a step fails, the bounds of the
-    solves before it stand; the safe bound is the least of them.  Measured over about 5,000 (mu, n) pairs
-    with n in {10, 25, 50, 64, 150}, and 8 at n = 1000: the primal is within
-    1.1e-12 of a r (2 - a r) (within 1e-15 at most points), and the safe
-    bound at most 7.3e-11 above it.  The three solves take about 20 ms at
-    n = 50 and up to 2.3 s at n = 1000.
+    The point is the hierarchical allocation: only the two value-1 types are
+    served, the atom beats the top cell, and equal types split.  Q_k = tau_k
+    = 0 below type n - 1, Q_{n-1} = tau_{n-1} = 1 - a (r + 1)/2 and
+    Q_n = tau_n = 1 - a/2; sigma follows from the chain rows, sigma_n = Q_n,
+    sigma_{n-1} = (1 - 1/r) Q_{n-1} + sigma_n / r = 1 - a r/2 (on its Border
+    row) and sigma_k = r^-(n-1-k) sigma_{n-1} below.  Its value is 2 - a r,
+    the dual value, so both are optimal.  The form 1 - a (r + 1)/2 is the one
+    that does not cancel as r nears 1.  ``lp_optimum`` is the point's value
+    times a r, reported only once every row and box of the point holds
+    within its rounding allowance (_PRIMAL_ULPS); otherwise
+    ConvergenceError.
     """
     if not 0.0 < a < 1.0:
         raise DomainError(f"the atom a must lie in (0, 1), got {a}")
     if n < 1:
         raise DomainError(f"the reduced-form LP needs at least 1 cell, got {n}")
     t = math.log(a) / n  # ln(1/r); r = exp(-t) never overflows, unlike (1/a)**(1/n)
-    r = math.exp(-t)
     lp = _ReducedFormLp.build(t, n)
-    no_eq = np.zeros(n + 1)
-
-    first = lp.solve(lp.cost, lp.b_ub, no_eq, (0.0, 1.0))
-    # the primal step: the LP for the step from the first point
-    x0 = first.x
-    slack_ub = lp.b_ub - lp.a_ub @ x0
-    slack_eq = -(lp.a_eq @ x0)
-    scale = _refinement_scale(-slack_ub, abs(slack_eq), -x0, x0 - 1.0, cap=_MAX_PRIMAL_SCALE)
-    try:
-        final = lp.solve(
-            lp.cost,
-            scale * slack_ub,
-            scale * slack_eq,
-            np.column_stack((-scale * x0, scale * (1.0 - x0))),
-        )
-    except ConvergenceError:
-        final, x, nit = first, x0, first.nit  # the first solve's bound still holds
-    else:
-        x, nit = x0 + final.x / scale, first.nit + final.nit
-    # the dual step: the LP with the refined multipliers priced in
-    y_ub = np.minimum(final.ineqlin.marginals, 0.0)
-    y_eq = final.eqlin.marginals
-    duals = [(first.ineqlin.marginals, first.eqlin.marginals), (y_ub, y_eq)]
-    reduced = lp.cost - lp.a_ub.T @ y_ub - lp.a_eq.T @ y_eq
-    violation = np.concatenate((-reduced[x < 1.0 - _HIGHS_TOL], reduced[x > _HIGHS_TOL]))
-    dual_scale = _refinement_scale(violation, cap=_MAX_DUAL_SCALE)
-    try:
-        step = lp.solve_priced(dual_scale * reduced, -dual_scale * y_ub)
-    except ConvergenceError:
-        pass  # the bounds of the solves before it still hold
-    else:
-        nit += step.nit
-        rows = lp.b_ub.size
-        z = step.eqlin.marginals / dual_scale
-        duals.append((y_ub + z[:rows], y_eq + z[rows:]))
-
-    dual_value = max(lp.dual_bound(y_ub, y_eq) for y_ub, y_eq in duals)
+    x = _hierarchical_point(a, t, n)
+    excess = lp.primal_excess(x, (_PRIMAL_ULPS - math.log(a)) * _UNIT_ROUNDOFF)
+    if excess > 0.0:
+        raise ConvergenceError(f"the closed-form LP point misses a row or box by {excess:.3g} beyond rounding")
+    safe_units = -lp.dual_bound(*_closed_form_multipliers(t, n))
+    unit = a * math.exp(-t)
     return ReducedFormBound(
-        lp_optimum=-float(lp.cost @ x) * (a * r),
-        safe_bound=math.nextafter(-dual_value * math.nextafter(a * r, math.inf), math.inf),
-        rounded_up_bound=a * r * (2.0 - a * r),
+        lp_optimum=-float(lp.cost @ x) * unit,
+        safe_bound=math.nextafter(safe_units * math.nextafter(unit, math.inf), math.inf),
+        rounded_up_bound=unit * (2.0 - unit),
         n=n,
-        status=int(final.status),
-        nit=int(nit),
+        unit=unit,
+        safe_units=safe_units,
     )
+
+
+def _closed_form_multipliers(t: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The LP's optimal multipliers (y_ub, y_eq), in ``_ReducedFormLp.build``'s
+    row order (``reduced_form_bound``)."""
+    inv_r = math.exp(t)
+    y_ub = np.zeros(4 * n + 2)
+    y_ub[:n] = -2.0  # IC
+    y_ub[n - 1] = -2.0 * inv_r
+    y_ub[2 * n] = -2.0  # BIR row 0
+    y_ub[4 * n] = -2.0  # Border row n - 1
+    y_eq = np.zeros(n + 1)
+    y_eq[n - 1:] = (2.0, 2.0 * inv_r)  # chain rows n - 1 and n
+    return y_ub, y_eq
+
+
+def _hierarchical_point(a: float, t: float, n: int) -> np.ndarray:
+    """The LP's closed-form optimal point, columns Q | tau | sigma
+    (``reduced_form_bound``)."""
+    r, inv_r = math.exp(-t), math.exp(t)
+    big_n = n + 1
+    top_cell, atom = 1.0 - a * (r + 1.0) / 2.0, 1.0 - a / 2.0
+    x = np.zeros(3 * big_n)
+    x[n - 1:big_n] = x[big_n + n - 1:2 * big_n] = (top_cell, atom)
+    sigma_top = -math.expm1(t) * top_cell + inv_r * atom  # chain row n - 1
+    x[2 * big_n + n - 1:] = (sigma_top, atom)
+    x[2 * big_n:2 * big_n + n - 1] = sigma_top * np.power(inv_r, np.arange(n - 1, 0, -1.0))
+    return x
 
 
 @dataclass(frozen=True)
 class _ReducedFormLp:
-    """``reduced_form_bound``'s LP in scipy's form: minimize cost^T x subject
-    to a_ub x <= b_ub, a_eq x = 0 and the unit boxes; columns Q | tau | sigma."""
+    """``reduced_form_bound``'s LP: minimize cost^T x subject to
+    A_ub x <= b_ub, A_eq x = 0 and the unit boxes; columns Q | tau | sigma.
+
+    A = [A_ub; A_eq] is kept as COO triples (rows, cols, vals), with the
+    b_ub.size inequality rows first; ``shape`` is A's."""
 
     cost: np.ndarray
-    a_ub: "sparse.csr_matrix"
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int]
     b_ub: np.ndarray
-    a_eq: "sparse.csr_matrix"
-    border: np.ndarray  # the rows of a_ub that carry Border's condition
+    border: np.ndarray  # the rows of A_ub that carry Border's condition
 
     @classmethod
     def build(cls, t: float, n: int) -> "_ReducedFormLp":
         """The LP on n cells, from t = ln(1/r) = ln(a)/n."""
-        from scipy import sparse
-
         inv_r = math.exp(t)
         big_n = n + 1
         k = np.arange(big_n)
@@ -311,6 +300,9 @@ class _ReducedFormLp:
         ic, mono = lo, n + lo
         bir = 2 * n + k
         border = 2 * n + big_n + k
+        chain = 2 * n + 2 * big_n + k
+        share = np.full(big_n, -math.expm1(t))  # p_k / q_k
+        share[-1] = 1.0
         one = np.ones(big_n)
         entries = [
             (ic, lo, one[:-1]),
@@ -322,94 +314,56 @@ class _ReducedFormLp:
             (bir, big_t + k, one),
             (bir, k, -one),
             (border, big_s + k, one),
+            (chain, big_s + k, one),
+            (chain, k, -share),
+            (chain[:-1], big_s + hi, np.full(n, -inv_r)),
         ]
         rows, cols, vals = map(np.concatenate, zip(*entries))
-        a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * n + 2 * big_n, 3 * big_n))
-        b_ub = np.zeros(a_ub.shape[0])
+        b_ub = np.zeros(chain[0])
         b_ub[border] = 1.0 - 0.5 * np.exp(k * t)  # 1 - q_k/2
-
-        share = np.full(big_n, -math.expm1(t))  # p_k / q_k
-        share[-1] = 1.0
-        entries = [(k, big_s + k, one), (k, k, -share), (lo, big_s + hi, np.full(n, -inv_r))]
-        rows, cols, vals = map(np.concatenate, zip(*entries))
-        a_eq = sparse.csr_matrix((vals, (rows, cols)), shape=(big_n, 3 * big_n))
 
         cost = np.zeros(3 * big_n)
         cost[big_t:big_s] = 2.0 * math.expm1(t)  # -2 (1 - 1/r)
         cost[big_s - 1] = -2.0 * inv_r
-        return cls(cost, a_ub, b_ub, a_eq, border)
+        return cls(cost, rows, cols, vals, (5 * n + 3, cost.size), b_ub, border)
 
-    def solve(self, objective, rhs_ub, rhs_eq, bounds):
-        """The LP with this objective, right-hand sides and boxes."""
-        return _highs(objective, A_ub=self.a_ub, b_ub=rhs_ub, A_eq=self.a_eq, b_eq=rhs_eq, bounds=bounds)
+    def primal_excess(self, x: np.ndarray, rtol: float) -> float:
+        """How far x misses its worst row or box beyond rtol times the row's
+        magnitude and a least subnormal per entry; at most 0 if all hold."""
+        terms = self.vals * x[self.cols]
+        n_rows, ineq = self.shape[0], self.b_ub.size
+        ax = np.bincount(self.rows, terms, minlength=n_rows)
+        size = np.bincount(self.rows, np.abs(terms), minlength=n_rows)
+        size[:ineq] += np.abs(self.b_ub)
+        miss = np.concatenate((ax[:ineq] - self.b_ub, np.abs(ax[ineq:]), np.maximum(-x, x - 1.0)))
+        allowance = rtol * np.concatenate((size, np.ones(x.size)))
+        allowance[:n_rows] += np.bincount(self.rows, minlength=n_rows) * _LEAST_SUBNORMAL
+        return float(np.max(miss - allowance))
 
-    def solve_priced(self, reduced: np.ndarray, slack_cost: np.ndarray):
-        """The LP as equalities, a_ub x + t = b_ub and a_eq x = 0, with slack
-        columns t >= 0 of cost ``slack_cost`` and cost ``reduced`` on x."""
-        from scipy import sparse
-
-        rows, cols = self.a_ub.shape
-        a_eq = sparse.vstack(
-            (
-                sparse.hstack((self.a_ub, sparse.identity(rows, format="csr"))),
-                sparse.hstack((self.a_eq, sparse.csr_matrix((self.a_eq.shape[0], rows)))),
-            ),
-            format="csr",
-        )
-        bounds = np.zeros((cols + rows, 2))
-        bounds[:cols, 1] = 1.0
-        bounds[cols:, 1] = np.inf
-        return _highs(
-            np.concatenate((reduced, slack_cost)),
-            A_eq=a_eq,
-            b_eq=np.concatenate((self.b_ub, np.zeros(self.a_eq.shape[0]))),
-            bounds=bounds,
-        )
+    def reduced_costs(self, y_ub: np.ndarray, y_eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d = c - A^T y on y_ub clipped to <= 0, and twice the bound on each
+        d_j's rounding error (``reduced_form_bound``)."""
+        y = np.concatenate((np.minimum(y_ub, 0.0), y_eq))
+        terms = self.vals * y[self.rows]
+        n_cols = self.shape[1]
+        reduced = self.cost - np.bincount(self.cols, terms, minlength=n_cols)
+        size = np.abs(self.cost) + np.bincount(self.cols, np.abs(terms), minlength=n_cols)
+        m = 1 + int(np.max(np.bincount(self.cols, minlength=n_cols)))
+        gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
+        return reduced, 2.0 * gamma * size + m * _LEAST_SUBNORMAL
 
     def dual_bound(self, y_ub: np.ndarray, y_eq: np.ndarray) -> float:
         """Weak duality on the multipliers y_ub (clipped to <= 0) and y_eq: a
         lower bound on the minimum, rounding-safe (``reduced_form_bound``)."""
-        a_ub, a_eq = self.a_ub, self.a_eq
-        y_ub = np.minimum(y_ub, 0.0)
-        reduced = self.cost - a_ub.T @ y_ub - a_eq.T @ y_eq
-        size = abs(self.cost) + abs(a_ub).T @ abs(y_ub) + abs(a_eq).T @ abs(y_eq)
-        m = 1 + int(np.max(a_ub.getnnz(axis=0) + a_eq.getnnz(axis=0)))
-        gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
-        border_terms = y_ub[self.border] * self.b_ub[self.border]
+        reduced, allowance = self.reduced_costs(y_ub, y_eq)
+        border_terms = np.minimum(y_ub[self.border], 0.0) * self.b_ub[self.border]
         terms = (
             np.minimum(reduced, 0.0),
-            -(2.0 * gamma * size + m * _LEAST_SUBNORMAL),
+            -allowance,
             border_terms,
             -(2.0 * _UNIT_ROUNDOFF * abs(border_terms) + _LEAST_SUBNORMAL),
         )
         return math.nextafter(exact_sum(np.concatenate(terms)), -math.inf)
-
-
-def _highs(objective, **lp):
-    """``linprog`` under each of _HIGHS_SETTINGS until one succeeds."""
-    for method, presolve in _HIGHS_SETTINGS:
-        res = linprog(
-            objective,
-            **lp,
-            method=method,
-            options={
-                "presolve": presolve,
-                "primal_feasibility_tolerance": _HIGHS_TOL,
-                "dual_feasibility_tolerance": _HIGHS_TOL,
-            },
-        )
-        if res.success:
-            return res
-    raise ConvergenceError(f"LP solver failed: {res.message}")
-
-
-def _refinement_scale(*violations: np.ndarray, cap: float) -> float:
-    """The power of two, in [1, cap], that brings the largest violation up to
-    about 1; ``cap`` when nothing is violated."""
-    worst = max(float(v.max(initial=0.0)) for v in violations)
-    if worst <= 0.0:
-        return cap
-    return min(cap, max(1.0, math.ldexp(1.0, -math.frexp(worst)[1])))
 
 
 def _quantile_grid(n: int) -> np.ndarray:

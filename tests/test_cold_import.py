@@ -2,7 +2,8 @@
 
 ``import maxmin_auction`` loads numpy and nothing from scipy; ``spence``,
 ``isotonic_regression``, ``scipy.sparse`` and ``linprog`` are imported inside
-the functions that use them, and ``concurrent.futures`` inside the Monte
+the functions that use them (the last two only by the cell LP behind
+``upper-bound --dump-mechanism``), and ``concurrent.futures`` inside the Monte
 Carlo run that starts a thread pool.  ``csvrows``, the CSV row formatter,
 is imported by the first ``write_cdf_csv`` call.  Each case runs in a fresh
 interpreter, since the test process itself has long since imported scipy.
@@ -69,13 +70,21 @@ def test_package_import_loads_no_scipy():
     [
         (("adversary", "--mu", "0.5", "--grid-k", "500"), set()),
         (("simulate", "--mu", "0.5", "--samples", "1000", "--seed", "1"), {"scipy.special"}),
-        (("verify", "--mu", "0.5", "--seed", "7"), set(SCIPY)),
+        (("verify", "--mu", "0.5", "--seed", "7"), {"scipy.special"}),
+        (("upper-bound", "--mu", "0.5", "--grid-n", "50"), set()),
     ],
-    ids=["adversary", "simulate", "verify"],
+    ids=["adversary", "simulate", "verify", "upper-bound"],
 )
 def test_command_loads_only_what_it_calls(argv, expected):
     # scipy.special itself loads concurrent.futures
     assert loaded_modules(*argv) & set(SCIPY) == expected
+
+
+# only the dumped mechanism's cell LP calls the solver
+def test_dump_mechanism_may_load_the_solver(tmp_path):
+    dump = str(tmp_path / "mech.json")
+    loaded = loaded_modules("upper-bound", "--mu", "0.5", "--grid-n", "12", "--dump-mechanism", dump)
+    assert {"scipy.optimize", "scipy.sparse"} <= loaded
 
 
 def test_mps_check_loads_no_scipy(tmp_path):

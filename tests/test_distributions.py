@@ -261,12 +261,49 @@ class TestReserve:
         for name in ("reserve_cdf", "reserve_pdf"):
             inner = getattr(constants, name)
             monkeypatch.setattr(
-                constants, name, lambda c, x, inner=inner, name=name: seen.append(name) or inner(c, x)
+                constants,
+                name,
+                lambda c, x, inner=inner, name=name, **kw: seen.append(name) or inner(c, x, **kw),
             )
         assert (h.kind, h.atoms, h.breakpoints) == ("custom", (), (c05.a,))
         assert h.cdf(0.5) == reserve_cdf(c05, 0.5)
         h.pdf(0.5)
         assert seen == ["reserve_cdf", "reserve_pdf"]
+
+    # The law checks the unit interval once, in ``cdf`` or ``pdf``, and the
+    # closed forms it calls do not check it again; each entry point keeps
+    # its own message.
+    @pytest.mark.parametrize("law", [PiecewiseCdf.reserve, reserve_with_zero_atom, reserve_with_linear_ramp])
+    def test_unit_interval_checked_once(self, c05, monkeypatch, law):
+        import maxmin_auction.distributions as dist
+
+        h = law(c05)
+        calls = []
+        real = constants._check_unit_interval
+
+        def counted(x, what):
+            calls.append(what)
+            real(x, what)
+
+        monkeypatch.setattr(constants, "_check_unit_interval", counted)
+        monkeypatch.setattr(dist, "_check_unit_interval", counted)
+        x = np.linspace(0.01, 1.0, 7)
+        h.cdf(x)
+        h.pdf(x)
+        assert calls == ["CDF argument", "density argument"]
+
+    def test_domain_messages(self, c05):
+        h = PiecewiseCdf.reserve(c05)
+        with pytest.raises(DomainError, match=r"^CDF argument must lie in \[0, 1\]$"):
+            h.cdf(-0.25)
+        with pytest.raises(DomainError, match=r"^density argument must lie in \[0, 1\]$"):
+            h.pdf(np.array([0.5, 1.5]))
+        with pytest.raises(DomainError, match="^reserve density is undefined at x = 0$"):
+            h.pdf(np.array([0.0, 0.5]))
+        with pytest.raises(DomainError, match=r"^reserve point must lie in \[0, 1\]$"):
+            reserve_cdf(c05, 1.25)
+        with pytest.raises(DomainError, match=r"^reserve point must lie in \[0, 1\]$"):
+            constants.reserve_pdf(c05, -1.0)
 
 
 class TestReserveQuantile:

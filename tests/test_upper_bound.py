@@ -56,9 +56,9 @@ def _ratio(a: float, n: int) -> float:
 
 
 class TestReducedFormBound:
-    # The LP's exact optimum on the rounded-up cells is a r (2 - a r).  After
-    # the refinement steps the primal was measured within 1.1e-12 of it, and
-    # the safe bound at most 7.3e-11 above it.
+    # The LP's exact optimum on the rounded-up cells is a r (2 - a r).  The
+    # closed-form point's value was measured within 2.3e-16 of it, and the
+    # safe bound at most 1.25e-11 above it for n <= 1000.
     @settings(max_examples=60, deadline=None)
     @given(mu=_log_uniform_mu(), n=st.sampled_from([10, 50, 64, 150]))
     def test_safe_bound_brackets_and_primal_matches_closed_form(self, mu, n):
@@ -69,7 +69,50 @@ class TestReducedFormBound:
         assert bound.rounded_up_bound == closed
         assert c.revenue_guarantee <= bound.safe_bound <= closed * (1.0 + 1e-9)
         assert abs(bound.lp_optimum - closed) <= 1e-11 * closed
-        assert (bound.n, bound.status) == (n, 0) and bound.nit > 0
+        assert bound.n == n
+        assert bound.certifies(c.revenue_guarantee, 1e-9)
+
+    # HiGHS, on the LP's own rows, finds the optimum of the closed-form point.
+    # The solver sees only the LP, not the law behind it.  Its default
+    # tolerances meet the Border rows of the value-1 types, O(a r) inside the
+    # unit boxes, at the boxes once a r is below them, which moves its
+    # optimum by up to a r / 2 relative (1.3e-8 at mu = 1.8e-8, n = 6).
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(mu=_log_uniform_mu(), n=st.sampled_from([6, 10, 25]))
+    def test_solver_finds_the_closed_form_optimum(self, mu, n):
+        from scipy import sparse
+        from scipy.optimize import linprog
+
+        a = solve_a(ModelParams(mu=mu)).a
+        t = math.log(a) / n
+        lp = ub._ReducedFormLp.build(t, n)
+        rows = sparse.csr_matrix((lp.vals, (lp.rows, lp.cols)), shape=lp.shape)
+        ineq = lp.b_ub.size
+        res = linprog(
+            lp.cost,
+            A_ub=rows[:ineq],
+            b_ub=lp.b_ub,
+            A_eq=rows[ineq:],
+            b_eq=np.zeros(lp.shape[0] - ineq),
+            bounds=(0.0, 1.0),
+            method="highs",
+        )
+        assert res.success, res.message
+        point = ub._hierarchical_point(a, t, n)
+        assert res.fun == pytest.approx(float(lp.cost @ point), rel=1e-7, abs=0.0)
+
+    # The closed-form multipliers price every column at 0 in exact
+    # arithmetic, so the computed reduced costs are rounding alone: each
+    # within half its allowance, and their negative parts sum to at least
+    # minus the whole allowance that ``dual_bound`` subtracts.
+    @pytest.mark.parametrize("n", [1, 2, 6, 50, 1000])
+    @pytest.mark.parametrize("mu", [1.0 - 1e-9, 0.5, 1e-9, 1e-300])
+    def test_reduced_costs_within_allowance(self, mu, n):
+        t = math.log(solve_a(ModelParams(mu=mu)).a) / n
+        lp = ub._ReducedFormLp.build(t, n)
+        reduced, allowance = lp.reduced_costs(*ub._closed_form_multipliers(t, n))
+        assert np.all(np.abs(reduced) <= allowance / 2.0)
+        assert math.fsum(np.minimum(reduced, 0.0)) >= -math.fsum(allowance)
 
     # Points where a single solve, or one refinement step, left the bound
     # 3e-9 to 7e-9 above the closed form; then points where the dual simplex
@@ -112,26 +155,15 @@ class TestReducedFormBound:
         gap = (r - 1.0) * (2.0 - c.a * (r + 1.0)) / (2.0 - c.a)
         assert closed / c.revenue_guarantee - 1.0 == pytest.approx(gap, rel=1e-6)
 
-    # 3(n + 1) columns and about 12n nonzeros, and every refinement solve is
-    # O(n) too: a regression to the n^2 cells of the quantile-grid LP fails
-    # at n = 1000
+    # 3(n + 1) columns, 5n + 3 rows and about 12n nonzeros: a regression to
+    # the n^2 cells of the quantile-grid LP fails at n = 1000
     @pytest.mark.parametrize("n", [50, 1000])
-    def test_linear_size(self, c05, monkeypatch, n):
-        seen = []
-        real = ub.linprog
-
-        def spy(*args, **kwargs):
-            mats = [kwargs[k] for k in ("A_ub", "A_eq") if kwargs.get(k) is not None]
-            seen.append((args[0].size, sum(m.shape[0] for m in mats), sum(m.nnz for m in mats)))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ub, "linprog", spy)
-        reduced_form_bound(c05.a, n)
-        columns, rows, nnz = seen[0]
-        assert (columns, rows) == (3 * (n + 1), 5 * n + 3)
-        assert nnz <= 13 * n
-        assert len(seen) == 3
-        assert all(columns <= 8 * (n + 1) and nnz <= 17 * n for columns, _, nnz in seen)
+    def test_linear_size(self, c05, n):
+        lp = ub._ReducedFormLp.build(math.log(c05.a) / n, n)
+        assert lp.cost.size == lp.shape[1] == 3 * (n + 1)
+        assert lp.shape[0] == 5 * n + 3
+        assert lp.rows.size == lp.cols.size == lp.vals.size <= 13 * n
+        assert lp.rows.max() < lp.shape[0] and lp.cols.max() < lp.shape[1]
 
     # The second-moment saddle has the worst-case law of a = 1 - sqrt(1 - delta),
     # whose guarantee 2a - a^2 is delta itself: the same LP bounds it above.
@@ -145,49 +177,32 @@ class TestReducedFormBound:
         with pytest.raises(DomainError):
             reduced_form_bound(a, n)
 
-    @staticmethod
-    def _failing_when(monkeypatch, fails):
-        """Rebind ``linprog`` so that the calls for which ``fails(call_index,
-        kwargs)`` holds run out of iterations; returns the calls' settings."""
-        real, calls = ub.linprog, []
+    # At a = 1.5e-323 (mu = 1e-320) a r is subnormal, and the products with
+    # it round to the subnormal grid: the bound in revenue reads 1.75e-7
+    # above a r (2 - a r).  In units of a r it is within 1e-9.
+    def test_subnormal_atom_compared_in_units_of_a_r(self):
+        c = solve_a(ModelParams(mu=1e-320))
+        assert c.a == 1.5e-323
+        bound = reduced_form_bound(c.a, 50)
+        assert bound.safe_bound > bound.rounded_up_bound * (1.0 + 1e-7)
+        assert bound.certifies(c.revenue_guarantee, 1e-9)
+        assert 2.0 - bound.unit <= bound.safe_units <= 2.0 * (1.0 + 1e-12)
 
-        def spy(*args, **kwargs):
-            if fails(len(calls), kwargs):
-                kwargs = {**kwargs, "options": {**kwargs["options"], "maxiter": 1}}
-            res = real(*args, **kwargs)
-            calls.append((kwargs["method"], kwargs["options"]["presolve"], bool(res.success)))
-            return res
+    # A point that misses a row by more than rounding is not reported: the
+    # bound raises, and the command line exits 3.
+    def test_primal_residual_above_the_bound_is_a_convergence_error(self, c05, monkeypatch, capsys):
+        real = ub._hierarchical_point
 
-        monkeypatch.setattr(ub, "linprog", spy)
-        return calls
+        def off(*args):
+            x = real(*args)
+            x[-1] += 1e-12  # sigma_n, on its Border and chain rows
+            return x
 
-    # the next settings take over a failed solve, and the bound is unchanged
-    def test_failed_setting_falls_back(self, c05, monkeypatch):
-        expected = reduced_form_bound(c05.a, 50)
-        calls = self._failing_when(monkeypatch, lambda i, kw: not kw["options"]["presolve"])
-        bound = reduced_form_bound(c05.a, 50)
-        assert calls[:2] == [("highs-ds", False, False), ("highs-ds", True, True)]
-        assert c05.revenue_guarantee <= bound.safe_bound <= bound.rounded_up_bound * (1.0 + 1e-9)
-        assert bound.lp_optimum == pytest.approx(expected.lp_optimum, rel=1e-11)
-
-    # refinement steps that fail under every setting leave the first
-    # solve's point and bound standing
-    def test_failed_refinement_keeps_first_solve(self, c05, monkeypatch):
-        calls = self._failing_when(monkeypatch, lambda i, kw: i > 0)
-        bound = reduced_form_bound(c05.a, 50)
-        assert len(calls) == 7 and [ok for *_, ok in calls] == [True] + [False] * 6
-        assert c05.revenue_guarantee <= bound.safe_bound <= bound.rounded_up_bound * (1.0 + 1e-9)
-        assert abs(bound.lp_optimum - bound.rounded_up_bound) <= 1e-11 * bound.rounded_up_bound
-
-    def test_solver_failure_is_a_convergence_error(self, c05, monkeypatch):
-        real = ub.linprog
-
-        def failing(*args, **kwargs):
-            return real(*args, **{**kwargs, "options": {**kwargs["options"], "maxiter": 1}})
-
-        monkeypatch.setattr(ub, "linprog", failing)
-        with pytest.raises(ConvergenceError):
+        monkeypatch.setattr(ub, "_hierarchical_point", off)
+        with pytest.raises(ConvergenceError, match="misses a row"):
             reduced_form_bound(c05.a, 50)
+        assert main(["upper-bound", "--mu", "0.5", "--grid-n", "50"]) == 3
+        assert capsys.readouterr().out == ""
 
 
 class TestLp:
