@@ -316,7 +316,8 @@ def minimize_revenue(
     ``constraint`` is ``"mean"`` (target defaults to ``params.mu``) or
     ``"second-moment"`` (an explicit target is required and ``params`` may be
     None).  Returns the minimizing grid CDF, the grid value of the
-    functional, and the multiplier at which the constraint binds.
+    functional, and the multiplier at which the constraint binds.  Raises
+    ConvergenceError if that value is not finite.
     """
     if K < 100:
         raise DomainError(f"grid size must be at least 100, got {K}")
@@ -407,6 +408,10 @@ def minimize_revenue(
     g_proj = np.clip(pav_nondecreasing(g_raw), 0.0, 1.0)
     projection_delta = float(np.max(np.abs(g_proj - g_raw)))
     value = exact_sum(_revenue_integrand(g_proj, h, xhp) * dx)
+    if not math.isfinite(value):
+        # a reserve density that is not finite on the grid, such as H' where
+        # (x - a)/a overflows at a subnormal a
+        raise ConvergenceError(f"the grid revenue is {value}: the reserve's density is not finite")
     grid = GridDistribution(x=x, values=g_proj)
     return AdversaryResult(
         grid=grid,

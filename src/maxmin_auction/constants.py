@@ -22,7 +22,17 @@ x = a/2 they take ln(x/a) as ln x - ln a instead: there 1 + u keeps only the
 leading bits of x/a, and it rounds to 0 once x/a < 2**-54.  The
 antiderivative of H switches to a cancellation-free dilogarithm form on the
 same branch.  H, H' and the antiderivative stay finite and non-negative down
-to the smallest subnormal.
+to the smallest subnormal x.  H and the antiderivative do so for a
+subnormal ``a`` too: where u overflows (x/a > 1.8e308) they also take ln x -
+ln a.  H' there overflows in its factor h_at_a/a.
+
+The dilogarithm is computed here, in numpy, on the same ln(x/a): the
+Bernoulli series of Li2(1 - e^-t) ('t Hooft & Veltman, Nucl. Phys. B 153,
+1979), with the inversion formula (Zagier, "The dilogarithm function", 2007)
+past x = 2a, so that the series never runs past |t| = ln 2.  It is within
+4.4e-16 of mpmath over w = x/a in [1/2, 1e300], against 3.3e-15 for
+``scipy.special.spence``, which it replaces; so the package imports no
+scipy to evaluate H or its antiderivative.
 """
 
 from __future__ import annotations
@@ -68,10 +78,28 @@ _PDF_SQUARE_CUT = 2.0**511
 # Each function runs its log1p form on the whole array and then overwrites
 # these points, so a whole-array call makes no masked copy of its input.
 _LOW_Z = 0.5
+# (ln x - ln a)/(x - a) can overflow below x = a/2 only if a/2 < 745/DBL_MAX,
+# |ln x - ln a| being at most 745 there; H checks for it below this a.
+_QUOTIENT_CUT = 1e-305
 # Below z = x/a = K_SERIES_CUT the integral of H uses its power series in z;
 # K_SERIES_TERMS terms bring the truncation error under 2**-53 there.
 _K_SERIES_CUT = 1.0 / 16.0
 _K_SERIES_TERMS = 14
+# B_2k/(2k+1)!, k = 1..9, the odd coefficients of the Bernoulli series
+# Li2(1 - e^-t) = t - t^2/4 + sum_k B_2k t^(2k+1)/(2k+1)!.  At |t| <= ln 2 the
+# first omitted term is below 1e-20 of the sum.
+_LI2_BERNOULLI = (
+    0.027777777777777776,
+    -0.0002777777777777778,
+    4.72411186696901e-06,
+    -9.185773074661964e-08,
+    1.8978869988971e-09,
+    -4.0647616451442256e-11,
+    8.921691020456452e-13,
+    -1.9939295860721074e-14,
+    4.518980029619918e-16,
+)
+_PI2_6 = math.pi**2 / 6.0
 
 
 @dataclass(frozen=True)
@@ -174,6 +202,12 @@ def _check_unit_interval(x: np.ndarray, what: str) -> None:
         raise DomainError(f"{what} must lie in [0, 1]")
 
 
+def _low_cut(a: float) -> float:
+    """The x below which the closed forms take ln x - ln a: a/2, except at
+    a = 5e-324, where a/2 rounds to 0 and x = 0 would miss the branch."""
+    return max(_LOW_Z * a, math.ulp(0.0))
+
+
 def _log_ratio_over_u(u: np.ndarray) -> np.ndarray:
     """log1p(u)/u with the removable point u = 0 filled by its series.
 
@@ -215,6 +249,50 @@ def _one_minus_log_ratio_over_u2(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bernoulli_dilog(t: np.ndarray) -> np.ndarray:
+    """Li2(1 - e^-t) for |t| <= ln 2, from its Bernoulli series.
+
+    The series is 't Hooft & Veltman's (Nucl. Phys. B 153, 1979); Horner's
+    rule sums the odd terms in t^2.
+    """
+    t2 = t * t
+    acc = np.full_like(t, _LI2_BERNOULLI[-1])
+    for coef in _LI2_BERNOULLI[-2::-1]:
+        acc *= t2
+        acc += coef
+    acc *= t
+    acc -= 0.25
+    acc *= t2
+    acc += t
+    return acc
+
+
+def _dilog_one_minus(log_w: np.ndarray, inv_w: np.ndarray) -> np.ndarray:
+    """Li2(1 - w) for w >= 1/2, given ln w and 1/w.
+
+    Up to w = 2 it is the Bernoulli series at t = -ln w.  Past w = 2 the
+    inversion Li2(1 - w) = -pi^2/6 - ln^2(w - 1)/2 - Li2(1/(1 - w)) (Zagier,
+    "The dilogarithm function", 2007) turns it into the series at
+    v = -ln(1 - 1/w), in (0, ln 2]:
+
+        Li2(1 - w) = Li2(1 - e^-v) + ln w (v - ln w / 2) - pi^2/6.
+
+    So the series never runs past |t| = ln 2, and 1/w enters only through
+    log1p, which keeps it finite where w itself overflows.  The branch is
+    taken by arithmetic, not by masks: ``far`` is 1.0 past w = 2 and 0.0
+    elsewhere, so far*v - (1 - far)*ln w is v or -ln w exactly, and far
+    times the inversion's terms adds an exact zero up to w = 2.  Masked
+    copies of a random half of the points cost twice the whole call.
+    """
+    far = (inv_w < 0.5).astype(log_w.dtype)
+    v = -np.log1p(-np.minimum(inv_w, 0.5))
+    out = _bernoulli_dilog(far * v - (1.0 - far) * log_w)
+    rest = log_w * (v - 0.5 * log_w) - _PI2_6
+    rest *= far
+    out += rest
+    return out
+
+
 def _scaled_integral_below_half_a(x: np.ndarray, a: float) -> np.ndarray:
     """K(x)/h_at_a for 0 < x < a/2, free of cancellation (nan at x = 0).
 
@@ -226,8 +304,6 @@ def _scaled_integral_below_half_a(x: np.ndarray, a: float) -> np.ndarray:
     Below z = 1/16 both brackets come from their series,
     z + ln(1-z) = -z^2 sum_j z^j/(j+2) and Li2(z) - z = z^2 sum_j z^j/(j+2)^2.
     """
-    from scipy.special import spence
-
     z = x / a
     log_z = np.log(x) - math.log(a)
     out = np.empty_like(z)
@@ -241,7 +317,8 @@ def _scaled_integral_below_half_a(x: np.ndarray, a: float) -> np.ndarray:
     # x last: where K is subnormal this rounds once, so K stays monotone
     out[tiny] = x[tiny] * (zt * (li2_rest - lt * neg_log1m))
     zd, ld = z[~tiny], log_z[~tiny]
-    out[~tiny] = a * (ld * (zd + np.log1p(-zd)) + (spence(1.0 - zd) - zd))
+    log_1mz = np.log1p(-zd)
+    out[~tiny] = a * (ld * (zd + log_1mz) + (_bernoulli_dilog(-log_1mz) - zd))
     return out
 
 
@@ -253,21 +330,32 @@ def reserve_cdf(c: SolvedConstants, x, *, checked: bool = False):
     to at most 1 and H(1) = 1 is pinned, since near x = 1 the formula can
     miss 1 by an ulp or two on either side.  Below x = a/2 the log1p form is
     overwritten by h_at_a * x (ln x - ln a)/(x - a), with x taken first so
-    that a subnormal x meets no subnormal intermediate.  ``checked`` skips
-    the check that x lies in [0, 1], for a caller that has made it.
+    that a subnormal x meets no subnormal intermediate.  So is it where
+    u = (x - a)/a overflows, which a subnormal a brings about from x/a =
+    1.8e308 up.  Where the quotient (ln x - ln a)/(x - a) overflows in turn
+    (x - a below about 4e-306, so a below about 8e-306), x/(x - a) is normal
+    and is taken first instead.  ``checked`` skips the check that x lies in
+    [0, 1], for a caller that has made it.
     """
     arr, scalar = _as_array(x)
     if not checked:
         _check_unit_interval(arr, "reserve point")
     a = c.a
-    u = (arr - a) / a
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = (arr - a) / a
         # asarray: a 0-d input comes back from the ufuncs as a numpy scalar
         out = np.asarray(c.h_at_a * (arr / a) * _log_ratio_over_u(u))
-        low = arr < _LOW_Z * a
+        low = arr < _low_cut(a)
+        if a < sys.float_info.min:  # u overflows for a subnormal a alone
+            low |= u == np.inf
         if low.any():
             xl = arr[low]
-            out[low] = c.h_at_a * (xl * ((np.log(xl) - math.log(a)) / (xl - a)))
+            log_z, gap = np.log(xl) - math.log(a), xl - a
+            scaled = xl * (log_z / gap)
+            if a < _QUOTIENT_CUT:
+                past = np.isinf(scaled)
+                scaled[past] = (xl[past] / gap[past]) * log_z[past]
+            out[low] = c.h_at_a * scaled
             out[arr == 0.0] = 0.0
         np.minimum(out, 1.0, out=out)
         out[arr == 1.0] = 1.0
@@ -294,7 +382,7 @@ def reserve_pdf(c: SolvedConstants, x, *, checked: bool = False):
     u = (arr - a) / a
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.asarray((c.h_at_a / a) * _one_minus_log_ratio_over_u2(u))
-    low = arr < _LOW_Z * a
+    low = arr < _low_cut(a)
     if low.any():
         xl, ul = arr[low], u[low]
         out[low] = (c.h_at_a / a) * ((ul - (np.log(xl) - math.log(a))) / (ul * ul))
@@ -309,32 +397,38 @@ def reserve_cdf_integral(c: SolvedConstants, x):
 
         K(x) = h_at_a * (x ln(x/a) - x - a Li2(1 - x/a) + a pi^2/6),
 
-    with Li2(1 - x/a) = spence(x/a).  That form is used from x = a/2 up.
-    Below it its terms, each O(x ln x) or a pi^2/6, cancel down to
-    K = O(x^2 ln x), so there K comes from the reflected dilogarithm form (a
-    power series in x/a below x = a/16) of ``_scaled_integral_below_half_a``.
-    Measured against mpmath, the relative error is at most about 1e-14 (set
-    by the ``spence`` terms) down to where K underflows.  It is the integral
-    in ``mechanism.winner_payment``, through which every winner payment
-    goes.  The tests check it against quadrature and against 40-digit
-    values.
+    with ln(x/a) = log1p((x - a)/a), or ln x - ln a where (x - a)/a
+    overflows, and Li2(1 - x/a) from ``_dilog_one_minus`` on that same
+    logarithm and a/x: the Bernoulli series up to x = 2a, its inversion
+    past it.  That form is used from x = a/2 up.  Below it its terms, each
+    O(x ln x) or a pi^2/6, cancel down to K = O(x^2 ln x), so there K comes
+    from the reflected dilogarithm form (a power series in x/a below
+    x = a/16) of ``_scaled_integral_below_half_a``.  Measured against
+    mpmath, the relative error is at most 2.5e-15 from x = a/2 up (it was
+    9.3e-15 with ``scipy.special.spence``).  Below a/2 it is set by
+    ln x - ln a, whose error of about |ln a| 2**-53 is up to 6e-14 relative
+    at a = 1.4e-303, down to where K underflows.  It is the integral in
+    ``mechanism.winner_payment``, through which every winner payment goes.
+    The tests check it against quadrature and against 40-digit values.
     """
-    from scipy.special import spence
-
     arr, scalar = _as_array(x)
     _check_unit_interval(arr, "reserve point")
     a = c.a
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_z = np.asarray(np.log1p((arr - a) / a))
+        if a < sys.float_info.min:  # (x - a)/a overflows for a subnormal a alone
+            beyond = log_z == np.inf
+            log_z[beyond] = np.log(arr[beyond]) - math.log(a)
         out = np.asarray(
             c.h_at_a
             * (
-                arr * np.log1p((arr - a) / a)
+                arr * log_z
                 - arr
-                - a * spence(arr / a)
+                - a * _dilog_one_minus(log_z, a / arr)
                 + a * np.pi**2 / 6.0
             )
         )
-        low = arr < _LOW_Z * a
+        low = arr < _low_cut(a)
         if low.any():
             out[low] = c.h_at_a * _scaled_integral_below_half_a(arr[low], a)
             out[arr == 0.0] = 0.0

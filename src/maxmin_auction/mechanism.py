@@ -22,13 +22,13 @@ squared deviations into running totals with the pairwise update of Chan,
 Golub & LeVeque ("Algorithms for computing the sample variance", Amer.
 Statist. 37(3), 1983).  No full-length array is ever held, so memory does
 not grow with the sample count: ``simulate --samples 1e7`` peaks at about
-64.5 MB RSS, with each worker thread running its kernels on slices of
+48.4 MB RSS, with each worker thread running its kernels on slices of
 ``_MC_SLICE`` = 32768 rows.
 
 The chunks are independent -- Philox is counter-based (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011), so a chunk's draws
-depend on (seed, start) alone -- and their kernels run in numpy and
-``scipy.special.spence``, which release the GIL.  ``mc_revenue`` therefore
+depend on (seed, start) alone -- and their kernels run in numpy, whose
+array operations release the GIL.  ``mc_revenue`` therefore
 maps them over a thread pool with one worker per CPU the process may use,
 but never fewer than ``_MC_CHUNKS_PER_WORKER`` chunks per worker; a run too
 short for two workers, such as ``verify``'s, stays on the calling thread.

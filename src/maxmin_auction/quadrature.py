@@ -141,7 +141,9 @@ def adaptive_simpson(
     and ``hi`` broadcast, a scalar pair gives a float and arrays an array.
     Reversed bounds flip the sign, and ``lo == hi`` gives 0 without
     evaluating ``f``.  Raises ConvergenceError if the depth budget runs out
-    while a local error estimate still exceeds its share of ``tol``.
+    while a local error estimate still exceeds its share of ``tol``, and at
+    once where an estimate is not finite: such a node never meets its
+    tolerance, and every level doubles it and its kin until memory runs out.
     """
     lo_arr, hi_arr = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
     out = np.zeros(lo_arr.shape)
@@ -160,6 +162,9 @@ def adaptive_simpson(
             left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
             right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
             delta = left + right - whole
+            if not np.isfinite(delta).all():
+                k = np.flatnonzero(~np.isfinite(delta))[0]
+                raise ConvergenceError(f"adaptive Simpson: integrand not finite on [{a[k]}, {b[k]}]")
             done = (np.abs(delta) <= 15.0 * eps) | (b - a < 1e-14)
             split = np.flatnonzero(~done)
             levels.append((np.where(done, left + right + delta / 15.0, 0.0), split))

@@ -13,6 +13,10 @@ evaluated from their defining formulas at 70 working digits,
     K(x)  = integral of H over [0, x]
           = x^2 * integral over w in [0, inf) of R(x e^-w) e^-2w.
 
+It also prints the dilogarithm Li2(1 - w) that K is built on, at the doubles
+w in LI2_W, from mpmath's polylog; past w = 2 that value must agree with
+the inversion -pi^2/6 - ln^2(w - 1)/2 - Li2(1/(1 - w)) as well.
+
 Each x is the decimal value, not the double nearest it; the two differ by
 less than 2**-53 relatively, far inside the tests' 1e-12.  The substitution
 t = x e^-w keeps every quadrature node at full relative
@@ -40,6 +44,9 @@ NEAR_A_OFFSETS = ("1.1e-3", "2e-3", "1e-2")
 # where u*u overflows a double.
 TINY_MU = "1e-300"
 TINY_MU_X = ("1e-200", "1e-3", "0.5", "1")
+# Li2(1 - w) at the ends of the dilogarithm's domain w >= 1/2, at w = 1, and
+# on both sides of its branch point w = 2.
+LI2_W = (0.5, 1.0, 2.0, 1.9999999999999998, 2.0000000000000004, 1e8, 1e300)
 
 
 def model(mu):
@@ -131,6 +138,22 @@ def tiny_mu_values(x_text):
     return out[1]
 
 
+def dilog_value(w):
+    """Li2(1 - w) at the double w, stable to 45 digits."""
+    out = []
+    for dps in (70, 90):
+        with mp.workdps(dps):
+            wm = mp.mpf(w)
+            value = mp.polylog(2, 1 - wm)
+            if wm > 2:
+                inverted = -mp.pi**2 / 6 - mp.log(wm - 1) ** 2 / 2 - mp.polylog(2, 1 / (1 - wm))
+                assert abs(value - inverted) <= mp.mpf(10) ** -60 * abs(value), (w, value)
+            out.append(value)
+    with mp.workdps(70):
+        assert abs(out[0] - out[1]) <= mp.mpf(10) ** -45 * abs(out[1]), w
+    return out[1]
+
+
 def main():
     rows = {x: stable_values(x) for x in SMALL_X}
     for name, col in (("H", 0), ("HPRIME", 1), ("K", 2)):
@@ -152,6 +175,10 @@ def main():
         for x in TINY_MU_X:
             print(f"    {x}: {mp.nstr(tiny[x][col], 40, min_fixed=1, max_fixed=0)},")
         print("}")
+    print("LI2_ONE_MINUS = {")
+    for w in LI2_W:
+        print(f"    {w!r}: {mp.nstr(dilog_value(w), 40, min_fixed=1, max_fixed=0)},")
+    print("}")
 
 
 if __name__ == "__main__":

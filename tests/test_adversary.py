@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxmin_auction import (
+    ConvergenceError,
     DegenerateError,
     DomainError,
     ModelParams,
@@ -528,6 +529,13 @@ class TestValidation:
             minimize_revenue(
                 PiecewiseCdf.reserve(c05), ModelParams(mu=0.5), 500, target=1.0
             )
+
+    def test_non_finite_revenue_raises(self):
+        # at a subnormal a, H is finite on the grid but H' is not where
+        # (x - a)/a overflows, whose warnings are silenced here
+        c = solve_a(ModelParams(mu=1e-320))
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
+            minimize_revenue(PiecewiseCdf.reserve(c), ModelParams(mu=c.mu), 500)
 
 
 def assert_l2_projection(y, out):

@@ -84,6 +84,18 @@ class TestCurves:
         assert np.all(np.diff(data[:, 1]) > 0.0)
         assert data[-1, 0] == 1.0 and data[-1, 1] == 1.0
 
+    def test_reserve_curve_at_subnormal_a(self, capsys, tmp_path):
+        # a = 1.5e-323, so (x - a)/a overflows at every interior grid point
+        out_path = tmp_path / "h.csv"
+        code, _ = run_cli(
+            capsys, "curves", "--mu", "1e-320", "--grid", "5", "--out", str(out_path)
+        )
+        assert code == 0
+        data = np.loadtxt(out_path, delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(data))
+        assert np.all(np.diff(data[:, 1]) > 0.0)
+        assert data[0, 1] == 0.0 and data[-1, 1] == 1.0
+
     def test_signal_curve_carries_atom(self, capsys, tmp_path):
         out_path = tmp_path / "g.csv"
         code, _ = run_cli(

@@ -1,12 +1,14 @@
 """Import weight: each command loads only the scipy subpackages it calls.
 
-``import maxmin_auction`` loads numpy and nothing from scipy; ``spence``,
+``import maxmin_auction`` loads numpy and nothing from scipy;
 ``isotonic_regression``, ``scipy.sparse`` and ``linprog`` are imported inside
 the functions that use them (the last two only by the cell LP behind
 ``upper-bound --dump-mechanism``), and ``concurrent.futures`` inside the Monte
-Carlo run that starts a thread pool.  ``csvrows``, the CSV row formatter,
-is imported by the first ``write_cdf_csv`` call.  Each case runs in a fresh
-interpreter, since the test process itself has long since imported scipy.
+Carlo run that starts a thread pool.  ``verify`` and ``simulate`` load no
+scipy at all, and print the same bytes where scipy cannot be imported.
+``csvrows``, the CSV row formatter, is imported by the first
+``write_cdf_csv`` call.  Each case runs in a fresh interpreter, since the
+test process itself has long since imported scipy.
 """
 
 import json
@@ -47,16 +49,27 @@ else:
 """
 
 
-def loaded_modules(*argv: str) -> set[str]:
+# Runs its arguments as ``python -m maxmin_auction`` would, with every import
+# of scipy or of one of its subpackages raising ImportError.
+BLOCK_SCIPY = """
+import runpy, sys
+
+sys.modules["scipy"] = None
+sys.argv[0] = "maxmin_auction"
+runpy.run_module("maxmin_auction", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
     )
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    proc = run_python("-c", PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stderr.strip().splitlines()[-1]))
 
@@ -69,15 +82,32 @@ def test_package_import_loads_no_scipy():
     ("argv", "expected"),
     [
         (("adversary", "--mu", "0.5", "--grid-k", "500"), set()),
-        (("simulate", "--mu", "0.5", "--samples", "1000", "--seed", "1"), {"scipy.special"}),
-        (("verify", "--mu", "0.5", "--seed", "7"), {"scipy.special"}),
+        (("simulate", "--mu", "0.5", "--samples", "1000", "--seed", "1"), set()),
+        (("verify", "--mu", "0.5", "--seed", "7"), set()),
         (("upper-bound", "--mu", "0.5", "--grid-n", "50"), set()),
     ],
     ids=["adversary", "simulate", "verify", "upper-bound"],
 )
 def test_command_loads_only_what_it_calls(argv, expected):
-    # scipy.special itself loads concurrent.futures
     assert loaded_modules(*argv) & set(SCIPY) == expected
+
+
+# the antiderivative of H is numpy alone, so the winner payments of verify's
+# checks and of a pooled Monte Carlo run need no scipy
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--mu", "0.5", "--seed", "7"),
+        ("simulate", "--mu", "0.5", "--samples", "2000000", "--seed", "7"),
+    ],
+    ids=["verify", "simulate"],
+)
+def test_runs_without_scipy(argv):
+    normal = run_python("-m", "maxmin_auction", *argv)
+    blocked = run_python("-c", BLOCK_SCIPY, *argv)
+    assert normal.returncode == 0, normal.stderr
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == normal.stdout
 
 
 # only the dumped mechanism's cell LP calls the solver

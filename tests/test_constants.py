@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -324,19 +325,59 @@ class TestSmallX:
             assert np.all(np.diff(v) >= 0.0)
 
     @pytest.mark.parametrize("mu", [0.3, 0.5, 0.75, 0.9])
-    @pytest.mark.parametrize("where", [0.5, 1.0 / 16.0])
+    @pytest.mark.parametrize("where", [0.5, 1.0 / 16.0, 2.0])
     def test_branch_seams(self, mu, where):
-        # H and H' switch forms at x = a/2, K at a/2 and at a/16: the two
-        # sides must agree to rounding, and a grid of relative step 1e-12
-        # across the seam must stay non-decreasing
+        # H and H' switch forms at x = a/2, K at a/2, at a/16 and at 2a, where
+        # its dilogarithm turns to the inversion: the two sides must agree to
+        # rounding, and a grid of relative step 1e-12 across the seam must
+        # stay non-decreasing
         c = solve_a(ModelParams(mu=mu))
         seam = where * c.a
+        if seam >= 1.0:
+            pytest.skip("the seam 2a lies past x = 1")
         below = np.nextafter(seam, 0.0)
         for f in (reserve_cdf, reserve_pdf, reserve_cdf_integral):
             assert f(c, below) == pytest.approx(f(c, seam), rel=1e-13, abs=0.0)
         x = seam * (1.0 + 1e-12 * np.arange(-500, 501))
         assert np.all(np.diff(reserve_cdf(c, x)) >= 0.0)
         assert np.all(np.diff(reserve_cdf_integral(c, x)) >= 0.0)
+
+    @pytest.mark.parametrize("mu", [5e-324, 1e-320, 1e-304])
+    def test_subnormal_a(self, mu):
+        # a is subnormal at the first two, so (x - a)/a overflows from
+        # x/a = 1.8e308 up, and at the first a/2 rounds to 0; at 1e-304
+        # (a = 1.4e-307) (ln x - ln a)/(x - a) overflows at x = 5e-324
+        c = solve_a(ModelParams(mu=mu))
+        x = np.concatenate([[0.0], np.geomspace(5e-324, 1.0, 20_001)])
+        for f in (reserve_cdf, reserve_cdf_integral):
+            v = f(c, x)
+            assert np.all(np.isfinite(v)) and v[0] == 0.0
+            assert np.all(np.diff(v) >= 0.0)
+        assert reserve_cdf(c, 1.0) == 1.0
+
+
+def _dilog(w: float) -> float:
+    """constants._dilog_one_minus at the double w, as K calls it: from ln w and 1/w."""
+    return float(constants._dilog_one_minus(np.log(np.array([w])), np.array([1.0 / w]))[0])
+
+
+class TestDilogarithm:
+    """Li2(1 - w) for w >= 1/2, the Bernoulli series and its inversion past
+    w = 2, within 4 ulp of mpmath."""
+
+    @pytest.mark.parametrize("w", sorted(oracles.LI2_ONE_MINUS))
+    def test_matches_oracles(self, w):
+        want = oracles.LI2_ONE_MINUS[w]
+        assert abs(_dilog(w) - want) <= 4.0 * math.ulp(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_w=st.floats(math.log(0.5), math.log(1e300)))
+    def test_matches_mpmath_log_uniform(self, log_w):
+        w = min(max(math.exp(log_w), 0.5), 1e300)
+        with mp.workdps(40):
+            want = mp.polylog(2, 1 - mp.mpf(w))
+            err = abs(mp.mpf(_dilog(w)) - want)
+        assert err <= 4.0 * math.ulp(float(want))
 
 
 class TestSignal:

@@ -103,6 +103,21 @@ class TestAdaptiveSimpson:
         with pytest.raises(ConvergenceError):
             adaptive_simpson(np.sqrt, [0.5, 0.0], [1.0, 1.0], 1e-12, 2)
 
+    def test_non_finite_integrand_raises_at_once(self):
+        # a node whose estimate is not finite never converges, and each level
+        # would double its descendants until memory runs out; the integrand
+        # stops such a run when it is called a third time
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            assert len(calls) <= 2, "kept splitting a non-finite node"
+            return np.where(t < 0.75, t, np.nan)
+
+        with pytest.raises(ConvergenceError, match="not finite"):
+            adaptive_simpson(f, [0.0, 0.0], [0.5, 1.0])
+        assert len(calls) == 2
+
 
 class TestBuildEdges:
     @pytest.mark.parametrize("kink", [0.3, 1e-9, 1e-300])
