@@ -327,7 +327,7 @@ class PiecewiseCdf:
         arr, scalar = _as_array(u)
         _check_unit_interval(arr, "quantile level")
         if self.kind == "signal":
-            out = cf.signal_quantile(self.constants, arr)
+            out = cf.signal_quantile(self.constants, arr, checked=True)
         elif self.kind == "grid":
             out = self._grid_quantile(arr)
         else:

@@ -31,7 +31,7 @@ import numpy as np
 from .constants import SolvedConstants, constants_from_a
 from .distributions import PiecewiseCdf
 from .errors import DomainError, MeanMismatchError
-from .quadrature import exact_sum
+from .quadrature import exact_sum, sorted_unique
 
 __all__ = ["MpsReport", "second_moment_solution", "mps_check"]
 
@@ -112,7 +112,7 @@ def mps_check(prior: PiecewiseCdf, c: SolvedConstants) -> MpsReport:
     q = 0.5 * (b + np.sqrt(np.maximum(disc, 0.0)))
     # peaks q/s inside (max(x0, a), x1), compared without dividing by s
     inside = (disc >= 0.0) & (q > np.maximum(x0, c.a) * s) & (q < x1 * s)
-    xs = np.unique(np.concatenate((prior.knots, [c.a], q[inside] / s[inside])))
+    xs = sorted_unique(np.concatenate((prior.knots, [c.a], q[inside] / s[inside])))
     gap = PiecewiseCdf.signal(c).integral_to(xs) - prior.integral_to(xs)
     worst = int(np.argmax(gap))
     return MpsReport(

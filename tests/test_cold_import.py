@@ -7,7 +7,9 @@ the functions that use them (the last two only by the cell LP behind
 Carlo run that starts a thread pool.  ``verify`` and ``simulate`` load no
 scipy at all, and print the same bytes where scipy cannot be imported.
 ``csvrows``, the CSV row formatter, is imported by the first
-``write_cdf_csv`` call.  Each case runs in a fresh interpreter, since the
+``write_cdf_csv`` call.  No command loads ``numpy.ma``, which numpy 2.4's
+``np.unique`` imports on its first call: the package sorts and masks instead
+(``quadrature.sorted_unique``).  Each case runs in a fresh interpreter, since the
 test process itself has long since imported scipy.
 """
 
@@ -23,7 +25,7 @@ from maxmin_auction import write_cdf_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCIPY = ("scipy.special", "scipy.optimize", "scipy.sparse")
-WATCHED = SCIPY + ("concurrent.futures", "maxmin_auction.csvrows")
+WATCHED = SCIPY + ("concurrent.futures", "maxmin_auction.csvrows", "numpy.ma")
 
 # Runs its arguments as ``python -m maxmin_auction`` would, then writes the
 # watched modules loaded by exit time as the last line of stderr.  The command
@@ -90,6 +92,26 @@ def test_package_import_loads_no_scipy():
 )
 def test_command_loads_only_what_it_calls(argv, expected):
     assert loaded_modules(*argv) & set(SCIPY) == expected
+
+
+# numpy.ma costs 10-17 ms of a cold run; the panel edges of verify and the
+# candidates of mps-check are made unique without np.unique, which imports it
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--mu", "0.5", "--seed", "7"),
+        ("simulate", "--mu", "0.5", "--samples", "1000", "--seed", "1"),
+        ("adversary", "--mu", "0.5", "--grid-k", "500"),
+        ("mps-check", "--mu", "0.5"),
+    ],
+    ids=["verify", "simulate", "adversary", "mps-check"],
+)
+def test_command_loads_no_masked_arrays(argv, tmp_path):
+    if argv[0] == "mps-check":
+        path = tmp_path / "prior.csv"
+        write_cdf_csv(path, [0.0, 0.5, 1.0], [0.25, 0.75, 1.0], [0.25, 0.5, 0.25])
+        argv += ("--prior", str(path))
+    assert "numpy.ma" not in loaded_modules(*argv)
 
 
 # the antiderivative of H is numpy alone, so the winner payments of verify's

@@ -415,6 +415,26 @@ class TestSignal:
             oracles.SIGNAL_QUANTILE_HALF_MU_05, abs=1e-13
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(log_a=st.floats(math.log(5e-324), 0.0, exclude_max=True), seed=st.integers(0, 2**32 - 1))
+    def test_quantile_matches_the_masked_form(self, log_a, seed):
+        # the arithmetic fill gives the bits of a/(1 - u) below 1 - a and 1
+        # from there on, as np.where does, at every a and at the seam
+        a = min(max(math.exp(log_a), 5e-324), math.nextafter(1.0, 0.0))
+        c = constants.constants_from_a(0.5, a)
+        seam = 1.0 - a
+        u = np.concatenate(
+            [
+                [0.0, 0.5, 1.0, math.nextafter(1.0, 0.0), seam, math.nextafter(seam, 0.0)],
+                [math.nextafter(seam, 1.0), math.nextafter(math.nextafter(seam, 0.0), 0.0), np.nan],
+                np.random.default_rng(seed).random(500),
+                1.0 - np.random.default_rng(seed).random(500) * min(4.0 * a, 1.0),
+            ]
+        )
+        with np.errstate(divide="ignore"):
+            want = np.where(u < 1.0 - a, a / np.where(u < 1.0, 1.0 - u, np.nan), 1.0)
+        assert signal_quantile(c, u).tobytes() == want.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(u=st.floats(min_value=0.0, max_value=1.0))
     def test_quantile_inverts_cdf(self, c05, u):

@@ -1,6 +1,7 @@
 """Auction outcomes, counter-based uniforms, Monte Carlo revenue."""
 
 import dataclasses
+import math
 import os
 import threading
 import tracemalloc
@@ -20,6 +21,7 @@ from maxmin_auction import (
     mc_revenue,
     outcome,
     reserve_cdf,
+    reserve_cdf_integral,
     reserve_pdf,
     revenue_functional,
     solve_a,
@@ -124,6 +126,61 @@ class TestWinnerPayment:
         assert winner_payment(c05, 0.7, 0.7) == 0.7 * reserve_cdf(c05, 0.7)
         o = outcome(c05, BidProfile(0.3, 0.8))
         assert o.t2 == winner_payment(c05, 0.8, 0.3)
+
+
+def payment_by_closed_forms(c, hi, lo):
+    """s_hi H(s_hi) - (K(s_hi) - K(s_lo)) from the public closed forms."""
+    return hi * reserve_cdf(c, hi) - (reserve_cdf_integral(c, hi) - reserve_cdf_integral(c, lo))
+
+
+def edge_bids(a):
+    """0, subnormals, the smallest normal, 1 - ulp, 1, and a/2, a and 2a
+    with their neighbouring doubles, where they lie in [0, 1]."""
+    bids = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, math.nextafter(1.0, 0.0), 1.0]
+    for edge in (0.5 * a, a, 2.0 * a):
+        bids += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0)]
+    return np.array(sorted({b for b in bids if 0.0 <= b <= 1.0}))
+
+
+def same_bits(x, y):
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+class TestPaymentBits:
+    """``winner_payment`` shares one ln(s_hi/a) between s_hi H(s_hi) and
+    K(s_hi), and gives the bits of the two public closed forms it stands
+    for, at every mu and at every branch seam of H and K."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_mu=st.floats(math.log(5e-324), math.log1p(-1e-12)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_closed_forms(self, log_mu, seed):
+        mu = min(max(math.exp(log_mu), 5e-324), 1.0 - 1e-12)
+        c = solve_a(ModelParams(mu))
+        edges = edge_bids(c.a)
+        rng = np.random.default_rng(seed)
+        draws = np.concatenate(
+            [rng.random(200), c.a * rng.uniform(0.25, 4.0, 200), np.exp(rng.uniform(-745.0, 0.0, 200))]
+        )
+        bids = np.concatenate([edges, np.minimum(draws, 1.0)])
+        other = rng.permutation(bids)
+        hi = np.concatenate([np.maximum.outer(edges, edges).ravel(), np.maximum(bids, other)])
+        lo = np.concatenate([np.minimum.outer(edges, edges).ravel(), np.minimum(bids, other)])
+        assert same_bits(winner_payment(c, hi, lo), payment_by_closed_forms(c, hi, lo))
+        # broadcast shapes: a column of top bids against a row of low bids,
+        # and either side a scalar
+        got = winner_payment(c, edges[:, None], edges[None, :])
+        assert got.shape == (edges.size, edges.size)
+        assert same_bits(got, payment_by_closed_forms(c, edges[:, None], edges[None, :]))
+        assert same_bits(winner_payment(c, hi, 0.0), payment_by_closed_forms(c, hi, 0.0))
+        assert same_bits(winner_payment(c, 1.0, lo), payment_by_closed_forms(c, 1.0, lo))
+        for top in edges:
+            for low in edges[edges <= top]:
+                got = winner_payment(c, float(top), float(low))
+                assert isinstance(got, float)
+                assert same_bits(got, payment_by_closed_forms(c, float(top), float(low)))
 
 
 class TestExPostIncentiveCompatibility:

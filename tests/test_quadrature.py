@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from maxmin_auction import ConvergenceError, ModelParams, reserve_pdf, solve_a
 from maxmin_auction.mechanism import uniform_pairs
-from maxmin_auction.quadrature import adaptive_simpson, build_edges, exact_sum
+from maxmin_auction.quadrature import adaptive_simpson, build_edges, exact_sum, sorted_unique
 
 
 def recursive_simpson(f, lo, hi, tol=1e-9, max_depth=60):
@@ -134,6 +134,28 @@ class TestBuildEdges:
         edges = build_edges()
         assert edges[1] == 2.0**-40
         assert edges.size == math.ceil(400 * 40 * math.log(2.0)) + 2
+
+
+class TestSortedUnique:
+    """``sorted_unique`` stands in for ``np.unique``, which imports
+    ``numpy.ma``: the same array, bit for bit, signed zeros and NaNs
+    included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, 0.25, 0.5, 1.0, math.inf, -math.inf, math.nan, -math.nan])
+            | st.floats(allow_nan=True),
+            max_size=40,
+        )
+    )
+    def test_matches_np_unique(self, values):
+        x = np.array(values, dtype=float)
+        assert sorted_unique(x).tobytes() == np.unique(x).tobytes()
+
+    def test_two_dimensional_input_is_flattened(self):
+        x = np.array([[0.5, np.nan], [0.5, -0.0]])
+        assert sorted_unique(x).tobytes() == np.unique(x).tobytes()
 
 
 def sum_outcome(total, t):
