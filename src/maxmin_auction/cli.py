@@ -503,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dump-mechanism",
         type=str,
         default=None,
-        help="also solve the cell LP on --grid-n quantiles per bidder and write its mechanism here",
+        help="also write the LP's optimal mechanism here: the hierarchical auction on its n + 1 types",
     )
 
     p = sub.add_parser(

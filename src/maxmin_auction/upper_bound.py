@@ -27,39 +27,9 @@ the rounding of its own sums, for the LP as stored; the rounding of that
 LP's coefficients is not covered.  The point's value is reported once its
 residuals are checked.
 
-``lp_max_revenue`` builds the dumped mechanism
-----------------------------------------------
-It serves only ``upper-bound --dump-mechanism``, which writes an explicit
-ex-post mechanism.  Types are re-indexed by quantile, so both bidders' types
-are uniform on [0, 1] and the type value is the signal quantile function
-s(z) (a/(1-z) capped at 1).  On a midpoint grid of n quantiles per bidder,
-the LP
-
-    maximize   mean interim payment of both bidders
-    subject to truth-telling beats reporting the next lower type,
-               the interim allocation is nondecreasing in the type,
-               every type keeps a nonnegative surplus,
-               allocations feasible cellwise (q1 + q2 <= 1, each in [0, 1])
-
-is solved for the cells themselves.  Its types neither round up nor down, so
-its optimum is no bound on the best revenue against G*; it reads 1.047 g at
-mu = 0.5 and 1.98 g at mu = 1e-9 with n = 50.  Adjacent IC with monotone
-allocation is Myerson's characterisation for single-dimensional types: it
-implies truth-telling against every misreport with O(n) rows instead of
-2n(n-1), and at an optimum the upward half of adjacent IC holds without rows
-of its own (see ``lp_max_revenue``).  The monotone rows are needed
-explicitly because every quantile above 1 - a has type value 1, and adjacent
-IC between tied types leaves their allocations unordered.  The LP is solved
-in units of the top grid type, since payments at small mu would otherwise
-fall below the solver's absolute tolerances.  The midpoint grid keeps the
-kink of s(z) at 1 - a off the nodes.
-
-The two bidders are alike, so the LP is solved for bidder 1's half alone,
-with bidder 2's cells the transpose of bidder 1's: an optimum of the full
-LP averaged with its bidder-swapped mirror is a symmetric optimum (proof in
-``lp_max_revenue``).  That leaves n^2 + 2n columns, n(n+1)/2 + 3n - 2
-inequality rows and n equality rows, against 2n^2 + 4n, n^2 + 6n - 4 and 2n
-for both bidders, and the same optimum.
+``lp_max_revenue`` writes that point's mechanism ex post, for
+``upper-bound --dump-mechanism``: the hierarchical auction on the same n + 1
+types, whose revenue is the LP's optimum.
 """
 
 from __future__ import annotations
@@ -69,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import SolvedConstants, signal_quantile
+from .constants import SolvedConstants
 from .errors import ConvergenceError, DomainError
 from .quadrature import exact_sum
 
@@ -88,13 +58,14 @@ _PRIMAL_ULPS = 4.0
 
 @dataclass(frozen=True)
 class DiscreteDirectMechanism:
-    """Allocations and payments on the quantile midpoint grid.
+    """Allocations and payments on a discrete type law.
 
+    Type j has value ``types[j]`` and probability ``masses[j]``.
     ``q1[j, k]`` is bidder 1's allocation when bidder 1 has type index j and
     bidder 2 type index k; payments follow the same layout.
     """
 
-    z: np.ndarray
+    masses: np.ndarray
     types: np.ndarray
     q1: np.ndarray
     q2: np.ndarray
@@ -103,7 +74,7 @@ class DiscreteDirectMechanism:
 
     def to_json_dict(self) -> dict:
         return {
-            "z": self.z.tolist(),
+            "masses": self.masses.tolist(),
             "types": self.types.tolist(),
             "q1": self.q1.tolist(),
             "q2": self.q2.tolist(),
@@ -115,8 +86,8 @@ class DiscreteDirectMechanism:
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on the first call.
 
-    A module-level name, so that callers and tests can rebind it, while
-    ``import maxmin_auction`` stays free of ``scipy.optimize``.
+    No command calls it: the tests solve ``reduced_form_bound``'s LP with it,
+    and the benchmark tracer (``perfbench/trace_child.py``) binds the name.
     """
     from scipy.optimize import linprog as scipy_linprog
 
@@ -176,10 +147,16 @@ def reduced_form_bound(a: float, n: int) -> ReducedFormBound:
     types; once Q is monotone only the upper sets bind, which is the Border
     row times 2 q_k.  Adjacent downward IC with monotone Q gives every
     downward IC pair, and the LP without the upward rows is a relaxation, so
-    the bound holds either way (the binding argument in ``lp_max_revenue``
-    shows upward IC holds at its optima too).  The boxes keep the optimum:
-    tau <= Q <= 1 and 0 <= sigma_k <= 1 hold at every feasible point, and
-    tau >= 0 at every optimum by that same binding argument.
+    the bound holds either way.  The boxes keep the optimum: tau <= Q <= 1
+    and 0 <= sigma_k <= 1 hold at every feasible point.  With payments
+    T_k = v_k tau_k, raising T_k alone only loosens the IC row out of k, so
+    at an optimum T_k sits on downward IC into k or on BIR at k.  Since v
+    and Q are nondecreasing, the first gives T_k - T_{k-1} =
+    v_k (Q_k - Q_{k-1}) >= v_{k-1} (Q_k - Q_{k-1}) >= 0, and the second,
+    with BIR at k - 1, T_k = v_k Q_k >= v_{k-1} Q_k >=
+    T_{k-1} + v_{k-1} (Q_k - Q_{k-1}) and T_k >= 0.  Either way upward IC
+    holds, and T_k >= 0 by induction from T_0 = v_0 Q_0, so tau >= 0 at
+    every optimum.
 
     The safe bound is weak duality (Neumaier & Shcherbina, Math. Program.
     99(2), 2004).  With multipliers y_ub clipped to <= 0 and y_eq, and
@@ -366,131 +343,31 @@ class _ReducedFormLp:
         return math.nextafter(exact_sum(np.concatenate(terms)), -math.inf)
 
 
-def _quantile_grid(n: int) -> np.ndarray:
-    return (np.arange(n) + 0.5) / n
-
-
 def lp_max_revenue(c: SolvedConstants, n: int) -> tuple[float, DiscreteDirectMechanism]:
-    """Solve the midpoint cell LP; returns (optimum, mechanism).
+    """The reduced-form LP's optimal mechanism, ex post; returns (revenue,
+    mechanism).
 
-    It exists only for ``upper-bound --dump-mechanism``: its optimum is no
-    bound (see the module docstring), and ``reduced_form_bound`` is the
-    upper bound.
-
-    Over both bidders the LP has the cellwise allocations q1, q2 plus the
-    interim allocations Q1, Q2 and payments T1, T2.  Each bidder's (Q, T)
-    obeys downward adjacent IC, monotone Q and BIR: 3n - 2 rows, besides
-    q1 + q2 <= 1 in every cell.  The monotone rows are explicit because
-    every quantile above 1 - a has type value 1, and between tied neighbours
-    adjacent IC does not force Q upward; with them, adjacent IC chains to
-    every misreport pair.
-
-    Upward adjacent IC, T_j - T_{j-1} >= u_{j-1} (Q_j - Q_{j-1}) for the
-    type values u, needs no rows.  Every T_j has a negative cost, and raising
-    T_j alone only loosens the downward row out of j, so at every optimum one
-    of the two rows that cap T_j binds.  If downward IC into j binds,
-    T_j - T_{j-1} = u_j (Q_j - Q_{j-1}) >= u_{j-1} (Q_j - Q_{j-1}), since u
-    and Q are nondecreasing.  If BIR at j binds, BIR at j - 1 gives
-    T_j - T_{j-1} >= u_j Q_j - u_{j-1} Q_{j-1} >= u_{j-1} (Q_j - Q_{j-1}),
-    since Q_j >= 0.  So every optimum of this LP is feasible, and optimal,
-    with the rows.
-
-    Only bidder 1's half is solved.  The swap (q1, q2, Q1, Q2, T1, T2) ->
-    (q2^T, q1^T, Q2, Q1, T2, T1) maps the feasible set onto itself: it
-    exchanges the two bidders' interim rows and the cell rows (j, k) and
-    (k, j).  It keeps the objective, the mean of T1 + T2.  The feasible set
-    is convex, so the average of any solution and its swap is feasible,
-    mirror-symmetric (q2 = q1^T, Q2 = Q1, T2 = T1) and equally good, as in
-    Myerson's (1981) symmetric auction.  The LP over symmetric mechanisms
-    therefore has the same optimum:
-
-        variables   q (n^2, bidder 1's cells) | Q (n) | T (n), cost -2/n on T
-        cells       q[j, k] + q[k, j] <= 1 for j <= k (2 q[j, j] <= 1)
-        interim     one bidder's 3n - 2 rows on (Q, T)
-        definition  Q_j = mean over k of q[j, k]
-
-    That is n(n+1)/2 + 3n - 2 inequality and n equality rows, against
-    n^2 + 6n - 4 and 2n for both bidders.  The mechanism returned has
-    q2 = q1.T and t2 = t1.T.
-
-    The LP is homogeneous of degree one in the type values, so it is solved
-    with ``s / s.max()`` and the optimum and payments are scaled back.  This
-    keeps small-mu payments above the solver's absolute tolerances; the
-    scale is 1 whenever a >= 1/(2n).  ``types`` stays the true ``s``, and
-    ex-post payments in the returned mechanism are constant in the
-    opponent's type.
+    The types are ``reduced_form_bound``'s n + 1: cell k < n at its value
+    e_{k+1} = a r^(k+1) with mass p_k = q_k - q_{k+1}, and the atom n at 1
+    with mass a.  For two symmetric bidders a monotone interim allocation
+    that meets Border's condition is implemented by a hierarchical rule
+    (Border, Econometrica 59(4), 1991; Vohra, Mechanism Design: A Linear
+    Programming Approach, 2011), and the LP's optimal point is one: only the
+    two value-1 types n - 1 and n are served, the atom beats the top cell,
+    equal types split, and the winner pays 1.  Its interim Q is the point's,
+    and its revenue 2 p^T t1 p is 1 - (1 - a r)^2 = a r (2 - a r), the LP's
+    optimum.
     """
-    from scipy import sparse
-
-    if n < 10:
-        raise DomainError(f"quantile grid needs at least 10 points, got {n}")
-    z = _quantile_grid(n)
-    s = signal_quantile(c, z)
-    sigma = float(s.max())
-    u = s / sigma
-
-    n2 = n * n
-    big_q, big_t = n2, n2 + n  # first columns of Q and T
-    cost = np.zeros(n2 + 2 * n)
-    cost[big_t:] = -2.0 / n  # maximize the mean payment of both bidders
-
-    # Inequality rows, all <= b_ub, as (row, column, value) triples; entries
-    # at the same position add up, which gives the diagonal cells their 2.
-    j, k = np.triu_indices(n)
-    cells = j.size
-    types = np.arange(n)
-    lo, hi = types[:-1], types[1:]  # adjacent pairs
-    ic = cells + lo  # type hi does not report lo
-    mono = ic + n - 1  # Q[lo] <= Q[hi]
-    bir = cells + 2 * (n - 1) + types  # T <= u Q
-    one = np.ones(n)
-    entries = [
-        (np.arange(cells), j * n + k, np.ones(cells)),
-        (np.arange(cells), k * n + j, np.ones(cells)),
-        (ic, big_q + hi, -u[1:]),
-        (ic, big_q + lo, u[1:]),
-        (ic, big_t + hi, one[1:]),
-        (ic, big_t + lo, -one[1:]),
-        (mono, big_q + hi, -one[1:]),
-        (mono, big_q + lo, one[1:]),
-        (bir, big_q + types, -u),
-        (bir, big_t + types, one),
-    ]
-    rows, cols, vals = map(np.concatenate, zip(*entries))
-    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(cells + 3 * n - 2, n2 + 2 * n))
-    b_ub = np.zeros(a_ub.shape[0])
-    b_ub[:cells] = 1.0
-
-    # interim definitions: Q_j - mean over k of q[j, k] = 0
-    a_eq = sparse.csr_matrix(
-        (
-            np.concatenate([np.full(n2, -1.0 / n), one]),
-            (np.concatenate([np.repeat(types, n), types]), np.arange(n2 + n)),
-        ),
-        shape=(n, n2 + 2 * n),
-    )
-    b_eq = np.zeros(n)
-
-    bounds = np.zeros((n2 + 2 * n, 2))
-    bounds[:big_t, 1] = 1.0
-    bounds[big_t:] = (-np.inf, np.inf)
-    # The saddle leaves the objective flat over a large optimal face; the
-    # simplex variant crawls on that degeneracy while interior point with
-    # crossover stays fast and still returns a vertex certificate.
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs-ipm",
-    )
-    if not res.success:
-        raise ConvergenceError(f"LP solver failed: {res.message}")
-    optimum = -float(res.fun) * sigma
-
-    q1 = res.x[:n2].reshape(n, n)
-    t1 = np.tile(res.x[big_t:, None] * sigma, (1, n))
-    mech = DiscreteDirectMechanism(z=z, types=s, q1=q1, q2=q1.T, t1=t1, t2=t1.T)
-    return optimum, mech
+    if n < 1:
+        raise DomainError(f"the reduced-form LP needs at least 1 cell, got {n}")
+    t = math.log(c.a) / n
+    k = np.arange(n + 1.0)
+    masses = np.append(-math.expm1(t) * np.exp(k[:-1] * t), c.a)
+    types = np.exp(np.maximum(n - 1.0 - k, 0.0) * t)  # a r^(k+1) = exp((n-1-k) t); 1 from k = n - 1 on
+    q1 = np.zeros((n + 1, n + 1))
+    q1[n - 1:, :n - 1] = 1.0
+    q1[n, n - 1] = 1.0
+    q1[[n - 1, n], [n - 1, n]] = 0.5
+    # the winner pays 1, so each payment is the allocation itself
+    revenue = 2.0 * float(masses @ q1 @ masses)
+    return revenue, DiscreteDirectMechanism(masses=masses, types=types, q1=q1, q2=q1.T, t1=q1, t2=q1.T)

@@ -1,11 +1,12 @@
-"""Reference checks for the quantile LP in ``upper_bound``.
+"""Reference checks for the mechanism that ``upper_bound.lp_max_revenue``
+writes.
 
-``bic_bir_violations`` checks a mechanism on the LP's grid against every
-misreport pair, not only the adjacent ones the LP imposes.
+``bic_bir_violations`` checks a mechanism on a discrete type law against
+every misreport pair, not only the adjacent ones the reduced-form LP imposes.
 ``myerson_revenue`` is the exact optimal revenue from two bidders with
 independent types drawn from a discrete law (Myerson 1981, with ironing), so
-the LP optimum on a grid must equal it.  Not named ``test_*``, so pytest does
-not collect it.
+the revenue of an optimal mechanism on those types must equal it.  Not named
+``test_*``, so pytest does not collect it.
 """
 
 import math
@@ -15,15 +16,16 @@ from scipy.optimize import isotonic_regression
 
 
 def bic_bir_violations(mech) -> dict:
-    """Worst-case violations of the LP constraints for a given mechanism.
+    """Worst-case violations of BIC, BIR and ex-post feasibility.
 
-    Returns the largest BIC gain from any misreport, the largest negative
-    surplus (BIR), and the largest cellwise allocation excess; all are <= 0
-    up to tolerance for a feasible mechanism.
+    The interim allocations and payments are the opponent's expectations
+    under ``mech.masses``.  Returns the largest BIC gain from any misreport,
+    the largest negative surplus (BIR), and the largest cellwise allocation
+    excess; all are <= 0 up to tolerance for a feasible mechanism.
     """
-    s = mech.types
-    Q1, Q2 = mech.q1.mean(axis=1), mech.q2.mean(axis=0)
-    T1, T2 = mech.t1.mean(axis=1), mech.t2.mean(axis=0)
+    s, p = mech.types, mech.masses
+    Q1, Q2 = mech.q1 @ p, p @ mech.q2
+    T1, T2 = mech.t1 @ p, p @ mech.t2
     worst_bic = -math.inf
     for Q, T in ((Q1, T1), (Q2, T2)):
         truthful = s * Q - T

@@ -267,25 +267,25 @@ class TestUpperBoundCommand:
         payload = json.loads(out)
         assert abs(payload["gap"]) <= 0.03
         mech = json.loads(dump.read_text())
-        assert len(mech["q1"]) == 25
+        assert len(mech["q1"]) == 26
         # the dump is a certificate: feasible for every misreport pair, and it
-        # earns the reported optimum
+        # earns the reported revenue, the reduced-form LP's optimum
         rebuilt = DiscreteDirectMechanism(**{k: np.array(v) for k, v in mech.items()})
         viol = bic_bir_violations(rebuilt)
         assert max(viol.values()) <= 1e-9
-        assert rebuilt.t1.mean() + rebuilt.t2.mean() == pytest.approx(
-            payload["mechanism_revenue"], rel=0.0, abs=1e-9
-        )
+        revenue = 2.0 * rebuilt.masses @ rebuilt.t1 @ rebuilt.masses
+        assert revenue == pytest.approx(payload["mechanism_revenue"], rel=1e-9, abs=0.0)
+        assert payload["mechanism_revenue"] == pytest.approx(payload["lp_optimum"], rel=1e-11, abs=0.0)
 
     # The reduced-form bound needs no mechanism, so only --dump-mechanism
-    # runs the cell LP, and only then is its optimum printed.
-    def test_cell_lp_only_for_the_dump(self, capsys, monkeypatch):
+    # builds one, and only then is its revenue printed.
+    def test_mechanism_only_for_the_dump(self, capsys, monkeypatch):
         import maxmin_auction.upper_bound as ub
 
-        def no_cell_lp(*args, **kwargs):
-            raise AssertionError("the cell LP ran")
+        def no_mechanism(*args, **kwargs):
+            raise AssertionError("the mechanism was built")
 
-        monkeypatch.setattr(ub, "lp_max_revenue", no_cell_lp)
+        monkeypatch.setattr(ub, "lp_max_revenue", no_mechanism)
         code, out = run_cli(capsys, "upper-bound", "--mu", "0.5", "--grid-n", "64")
         assert code == 0
         payload = json.loads(out)

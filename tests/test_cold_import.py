@@ -1,11 +1,11 @@
 """Import weight: each command loads only the scipy subpackages it calls.
 
 ``import maxmin_auction`` loads numpy and nothing from scipy;
-``isotonic_regression``, ``scipy.sparse`` and ``linprog`` are imported inside
-the functions that use them (the last two only by the cell LP behind
-``upper-bound --dump-mechanism``), and ``concurrent.futures`` inside the Monte
-Carlo run that starts a thread pool.  ``verify`` and ``simulate`` load no
-scipy at all, and print the same bytes where scipy cannot be imported.
+``isotonic_regression`` is imported inside the ironing of a non-monotone
+argmin, the one runtime use of scipy, and ``concurrent.futures`` inside the
+Monte Carlo run that starts a thread pool.  ``verify``, ``simulate`` and
+``upper-bound --dump-mechanism`` load no scipy at all, and print the same
+bytes where scipy cannot be imported.
 ``csvrows``, the CSV row formatter, is imported by the first
 ``write_cdf_csv`` call.  No command loads ``numpy.ma``, which numpy 2.4's
 ``np.unique`` imports on its first call: the package sorts and masks instead
@@ -132,11 +132,21 @@ def test_runs_without_scipy(argv):
     assert blocked.stdout == normal.stdout
 
 
-# only the dumped mechanism's cell LP calls the solver
-def test_dump_mechanism_may_load_the_solver(tmp_path):
+# the dumped mechanism is a closed form: no solver, no scipy
+def test_dump_mechanism_loads_no_scipy(tmp_path):
     dump = str(tmp_path / "mech.json")
     loaded = loaded_modules("upper-bound", "--mu", "0.5", "--grid-n", "12", "--dump-mechanism", dump)
-    assert {"scipy.optimize", "scipy.sparse"} <= loaded
+    assert loaded == set()
+
+
+def test_dump_mechanism_runs_without_scipy(tmp_path):
+    argv = ("upper-bound", "--mu", "0.5", "--grid-n", "25", "--dump-mechanism")
+    normal = run_python("-m", "maxmin_auction", *argv, str(tmp_path / "normal.json"))
+    blocked = run_python("-c", BLOCK_SCIPY, *argv, str(tmp_path / "blocked.json"))
+    assert normal.returncode == 0, normal.stderr
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == normal.stdout
+    assert (tmp_path / "blocked.json").read_bytes() == (tmp_path / "normal.json").read_bytes()
 
 
 def test_mps_check_loads_no_scipy(tmp_path):

@@ -22,6 +22,7 @@ from maxmin_auction import (
     signal_cdf,
     signal_quantile,
     solve_a,
+    winner_payment,
 )
 
 import oracles
@@ -426,7 +427,7 @@ class TestSignal:
         u = np.concatenate(
             [
                 [0.0, 0.5, 1.0, math.nextafter(1.0, 0.0), seam, math.nextafter(seam, 0.0)],
-                [math.nextafter(seam, 1.0), math.nextafter(math.nextafter(seam, 0.0), 0.0), np.nan],
+                [math.nextafter(seam, 1.0), math.nextafter(math.nextafter(seam, 0.0), 0.0)],
                 np.random.default_rng(seed).random(500),
                 1.0 - np.random.default_rng(seed).random(500) * min(4.0 * a, 1.0),
             ]
@@ -442,3 +443,30 @@ class TestSignal:
         assert signal_cdf(c05, x) >= u - 1e-12
         if x < 1.0:  # off the atom the inversion is exact
             assert signal_cdf(c05, x) == pytest.approx(u, abs=1e-12)
+
+
+# NaN is no point of [0, 1]: every closed form and every quantile and CDF
+# rejects it, alone or among valid points, where a check written as
+# "any below 0 or any above 1" let it through to a NaN or a 1.0
+_NAN_CALLS = {
+    "reserve_cdf": lambda c, x: reserve_cdf(c, x),
+    "reserve_pdf": lambda c, x: reserve_pdf(c, x),
+    "reserve_cdf_integral": lambda c, x: reserve_cdf_integral(c, x),
+    "signal_cdf": lambda c, x: signal_cdf(c, x),
+    "signal_quantile": lambda c, x: signal_quantile(c, x),
+    "winner_payment_hi": lambda c, x: winner_payment(c, x, 0.0),
+    "winner_payment_lo": lambda c, x: winner_payment(c, 1.0, x),
+    "signal.quantile": lambda c, x: PiecewiseCdf.signal(c).quantile(x),
+    "signal.cdf": lambda c, x: PiecewiseCdf.signal(c).cdf(x),
+    "reserve.quantile": lambda c, x: PiecewiseCdf.reserve(c).quantile(x),
+    "reserve.cdf": lambda c, x: PiecewiseCdf.reserve(c).cdf(x),
+    "uniform.quantile": lambda c, x: PiecewiseCdf.uniform().quantile(x),
+    "uniform.cdf": lambda c, x: PiecewiseCdf.uniform().cdf(x),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, [0.25, math.nan, 0.75]], ids=["scalar", "array"])
+@pytest.mark.parametrize("call", _NAN_CALLS.values(), ids=_NAN_CALLS.keys())
+def test_nan_is_a_domain_error(c05, call, x):
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        call(c05, x)
