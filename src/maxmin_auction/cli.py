@@ -669,7 +669,7 @@ def run() -> NoReturn:
     run                                             as run  trimmed  collector on
     ==============================================  ======  =======  ============
     ``simulate --mu 0.5 --samples 60000000``          65.4     65.2          65.3
-    ``adversary --mu 0.5 --grid-k 4000000``          339.4    339.4         339.5
+    ``adversary --mu 0.5 --grid-k 4000000``          244.0    244.0         244.1
     ``upper-bound --mu 0.5 --grid-n 400``             86.2     86.3          86.0
     ``upper-bound --mu 0.5 --grid-n 1000``            97.8     95.5          97.5
     ``verify --mu 0.5 --seed 7``                      82.0     82.0          81.8

@@ -208,10 +208,12 @@ def reduced_form_bound(a: float, n: int) -> ReducedFormBound:
     excess = lp.primal_excess(x, (_PRIMAL_ULPS - math.log(a)) * _UNIT_ROUNDOFF)
     if excess > 0.0:
         raise ConvergenceError(f"the closed-form LP point misses a row or box by {excess:.3g} beyond rounding")
-    safe_units = -lp.dual_bound(*_closed_form_multipliers(t, n))
     unit = a * math.exp(-t)
+    lp_optimum = -float(lp.cost @ x) * unit
+    del x
+    safe_units = -lp.dual_bound(*_closed_form_multipliers(t, n))
     return ReducedFormBound(
-        lp_optimum=-float(lp.cost @ x) * unit,
+        lp_optimum=lp_optimum,
         safe_bound=math.nextafter(safe_units * math.nextafter(unit, math.inf), math.inf),
         rounded_up_bound=unit * (2.0 - unit),
         n=n,
@@ -280,22 +282,30 @@ class _ReducedFormLp:
         chain = 2 * n + 2 * big_n + k
         share = np.full(big_n, -math.expm1(t))  # p_k / q_k
         share[-1] = 1.0
-        one = np.ones(big_n)
-        entries = [
-            (ic, lo, one[:-1]),
-            (ic, hi, -one[:-1]),
-            (ic, big_t + hi, one[:-1]),
+        # (row, column, value) of each block of entries, written in this
+        # order into the preallocated triples
+        entries = (
+            (ic, lo, 1.0),
+            (ic, hi, -1.0),
+            (ic, big_t + hi, 1.0),
             (ic, big_t + lo, -ratio),
-            (mono, lo, one[:-1]),
-            (mono, hi, -one[:-1]),
-            (bir, big_t + k, one),
-            (bir, k, -one),
-            (border, big_s + k, one),
-            (chain, big_s + k, one),
+            (mono, lo, 1.0),
+            (mono, hi, -1.0),
+            (bir, big_t + k, 1.0),
+            (bir, k, -1.0),
+            (border, big_s + k, 1.0),
+            (chain, big_s + k, 1.0),
             (chain, k, -share),
-            (chain[:-1], big_s + hi, np.full(n, -inv_r)),
-        ]
-        rows, cols, vals = map(np.concatenate, zip(*entries))
+            (chain[:-1], big_s + hi, -inv_r),
+        )
+        nnz = sum(row.size for row, _, _ in entries)
+        rows = np.empty(nnz, dtype=k.dtype)
+        cols = np.empty(nnz, dtype=k.dtype)
+        vals = np.empty(nnz)
+        end = 0
+        for row, col, val in entries:
+            start, end = end, end + row.size
+            rows[start:end], cols[start:end], vals[start:end] = row, col, val
         b_ub = np.zeros(chain[0])
         b_ub[border] = 1.0 - 0.5 * np.exp(k * t)  # 1 - q_k/2
 
@@ -307,24 +317,32 @@ class _ReducedFormLp:
     def primal_excess(self, x: np.ndarray, rtol: float) -> float:
         """How far x misses its worst row or box beyond rtol times the row's
         magnitude and a least subnormal per entry; at most 0 if all hold."""
-        terms = self.vals * x[self.cols]
         n_rows, ineq = self.shape[0], self.b_ub.size
-        ax = np.bincount(self.rows, terms, minlength=n_rows)
-        size = np.bincount(self.rows, np.abs(terms), minlength=n_rows)
+        terms = np.take(x, self.cols)  # the entries times x, then their sizes
+        terms *= self.vals
+        miss = np.bincount(self.rows, terms, minlength=n_rows)  # A x, then its miss
+        size = np.bincount(self.rows, np.abs(terms, out=terms), minlength=n_rows)
+        del terms
         size[:ineq] += np.abs(self.b_ub)
-        miss = np.concatenate((ax[:ineq] - self.b_ub, np.abs(ax[ineq:]), np.maximum(-x, x - 1.0)))
-        allowance = rtol * np.concatenate((size, np.ones(x.size)))
-        allowance[:n_rows] += np.bincount(self.rows, minlength=n_rows) * _LEAST_SUBNORMAL
-        return float(np.max(miss - allowance))
+        miss[:ineq] -= self.b_ub
+        np.abs(miss[ineq:], out=miss[ineq:])
+        size *= rtol  # the allowance
+        size += np.bincount(self.rows, minlength=n_rows) * _LEAST_SUBNORMAL
+        miss -= size
+        box = np.maximum(-x, x - 1.0)
+        box -= rtol
+        return float(np.maximum(np.max(miss), np.max(box)))
 
     def reduced_costs(self, y_ub: np.ndarray, y_eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """d = c - A^T y on y_ub clipped to <= 0, and twice the bound on each
         d_j's rounding error (``reduced_form_bound``)."""
         y = np.concatenate((np.minimum(y_ub, 0.0), y_eq))
-        terms = self.vals * y[self.rows]
+        terms = np.take(y, self.rows)  # the entries times y, then their sizes
+        terms *= self.vals
         n_cols = self.shape[1]
         reduced = self.cost - np.bincount(self.cols, terms, minlength=n_cols)
-        size = np.abs(self.cost) + np.bincount(self.cols, np.abs(terms), minlength=n_cols)
+        size = np.abs(self.cost) + np.bincount(self.cols, np.abs(terms, out=terms), minlength=n_cols)
+        del terms
         m = 1 + int(np.max(np.bincount(self.cols, minlength=n_cols)))
         gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
         return reduced, 2.0 * gamma * size + m * _LEAST_SUBNORMAL
@@ -334,13 +352,14 @@ class _ReducedFormLp:
         lower bound on the minimum, rounding-safe (``reduced_form_bound``)."""
         reduced, allowance = self.reduced_costs(y_ub, y_eq)
         border_terms = np.minimum(y_ub[self.border], 0.0) * self.b_ub[self.border]
-        terms = (
-            np.minimum(reduced, 0.0),
-            -allowance,
+        terms = np.concatenate((
+            np.minimum(reduced, 0.0, out=reduced),
+            np.negative(allowance, out=allowance),
             border_terms,
             -(2.0 * _UNIT_ROUNDOFF * abs(border_terms) + _LEAST_SUBNORMAL),
-        )
-        return math.nextafter(exact_sum(np.concatenate(terms)), -math.inf)
+        ))
+        del reduced, allowance
+        return math.nextafter(exact_sum(terms), -math.inf)
 
 
 def lp_max_revenue(c: SolvedConstants, n: int) -> tuple[float, DiscreteDirectMechanism]:

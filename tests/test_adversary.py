@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import adversary_reference as reference
 import numpy as np
@@ -24,7 +25,9 @@ from maxmin_auction import (
     solve_a,
     verify_pointwise_saddle,
 )
+from maxmin_auction import adversary
 from maxmin_auction.adversary import (
+    _GRID_BLOCK,
     _ITP_N0,
     _MAX_PROBES,
     _flip_pair,
@@ -200,6 +203,54 @@ class TestPinnedFineGrid:
         fields, digest = self.PINNED[case]
         assert {name: float(getattr(res, name)).hex() for name in fields} == fields
         assert hashlib.sha256(res.grid.values.tobytes()).hexdigest() == digest
+
+
+def solve_case(case, c, K):
+    """A solve at mu = 0.5 under the mean for a reserve of RESERVES, or at
+    delta = 0.5 under the second moment."""
+    if case == "second-moment":
+        return minimize_revenue(PiecewiseCdf.uniform(), None, K, constraint="second-moment", target=0.5)
+    return minimize_revenue(RESERVES[case](c), ModelParams(mu=0.5), K)
+
+
+BLOCK_CASES = sorted(RESERVES) + ["second-moment"]
+
+
+class TestGridBlocks:
+    """H, xH' and the integrands are built in blocks of ``_GRID_BLOCK``
+    points, and the search holds seven grid arrays."""
+
+    # blocks only split elementwise passes; sums run over the whole grid
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_bits_do_not_depend_on_block(self, case, c05, monkeypatch):
+        K = 3 * 4097 + 17
+        results = set()
+        for size in (1000, 4097, _GRID_BLOCK):
+            monkeypatch.setattr(adversary, "_GRID_BLOCK", size)
+            res = solve_case(case, c05, K)
+            fields = tuple(
+                float(getattr(res, name)).hex()
+                for name in ("value", "lambda_hat", "constraint_residual", "projection_delta", "lagrangian_bound")
+            )
+            results.add((fields, res.probes, res.exact_sums, res.grid.values.tobytes()))
+        assert len(results) == 1
+
+    # x, 2H, xH', the divisor, G, the moment terms and exact_sum's buffer;
+    # the block temporaries come while at most five grid arrays are live, so
+    # one block-length array of slack covers the small objects.  The solver
+    # that built H, xH' and the integrands over the whole grid held 10 grid
+    # arrays at its peak, 11 under the second moment
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_peak_is_seven_grid_arrays(self, case, c05):
+        K = 2**18 + 3
+        solve_case(case, c05, 1000)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            solve_case(case, c05, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (7 * K + _GRID_BLOCK)
 
 
 class TestConstraintResidual:
