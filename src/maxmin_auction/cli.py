@@ -20,6 +20,7 @@ import ctypes
 import dataclasses
 import errno
 import gc
+import json
 import math
 import os
 import sys
@@ -105,7 +106,7 @@ def dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return json.dumps(obj, ensure_ascii=False)
     raise TypeError(f"cannot serialise {type(obj)}")
 
 
@@ -245,15 +246,15 @@ def cmd_adversary(args: argparse.Namespace) -> int:
 
 def cmd_upper_bound(args: argparse.Namespace) -> int:
     c = _constants(args)
-    bound = ub.reduced_form_bound(c.a, args.grid_n)
+    bound = ub.reduced_form_bound(c.a, ub.grid_ratio(c.a, args.grid_n))
     payload = {
         "mu": c.mu,
         "n": args.grid_n,
+        "cells": bound.cells,
         "lp_optimum": bound.lp_optimum,
         "analytic_bound": c.revenue_guarantee,
         "gap": bound.lp_optimum - c.revenue_guarantee,
         "safe_bound": bound.safe_bound,
-        "rounded_up_bound": bound.rounded_up_bound,
     }
     if args.dump_mechanism is not None:
         revenue, mechanism = ub.lp_max_revenue(c, args.grid_n)
@@ -295,11 +296,6 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 # Absolute tolerance of the adaptive-Simpson leg of the payment oracle.
 _PAYMENT_ORACLE_TOL = 1e-9
-# How far the LP's safe bound may lie above its exact optimum, relative; the
-# excess is the rounding allowance of the closed-form certificate, which grows
-# as n: measured at most 6.5e-13 at n = 50 and 1.25e-11 at n = 1000, both near
-# mu = 1 (``upper_bound.reduced_form_bound``).
-_LP_BOUND_RTOL = 1e-9
 
 
 def _payment_identity_worst_gap(c: SolvedConstants, seed: int, n_pairs: int) -> float:
@@ -317,20 +313,16 @@ def _payment_identity_worst_gap(c: SolvedConstants, seed: int, n_pairs: int) -> 
 def run_verification(args: argparse.Namespace) -> dict:
     """Execute every cross-check and return a JSON-ready report.
 
-    ``lp_upper_bound`` certifies the converse: ``safe_bound`` caps the
-    revenue of every mechanism against the worst-case signal law, from the
-    reduced-form LP on ``--grid-n`` geometric cells of [a, 1] plus the atom
-    at 1 (``upper_bound.reduced_form_bound``).  It passes iff
-    g <= safe_bound <= a r (2 - a r) (1 + 1e-9), r = (1/a)^(1/n), compared
-    in units of a r (``ReducedFormBound.certifies``), since a subnormal a r
-    rounds its products: sound for the LP as stored, and no looser than the
-    LP allows.  That LP's coefficients (r, 1 - 1/r, q_k and 1 - q_k/2) are
-    closed forms, rounded, so it belongs to a law a few ulps from the
-    rounded-up one, and the LP's margin above g (at least 4e-12 relative for
-    mu <= 1 - 1e-9 and n <= 1000) is what covers that rounding.  The gap
-    above g is about g ln(1/a)/n; at the default n = 50 it is 3.1% of g at
-    mu = 0.5, 61% at 1e-9 and 3.3 g at 1e-30, so below about mu = 1e-30 the
-    check certifies no fixed relative gap.
+    ``lp_upper_bound`` certifies the converse: the reduced-form LP on the
+    finest geometric grid of [a, 1], ratio rho = ``upper_bound.FINEST_RATIO``
+    (``cells`` of them, about 2^53 ln(1/a)), plus the atom at 1, caps the
+    revenue of every mechanism against the worst-case signal law at its
+    exact optimum (a/rho)(2 - a/rho) (``upper_bound.reduced_form_bound``).
+    That is under 1.2e-16 relative above 2a - a^2 at every mu.  The check
+    passes iff g is at most that optimum plus g's own rounding and the
+    optimum at most 1e-12 g above g, both compared exactly
+    (``ReducedFormBound.certifies``), so a claimed g off by more than about
+    1e-12 relative, in either direction, fails it.
     """
     if args.n_samples < 2:
         # one sample has no standard error, so mc_vs_quadrature has no verdict
@@ -400,14 +392,14 @@ def run_verification(args: argparse.Namespace) -> dict:
         lambda_hat=result.lambda_hat,
     )
 
-    bound = ub.reduced_form_bound(c.a, args.grid_n)
+    bound = ub.reduced_form_bound(c.a, ub.FINEST_RATIO)
     record(
         "lp_upper_bound",
-        bound.certifies(c.revenue_guarantee, _LP_BOUND_RTOL),
+        bound.certifies(c.revenue_guarantee, 1e-12),
         lp_optimum=bound.lp_optimum,
         analytic_bound=c.revenue_guarantee,
         safe_bound=bound.safe_bound,
-        rounded_up_bound=bound.rounded_up_bound,
+        cells=bound.cells,
     )
 
     for name, h_star in (
@@ -469,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[mu_arg, seed_arg], help="run the full invariant suite")
     p.add_argument("--samples", type=int, default=100_000, dest="n_samples")
     p.add_argument("--grid-k", type=int, default=500)
-    p.add_argument("--grid-n", type=int, default=50)
 
     p = sub.add_parser("curves", parents=[mu_arg], help="emit CDF curves as CSV")
     p.add_argument("--grid", type=int, default=1000)
@@ -660,23 +651,18 @@ def run() -> NoReturn:
     the most the dynamic threshold would reach, those temporaries stay on
     the heap.
 
-    Peak RSS as run, with the heap trimmed (collector off) and with the
-    collector on (heap kept), median of 5 cold runs (10 for ``verify`` and
-    for ``upper-bound --grid-n 400``, whose runs fall about 1 MB apart on
-    any side), 2-vCPU VM:
+    Peak RSS in MB as run, with the heap trimmed (collector off) and with
+    the collector on (heap kept), median of 5 cold runs, 2-vCPU VM:
 
-    ==============================================  ======  =======  ============
-    run                                             as run  trimmed  collector on
-    ==============================================  ======  =======  ============
-    ``simulate --mu 0.5 --samples 60000000``          65.4     65.2          65.3
-    ``adversary --mu 0.5 --grid-k 4000000``          244.0    244.0         244.1
-    ``upper-bound --mu 0.5 --grid-n 400``             86.2     86.3          86.0
-    ``upper-bound --mu 0.5 --grid-n 1000``            97.8     95.5          97.5
-    ``verify --mu 0.5 --seed 7``                      82.0     82.0          81.8
-    ==============================================  ======  =======  ============
-
-    Only ``upper-bound --grid-n 1000`` peaks higher with the heap kept, by
-    2.3 MB that it frees before its peak and glibc used to give back.
+    ===================================================  ======  =======  ============
+    run                                                  as run  trimmed  collector on
+    ===================================================  ======  =======  ============
+    ``simulate --mu 0.5 --samples 60000000``               49.3     48.7          48.9
+    ``adversary --mu 0.5 --grid-k 4000000``               244.6    244.5         244.5
+    ``upper-bound --mu 0.5 --grid-n 400``                  29.8     29.8          29.9
+    ``upper-bound --mu 0.5 --grid-n 1000000000000``        29.9     29.9          29.9
+    ``verify --mu 0.5 --seed 7``                           43.5     43.2          43.4
+    ===================================================  ======  =======  ============
 
     A usage error or ``--help`` ends inside argparse with ``SystemExit``,
     which passes through ``run`` and leaves the usual way.

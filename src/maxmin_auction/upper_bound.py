@@ -1,59 +1,42 @@
 """Revenue caps over all incentive-compatible mechanisms.
 
-``reduced_form_bound`` is the upper bound
------------------------------------------
 The theorem's converse says that no mechanism earns more than g = 2a - a^2
 against the worst-case signal law G* (G(x) = 1 - a/x on [a, 1), an atom of
 mass a at 1).  ``reduced_form_bound`` witnesses it from above without using
-that G* is equal-revenue.  It cuts [a, 1] at the geometric edges e_j = a r^j,
-r = (1/a)^(1/n), and rounds each of the n cells of G* up to its right edge;
-the atom stays at 1.  The rounded law first-order dominates G*, and with one
-good and independent bidders the best revenue is monotone in first-order
-dominance (run the dominated law's optimal mechanism on quantile-mapped
-reports).  So the optimum of Myerson's (1981) reduced-form LP on these n + 1
-types bounds the best revenue against G* from above.  The LP has 3(n + 1)
-columns and O(n) nonzeros, and every coefficient is a closed form in r, so it
-is scale-free down to subnormal a.  Its optimum is a r (2 - a r): every
-posted price e_{j+1} earns a r, so only the two value-1 types have a
-positive ironed virtual value.  That exceeds g by about g ln(1/a)/n, so no
-fixed n gives a fixed relative gap at every mu: at n = 50 it is 3.1% at
-mu = 0.5, 61% at mu = 1e-9 and a factor of about 1e6 at mu = 1e-300.
+that G* is equal-revenue: it rounds G* up onto a geometric grid of ratio
+rho, and the optimum of Myerson's (1981) reduced-form LP on the rounded law
+caps the best revenue against G*.  That optimum is (a/rho)(2 - a/rho), about
+g (1 - rho) above g, and under 1.2e-16 g above it at ``FINEST_RATIO``, the
+grid ``verify`` takes.  No LP is stored and no solver runs: the LP's optimal
+multipliers and point, closed forms, are checked in exact rational
+arithmetic on the doubles a and rho once per class of types, in O(1) at any
+cell count.  The explicit LP, built from G*'s cell masses, is the tests'
+oracle.
 
-The bound needs no solver.  The LP's optimal multipliers and its optimal
-point are both closed forms in r, built in O(n).  Weak duality holds for any
-multipliers once every column is boxed (Neumaier & Shcherbina, Math.
-Program. 99(2), 2004), so the multipliers give a bound that is safe against
-the rounding of its own sums, for the LP as stored; the rounding of that
-LP's coefficients is not covered.  The point's value is reported once its
-residuals are checked.
-
-``lp_max_revenue`` writes that point's mechanism ex post, for
-``upper-bound --dump-mechanism``: the hierarchical auction on the same n + 1
+``lp_max_revenue`` writes the point's mechanism ex post, for
+``upper-bound --dump-mechanism``: the hierarchical auction on the same
 types, whose revenue is the LP's optimum.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .constants import SolvedConstants
 from .errors import ConvergenceError, DomainError
-from .quadrature import exact_sum
 
 __all__ = ["DiscreteDirectMechanism", "ReducedFormBound", "lp_max_revenue", "reduced_form_bound"]
 
-_UNIT_ROUNDOFF = 2.0**-53
-_LEAST_SUBNORMAL = 2.0**-1074
-# The closed-form point may miss a row or a box by rounding alone: by at most
-# _PRIMAL_ULPS + ln(1/a) units of roundoff times the row's magnitude
-# |A| |x| + |b| (1 for a box), plus one least subnormal per entry.  The
-# ln(1/a) is the rounding of k t in the coefficients exp(k t), which at n = 1
-# leaves the top cell's Border row up to ln(1/a)/2 units off the point; over
-# about 2,700 other (mu, n) pairs, n up to 1e5, the worst miss was 2 units.
-_PRIMAL_ULPS = 4.0
+# The largest ratio below 1, and so the finest grid: 6.2e15 cells at a = 0.5
+FINEST_RATIO = math.nextafter(1.0, 0.0)
+# Above this many cells rho^m = a cannot hold for doubles (at most 1074 cells,
+# for rho a power of two), and ``cell_count`` works in logarithms.
+_EXACT_CELLS = 1100
 
 
 @dataclass(frozen=True)
@@ -86,45 +69,110 @@ class DiscreteDirectMechanism:
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on the first call.
 
-    No command calls it: the tests solve ``reduced_form_bound``'s LP with it,
-    and the benchmark tracer (``perfbench/trace_child.py``) binds the name.
+    No command calls it: the tests solve the explicit reduced-form LP with
+    it, and the benchmark tracer (``perfbench/trace_child.py``) binds the
+    name.
     """
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
 
 
+def grid_ratio(a: float, n: int) -> float:
+    """The ratio a^(1/n) of n geometric cells on [a, 1], as exp(ln(a)/n),
+    clamped to [a, ``FINEST_RATIO``].  Its ``cell_count`` is n or n + 1
+    for small n; rho's rounding, up to 2^-54, moves it by up to about
+    n^2 2^-54 / ln(1/a) (5e7 at n = 1e12, a = 0.5)."""
+    if not 0.0 < a < 1.0:
+        raise DomainError(f"the atom a must lie in (0, 1), got {a}")
+    if n < 1:
+        raise DomainError(f"the reduced-form LP needs at least 1 cell, got {n}")
+    return min(max(math.exp(math.log(a) / n), a), FINEST_RATIO)
+
+
+def cell_count(a: float, rho: float) -> int:
+    """The m >= 1 with rho^m <= a < rho^(m-1), exactly, for doubles a in
+    (0, 1) and rho in [a, 1).
+
+    m is the ceiling of L = ln(a)/ln(rho).  L is an integer, rho^L = a, only
+    for L <= 1074: with rho = N 2^-E and N odd, N^L must be below 2^53 (so
+    L <= 33 for N >= 3), and for N = 1, E L <= 1074.  Above
+    ``_EXACT_CELLS`` (by the float estimate) ``_log_floor`` finds the floor
+    of L, and if that is above 1074, m is one more; otherwise exact powers
+    of rho settle m, stepping from the estimate.
+    """
+    estimate = math.log(a) / math.log(rho)
+    if estimate > _EXACT_CELLS:
+        below = _log_floor(a, rho)
+        if below > 1074:
+            return below + 1
+    a_exact, rho_exact, m = Fraction(a), Fraction(rho), max(1, math.ceil(estimate))
+    power = rho_exact**m
+    while power > a_exact:
+        power *= rho_exact
+        m += 1
+    while m > 1 and power / rho_exact <= a_exact:
+        power /= rho_exact
+        m -= 1
+    return m
+
+
+def _log_floor(a: float, rho: float) -> int:
+    """The floor of L = ln(a)/ln(rho), for L no integer, from ``decimal``'s
+    correctly rounded ln and division at p digits.
+
+    Each of the three roundings is within 10^(1-p)/2 relative, so the
+    quotient is within 4 10^(1-p) L, less than 10^(2-p) times itself, of L.
+    p starts at 40 and doubles until that interval holds no integer.
+    """
+    for digits in (40, 80, 160, 320, 640, 1280):
+        ctx = decimal.Context(prec=digits)
+        ratio = Fraction(ctx.divide(ctx.ln(decimal.Decimal(a)), ctx.ln(decimal.Decimal(rho))))
+        margin = ratio / 10 ** (digits - 2)
+        below = math.floor(ratio - margin)
+        if below == math.floor(ratio + margin):
+            return below
+    raise ConvergenceError(f"ln(a)/ln(rho) at a = {a!r}, rho = {rho!r} is within 1e-1270 of an integer")
+
+
 @dataclass(frozen=True)
 class ReducedFormBound:
     """Result of ``reduced_form_bound``; revenues are per auction, not per a.
 
-    ``safe_bound`` is the certified upper bound on the LP's optimum, and so on
-    the best revenue of any mechanism against the worst-case signal law.
-    ``lp_optimum`` is the value of the LP's closed-form optimal point.
-    ``rounded_up_bound`` is the LP's exact optimum a r (2 - a r), for
-    comparison only.  ``unit`` is a r, the LP's unit of revenue, and
-    ``safe_units`` the certified bound in that unit, before the product with
-    a r that rounds to the subnormal grid once a r is subnormal.
+    ``optimum`` is the LP's exact optimum (a/rho)(2 - a/rho), and so a bound
+    on the best revenue of any mechanism against the worst-case signal law;
+    ``lp_optimum`` is it rounded to nearest and ``safe_bound`` rounded up.
+    ``cells`` is the proven cell count m.
     """
 
     lp_optimum: float
     safe_bound: float
-    rounded_up_bound: float
-    n: int
-    unit: float
-    safe_units: float
+    cells: int
+    optimum: Fraction
 
     def certifies(self, guarantee: float, rtol: float) -> bool:
-        """guarantee <= safe bound <= a r (2 - a r) (1 + rtol), compared in
-        units of a r, where no product with a r rounds."""
-        return guarantee / self.unit <= self.safe_units <= (2.0 - self.unit) * (1.0 + rtol)
+        """Whether ``guarantee``, computed as 2a - a^2 in doubles
+        (``constants.constants_from_a``), is at most the optimum, and the
+        optimum at most rtol relative above it; compared exactly.
+
+        The double guarantee is within one ulp of the exact 2a - a^2: each of
+        its two roundings is within half an ulp of a result no larger than
+        it.  So it may exceed the optimum by that ulp.
+        """
+        g = Fraction(guarantee)
+        return g <= self.optimum + Fraction(math.ulp(guarantee)) and self.optimum - g <= Fraction(rtol) * g
 
 
-def reduced_form_bound(a: float, n: int) -> ReducedFormBound:
-    """Myerson's reduced-form LP on the n geometric cells of [a, 1], rounded up.
+def reduced_form_bound(a: float, rho: float) -> ReducedFormBound:
+    """Myerson's reduced-form LP on the cells [e_k, e_{k+1}) of [a, 1],
+    rounded up; e_0 = a, e_k = rho^(m-k) for k >= 1 and m = ``cell_count``.
 
-    Types k = 0..n-1 are the cells [e_k, e_{k+1}) at value v_k = e_{k+1},
-    type n is the atom at 1, and q_k = P(type >= k) = r^-k (q_n = a).  The
+    The rounded law first-order dominates G*, and with one good and
+    independent bidders the best revenue is monotone in first-order
+    dominance (run the dominated law's optimal mechanism on quantile-mapped
+    reports), so the LP's optimum caps the best revenue against G*.
+    Types k = 0..m-1 are the cells at value v_k = e_{k+1}, type m is the
+    atom at 1, and q_k = P(type >= k) = a/e_k, so q_0 = 1 and q_m = a.  The
     variables, with boxes [0, 1], are the interim allocation Q_k, the scaled
     payment tau_k = T_k / v_k and the Border ratio
     sigma_k = sum over j >= k of p_j Q_j / q_k.  The rows:
@@ -135,12 +183,12 @@ def reduced_form_bound(a: float, n: int) -> ReducedFormBound:
         Border      sigma_k <= 1 - q_k/2
         chain       sigma_k - (p_k/q_k) Q_k - (q_{k+1}/q_k) sigma_{k+1} = 0
 
-    for adjacent types lo = hi - 1, with v_lo/v_hi = q_{k+1}/q_k = 1/r and
-    p_k/q_k = 1 - 1/r below the top (v_lo/v_hi = 1 between the two value-1
-    types n - 1 and n, and p_n/q_n = 1 with no sigma_{n+1}).  The objective
-    is 2 sum of (p_k v_k / (a r)) tau_k, with weights 1 - 1/r below the top
-    and 1/r at the atom, so the LP's optimum times a r is the revenue.  That
-    is 5n + 3 rows and about 12n nonzeros.
+    for adjacent types lo = hi - 1, and no sigma_{m+1}.  The objective is
+    2 sum of w_k tau_k, w_k = p_k v_k / (a/rho), so the LP's optimum times
+    a/rho is the revenue.  Below the top, v_lo/v_hi = q_{k+1}/q_k = rho,
+    p_k/q_k = 1 - rho and w_k = 1 - rho; v_lo/v_hi = 1 between the two
+    value-1 types m - 1 and m, and w_m = rho.  The bottom cell is the
+    exception: q_1 = a/e_1 lies in [rho, 1), and w_0 = rho^m/a - rho.
 
     Border's condition (Border, Econometrica 59(4), 1991) for two symmetric
     bidders is 2 sum over S of p_j Q_j <= 1 - (1 - P(S))^2 for every set S of
@@ -158,235 +206,178 @@ def reduced_form_bound(a: float, n: int) -> ReducedFormBound:
     holds, and T_k >= 0 by induction from T_0 = v_0 Q_0, so tau >= 0 at
     every optimum.
 
-    The safe bound is weak duality (Neumaier & Shcherbina, Math. Program.
-    99(2), 2004).  With multipliers y_ub clipped to <= 0 and y_eq, and
-    d = c - A_ub^T y_ub - A_eq^T y_eq, every feasible x has
-    c^T x >= y_ub^T b_ub + sum of min(0, d_j) over the unit boxes (b_eq = 0),
-    whatever the multipliers; the maximum is minus that, times a r.  Each
-    d_j is a dot product of at most m = 1 + (column count) terms, so its
-    rounding error is at most gamma_m (|c_j| + |A|^T |y|)_j plus m halves of
-    the least subnormal (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, section 3.1), with gamma_m = m u / (1 - m u); each
-    y_k b_k is off by at most u |y_k b_k| plus half the least subnormal.
-    Twice those allowances are subtracted as terms of their own, the terms
-    are added by ``exact_sum``, and the sum and the products with a r are
-    each moved one ulp outward.  The bound holds for the LP as stored, whose
-    coefficients are the closed forms in r as rounded.
-
-    The multipliers are the LP's optimal ones: -2 on every IC row but the
-    last, which has -2/r, -2 on BIR row 0 and on Border row n - 1, +2 and
-    +2/r on chain rows n - 1 and n, and 0 on every other row.  Every reduced
-    cost d_j is then 0 in exact arithmetic, and the dual value is
-    -(2 - q_{n-1}) = -(2 - a r).  So the safe bound exceeds a r (2 - a r) by
-    the rounding allowance alone, which is about 8 gamma_7 for each of the
-    2n Q and tau columns that the IC rows reach, so it grows as n.  Relative
-    to a r (2 - a r) it measured 3.2e-13 to 6.5e-13 at n = 50, 6.2e-12 to
-    1.25e-11 at n = 1000, 6.2e-10 to 1.25e-9 at n = 1e5 and 6.2e-9 to
-    1.25e-8 at n = 1e6, the high end near mu = 1; from about n = 1e5 up it
-    alone exceeds the 1e-9 of ``verify``'s check.  Building and checking
-    both sides takes about 0.1 ms at n = 50 and 50 ms at n = 1e5.
-
-    The point is the hierarchical allocation: only the two value-1 types are
-    served, the atom beats the top cell, and equal types split.  Q_k = tau_k
-    = 0 below type n - 1, Q_{n-1} = tau_{n-1} = 1 - a (r + 1)/2 and
-    Q_n = tau_n = 1 - a/2; sigma follows from the chain rows, sigma_n = Q_n,
-    sigma_{n-1} = (1 - 1/r) Q_{n-1} + sigma_n / r = 1 - a r/2 (on its Border
-    row) and sigma_k = r^-(n-1-k) sigma_{n-1} below.  Its value is 2 - a r,
-    the dual value, so both are optimal.  The form 1 - a (r + 1)/2 is the one
-    that does not cancel as r nears 1.  ``lp_optimum`` is the point's value
-    times a r, reported only once every row and box of the point holds
-    within its rounding allowance (_PRIMAL_ULPS); otherwise
-    ConvergenceError.
+    The optimal multipliers and point are closed forms (``_types``).  With
+    those multipliers every reduced cost is 0 but tau_0's, 2 - 2 rho^m/a,
+    and the dual value is -(2 - a/rho), the value of the hierarchical point:
+    serve only the two value-1 types, the atom beats the top cell, and equal
+    types split.  ``_certified_value`` checks all of it exactly, per class
+    of types; a failure raises ConvergenceError.
     """
     if not 0.0 < a < 1.0:
         raise DomainError(f"the atom a must lie in (0, 1), got {a}")
-    if n < 1:
-        raise DomainError(f"the reduced-form LP needs at least 1 cell, got {n}")
-    t = math.log(a) / n  # ln(1/r); r = exp(-t) never overflows, unlike (1/a)**(1/n)
-    lp = _ReducedFormLp.build(t, n)
-    x = _hierarchical_point(a, t, n)
-    excess = lp.primal_excess(x, (_PRIMAL_ULPS - math.log(a)) * _UNIT_ROUNDOFF)
-    if excess > 0.0:
-        raise ConvergenceError(f"the closed-form LP point misses a row or box by {excess:.3g} beyond rounding")
-    unit = a * math.exp(-t)
-    lp_optimum = -float(lp.cost @ x) * unit
-    del x
-    safe_units = -lp.dual_bound(*_closed_form_multipliers(t, n))
-    return ReducedFormBound(
-        lp_optimum=lp_optimum,
-        safe_bound=math.nextafter(safe_units * math.nextafter(unit, math.inf), math.inf),
-        rounded_up_bound=unit * (2.0 - unit),
-        n=n,
-        unit=unit,
-        safe_units=safe_units,
-    )
-
-
-def _closed_form_multipliers(t: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The LP's optimal multipliers (y_ub, y_eq), in ``_ReducedFormLp.build``'s
-    row order (``reduced_form_bound``)."""
-    inv_r = math.exp(t)
-    y_ub = np.zeros(4 * n + 2)
-    y_ub[:n] = -2.0  # IC
-    y_ub[n - 1] = -2.0 * inv_r
-    y_ub[2 * n] = -2.0  # BIR row 0
-    y_ub[4 * n] = -2.0  # Border row n - 1
-    y_eq = np.zeros(n + 1)
-    y_eq[n - 1:] = (2.0, 2.0 * inv_r)  # chain rows n - 1 and n
-    return y_ub, y_eq
-
-
-def _hierarchical_point(a: float, t: float, n: int) -> np.ndarray:
-    """The LP's closed-form optimal point, columns Q | tau | sigma
-    (``reduced_form_bound``)."""
-    r, inv_r = math.exp(-t), math.exp(t)
-    big_n = n + 1
-    top_cell, atom = 1.0 - a * (r + 1.0) / 2.0, 1.0 - a / 2.0
-    x = np.zeros(3 * big_n)
-    x[n - 1:big_n] = x[big_n + n - 1:2 * big_n] = (top_cell, atom)
-    sigma_top = -math.expm1(t) * top_cell + inv_r * atom  # chain row n - 1
-    x[2 * big_n + n - 1:] = (sigma_top, atom)
-    x[2 * big_n:2 * big_n + n - 1] = sigma_top * np.power(inv_r, np.arange(n - 1, 0, -1.0))
-    return x
+    if not a <= rho < 1.0:
+        raise DomainError(f"the grid ratio must lie in [a, 1) = [{a}, 1), got {rho}")
+    m = cell_count(a, rho)
+    atom, ratio = Fraction(a), Fraction(rho)
+    optimum = _certified_value(_types(atom, ratio, m)) * atom / ratio
+    lp_optimum = float(optimum)  # the quotient of two ints, correctly rounded
+    safe_bound = lp_optimum if Fraction(lp_optimum) >= optimum else math.nextafter(lp_optimum, math.inf)
+    return ReducedFormBound(lp_optimum=lp_optimum, safe_bound=safe_bound, cells=m, optimum=optimum)
 
 
 @dataclass(frozen=True)
-class _ReducedFormLp:
-    """``reduced_form_bound``'s LP: minimize cost^T x subject to
-    A_ub x <= b_ub, A_eq x = 0 and the unit boxes; columns Q | tau | sigma.
+class _Type:
+    """One type k of ``reduced_form_bound``'s LP, exactly: its rows'
+    coefficients, the multipliers on its rows, and the point's values on its
+    columns.  Row k of each kind is type k's; the IC and monotone rows k
+    reach type k + 1, and the chain row k reaches sigma_{k+1}.
 
-    A = [A_ub; A_eq] is kept as COO triples (rows, cols, vals), with the
-    b_ub.size inequality rows first; ``shape`` is A's."""
+    ``step`` is q_{k+1}/q_k (0 at the top), so p_k/q_k = 1 - step.  At the
+    point Q_k = tau_k = ``alloc``, since the winner pays 1, the value of
+    every type served, and ``served`` is q_k sigma_k, the mass p_j Q_j
+    summed over j >= k.  None marks a coefficient that is no closed form in
+    a and rho; it only ever multiplies a zero.
+    """
 
-    cost: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    shape: tuple[int, int]
-    b_ub: np.ndarray
-    border: np.ndarray  # the rows of A_ub that carry Border's condition
+    q: Fraction
+    mass: Fraction | None
+    ratio: Fraction  # v_k / v_{k+1}; unused at the top
+    step: Fraction | None
+    weight: Fraction
+    y_ic: Fraction
+    y_bir: Fraction
+    y_border: Fraction
+    y_chain: Fraction
+    alloc: Fraction
+    served: Fraction
 
-    @classmethod
-    def build(cls, t: float, n: int) -> "_ReducedFormLp":
-        """The LP on n cells, from t = ln(1/r) = ln(a)/n."""
-        inv_r = math.exp(t)
-        big_n = n + 1
-        k = np.arange(big_n)
-        lo, hi = k[:-1], k[1:]
-        big_t, big_s = big_n, 2 * big_n  # first columns of tau and sigma
-        ratio = np.full(n, inv_r)  # v_lo / v_hi
-        ratio[-1] = 1.0  # the top cell and the atom both have value 1
-        ic, mono = lo, n + lo
-        bir = 2 * n + k
-        border = 2 * n + big_n + k
-        chain = 2 * n + 2 * big_n + k
-        share = np.full(big_n, -math.expm1(t))  # p_k / q_k
-        share[-1] = 1.0
-        # (row, column, value) of each block of entries, written in this
-        # order into the preallocated triples
-        entries = (
-            (ic, lo, 1.0),
-            (ic, hi, -1.0),
-            (ic, big_t + hi, 1.0),
-            (ic, big_t + lo, -ratio),
-            (mono, lo, 1.0),
-            (mono, hi, -1.0),
-            (bir, big_t + k, 1.0),
-            (bir, k, -1.0),
-            (border, big_s + k, 1.0),
-            (chain, big_s + k, 1.0),
-            (chain, k, -share),
-            (chain[:-1], big_s + hi, -inv_r),
+
+def _times(x: Fraction, y: Fraction | None) -> Fraction:
+    return Fraction(0) if x == 0 else x * y
+
+
+def _types(a: Fraction, rho: Fraction, m: int) -> list[_Type]:
+    """The LP's types in order, up to 4 cells; above, the classes in order:
+    the bottom type, type m - 3 twice for the interior types 1..m - 3 (and
+    their pairs with each other), then types m - 2, m - 1 and m.
+
+    Type m - 3 stands for the class: every interior type has its rows'
+    coefficients, multipliers and point, and only q_k, p_k and the Border
+    row's right side 1 - q_k/2 move with k.  Its q_k = a/rho^3 is the least
+    in the class, where the point's Border row, q_k sigma_k <= q_k - q_k^2/2
+    with q_k sigma_k the same for every interior type, is tightest, since
+    q - q^2/2 increases on [0, 1]; p_k only multiplies Q_k = 0.
+
+    The bottom type's w_0 = rho^m/a - rho is at most the interior 1 - rho,
+    as rho^m <= a, and tau_0 >= 0, so the LP with w_0 = 1 - rho bounds the
+    true one from above, and the point, with tau_0 = 0, has the same value
+    in both: the class check takes 1 - rho.  Its q_1 = a/rho^(m-1) is no
+    closed form.  It is a coefficient only in the chain row 0 (on sigma_1,
+    and on Q_0 through p_0 = 1 - q_1), whose multiplier is 0 and which the
+    point meets with Q_0 = 0 whatever q_1 is, and in the Border row 1 of the
+    interior class.
+    """
+
+    def edge(k: int) -> Fraction:
+        return a if k == 0 else rho ** (m - k)
+
+    def q(k: int) -> Fraction:
+        return a / edge(k) if k <= m else Fraction(0)
+
+    top, atom = 1 - (q(m - 1) + a) / 2, 1 - a / 2  # Q = tau at types m - 1 and m
+    served = (q(m - 1) - a) * top + a * atom
+
+    def law_type(k: int) -> _Type:
+        alloc = {m - 1: top, m: atom}.get(k, Fraction(0))
+        value = edge(k + 1) if k < m else Fraction(1)
+        return _Type(
+            q=q(k),
+            mass=q(k) - q(k + 1),
+            ratio=value / (edge(k + 2) if k + 1 < m else 1),
+            step=q(k + 1) / q(k),
+            weight=(q(k) - q(k + 1)) * value * rho / a,
+            y_ic=Fraction(-2) if k < m - 1 else -2 * rho if k == m - 1 else Fraction(0),
+            y_bir=Fraction(-2 if k == 0 else 0),
+            y_border=Fraction(-2 if k == m - 1 else 0),
+            y_chain=Fraction(2) if k == m - 1 else 2 * rho if k == m else Fraction(0),
+            alloc=alloc,
+            served=a * atom if k == m else served,
         )
-        nnz = sum(row.size for row, _, _ in entries)
-        rows = np.empty(nnz, dtype=k.dtype)
-        cols = np.empty(nnz, dtype=k.dtype)
-        vals = np.empty(nnz)
-        end = 0
-        for row, col, val in entries:
-            start, end = end, end + row.size
-            rows[start:end], cols[start:end], vals[start:end] = row, col, val
-        b_ub = np.zeros(chain[0])
-        b_ub[border] = 1.0 - 0.5 * np.exp(k * t)  # 1 - q_k/2
 
-        cost = np.zeros(3 * big_n)
-        cost[big_t:big_s] = 2.0 * math.expm1(t)  # -2 (1 - 1/r)
-        cost[big_s - 1] = -2.0 * inv_r
-        return cls(cost, rows, cols, vals, (5 * n + 3, cost.size), b_ub, border)
+    if m <= 4:
+        return [law_type(k) for k in range(m + 1)]
+    zero = Fraction(0)
+    bottom = _Type(
+        q=Fraction(1), mass=None, ratio=rho, step=None, weight=1 - rho,
+        y_ic=Fraction(-2), y_bir=Fraction(-2), y_border=zero, y_chain=zero,
+        alloc=zero, served=served,
+    )
+    interior = law_type(m - 3)
+    return [bottom, interior, interior, law_type(m - 2), law_type(m - 1), law_type(m)]
 
-    def primal_excess(self, x: np.ndarray, rtol: float) -> float:
-        """How far x misses its worst row or box beyond rtol times the row's
-        magnitude and a least subnormal per entry; at most 0 if all hold."""
-        n_rows, ineq = self.shape[0], self.b_ub.size
-        terms = np.take(x, self.cols)  # the entries times x, then their sizes
-        terms *= self.vals
-        miss = np.bincount(self.rows, terms, minlength=n_rows)  # A x, then its miss
-        size = np.bincount(self.rows, np.abs(terms, out=terms), minlength=n_rows)
-        del terms
-        size[:ineq] += np.abs(self.b_ub)
-        miss[:ineq] -= self.b_ub
-        np.abs(miss[ineq:], out=miss[ineq:])
-        size *= rtol  # the allowance
-        size += np.bincount(self.rows, minlength=n_rows) * _LEAST_SUBNORMAL
-        miss -= size
-        box = np.maximum(-x, x - 1.0)
-        box -= rtol
-        return float(np.maximum(np.max(miss), np.max(box)))
 
-    def reduced_costs(self, y_ub: np.ndarray, y_eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """d = c - A^T y on y_ub clipped to <= 0, and twice the bound on each
-        d_j's rounding error (``reduced_form_bound``)."""
-        y = np.concatenate((np.minimum(y_ub, 0.0), y_eq))
-        terms = np.take(y, self.rows)  # the entries times y, then their sizes
-        terms *= self.vals
-        n_cols = self.shape[1]
-        reduced = self.cost - np.bincount(self.cols, terms, minlength=n_cols)
-        size = np.abs(self.cost) + np.bincount(self.cols, np.abs(terms, out=terms), minlength=n_cols)
-        del terms
-        m = 1 + int(np.max(np.bincount(self.cols, minlength=n_cols)))
-        gamma = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)
-        return reduced, 2.0 * gamma * size + m * _LEAST_SUBNORMAL
+def _certified_value(types: list[_Type]) -> Fraction:
+    """The LP's optimum, once the multipliers and the point on ``types`` pass
+    every check exactly; ConvergenceError otherwise.
 
-    def dual_bound(self, y_ub: np.ndarray, y_eq: np.ndarray) -> float:
-        """Weak duality on the multipliers y_ub (clipped to <= 0) and y_eq: a
-        lower bound on the minimum, rounding-safe (``reduced_form_bound``)."""
-        reduced, allowance = self.reduced_costs(y_ub, y_eq)
-        border_terms = np.minimum(y_ub[self.border], 0.0) * self.b_ub[self.border]
-        terms = np.concatenate((
-            np.minimum(reduced, 0.0, out=reduced),
-            np.negative(allowance, out=allowance),
-            border_terms,
-            -(2.0 * _UNIT_ROUNDOFF * abs(border_terms) + _LEAST_SUBNORMAL),
-        ))
-        del reduced, allowance
-        return math.nextafter(exact_sum(terms), -math.inf)
+    Dual: multipliers <= 0 on the inequality rows and reduced costs
+    d = c - A^T y >= 0 on every column, c = -2 w on tau and 0 elsewhere, so
+    every point in the nonnegative orthant that meets the rows has
+    c^T x >= y^T b = sum of y_border (1 - q/2).  Primal: the point meets
+    every row and box, with Border and chain rows times q_k.  The optimum is
+    the common value of the two, negated.
+    """
+    dual = primal = Fraction(0)
+    for k, t in enumerate(types):
+        lo = types[k - 1] if k else None
+        hi = types[k + 1] if k + 1 < len(types) else None
+        lo_ic = lo.y_ic if lo else 0
+        d_q = -(t.y_ic - lo_ic - t.y_bir - t.y_chain + _times(t.y_chain, t.step))
+        d_tau = -2 * t.weight - (lo_ic - t.ratio * t.y_ic + t.y_bir)
+        d_sigma = -(t.y_border + t.y_chain - (_times(lo.y_chain, lo.step) if lo else 0))
+        rows = [
+            min(d_q, d_tau, d_sigma) >= 0,
+            max(t.y_ic, t.y_bir, t.y_border) <= 0,
+            0 <= t.alloc <= 1,  # the boxes; BIR is tau - Q = 0
+            0 <= t.served <= t.q - t.q * t.q / 2,  # Border, and sigma's box
+            t.served == _times(t.alloc, t.mass) + (hi.served if hi else 0),  # chain
+        ]
+        if hi:  # IC, Q_k - Q_{k+1} + tau_{k+1} - ratio tau_k, and monotone
+            rows += [(1 - t.ratio) * t.alloc <= 0, t.alloc <= hi.alloc]
+        if not all(rows):
+            raise ConvergenceError(f"the closed-form certificate fails at type class {k} of {len(types)}")
+        dual += t.y_border * (1 - t.q / 2)  # the interior class, listed twice, has y_border = 0
+        primal += 2 * t.weight * t.alloc  # and tau = 0
+    if primal != -dual:
+        raise ConvergenceError(f"the closed-form point's value {primal} is not the dual bound {-dual}")
+    return primal
 
 
 def lp_max_revenue(c: SolvedConstants, n: int) -> tuple[float, DiscreteDirectMechanism]:
-    """The reduced-form LP's optimal mechanism, ex post; returns (revenue,
-    mechanism).
+    """The reduced-form LP's optimal mechanism, ex post, on the grid of
+    ``grid_ratio`` (c.a, n); returns (revenue, mechanism).
 
-    The types are ``reduced_form_bound``'s n + 1: cell k < n at its value
-    e_{k+1} = a r^(k+1) with mass p_k = q_k - q_{k+1}, and the atom n at 1
+    The types are ``reduced_form_bound``'s m + 1: cell k < m at its value
+    e_{k+1} = rho^(m-1-k) with mass p_k = q_k - q_{k+1}, and the atom m at 1
     with mass a.  For two symmetric bidders a monotone interim allocation
     that meets Border's condition is implemented by a hierarchical rule
     (Border, Econometrica 59(4), 1991; Vohra, Mechanism Design: A Linear
     Programming Approach, 2011), and the LP's optimal point is one: only the
-    two value-1 types n - 1 and n are served, the atom beats the top cell,
+    two value-1 types m - 1 and m are served, the atom beats the top cell,
     equal types split, and the winner pays 1.  Its interim Q is the point's,
-    and its revenue 2 p^T t1 p is 1 - (1 - a r)^2 = a r (2 - a r), the LP's
-    optimum.
+    and its revenue 2 p^T t1 p is 1 - (1 - a/rho)^2 = (a/rho)(2 - a/rho),
+    the LP's optimum.
     """
-    if n < 1:
-        raise DomainError(f"the reduced-form LP needs at least 1 cell, got {n}")
-    t = math.log(c.a) / n
-    k = np.arange(n + 1.0)
-    masses = np.append(-math.expm1(t) * np.exp(k[:-1] * t), c.a)
-    types = np.exp(np.maximum(n - 1.0 - k, 0.0) * t)  # a r^(k+1) = exp((n-1-k) t); 1 from k = n - 1 on
-    q1 = np.zeros((n + 1, n + 1))
-    q1[n - 1:, :n - 1] = 1.0
-    q1[n, n - 1] = 1.0
-    q1[[n - 1, n], [n - 1, n]] = 0.5
+    rho = grid_ratio(c.a, n)
+    m = cell_count(c.a, rho)
+    log_rho = math.log(rho)
+    q = np.exp(math.log(c.a) + np.arange(1.0 - m, 0.0) * log_rho)  # q_k = a rho^(k-m), k = 1..m-1
+    masses = np.concatenate(([1.0 - (q[0] if m > 1 else c.a)], (1.0 - rho) * q, [c.a]))
+    types = np.exp(np.maximum(m - 1.0 - np.arange(m + 1.0), 0.0) * log_rho)  # 1 from k = m - 1 on
+    q1 = np.zeros((m + 1, m + 1))
+    q1[m - 1:, :m - 1] = 1.0
+    q1[m, m - 1] = 1.0
+    q1[[m - 1, m], [m - 1, m]] = 0.5
     # the winner pays 1, so each payment is the allocation itself
     revenue = 2.0 * float(masses @ q1 @ masses)
     return revenue, DiscreteDirectMechanism(masses=masses, types=types, q1=q1, q2=q1.T, t1=q1, t2=q1.T)

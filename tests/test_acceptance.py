@@ -34,6 +34,7 @@ from maxmin_auction import (
     uniform_pairs,
     verify_pointwise_saddle,
 )
+from maxmin_auction.upper_bound import grid_ratio
 
 MC_SEED = 11
 
@@ -95,7 +96,7 @@ def test_criterion_04_lp_upper_bound():
     t0 = time.perf_counter()
     c = solve_a(ModelParams(mu=0.5))
     bound = c.revenue_guarantee
-    optima = {n: reduced_form_bound(c.a, n).lp_optimum for n in (25, 50, 100)}
+    optima = {n: reduced_form_bound(c.a, grid_ratio(c.a, n)).lp_optimum for n in (25, 50, 100)}
     # the optimum on rounded-up types is a true upper bound
     assert all(bound <= opt for opt in optima.values())
     assert bound - 0.02 <= optima[50] <= bound + 0.02

@@ -36,6 +36,17 @@ class TestDumpJson:
         parsed = json.loads(s)
         assert parsed == {"i": 3, "b": True, "n": None, "l": [1.5, "x"], "nan": None}
 
+    # strings are JSON-escaped: a control character in an --out path such as
+    # a tab is written as \t, not raw, which json.loads would reject; a
+    # string without one keeps its bytes, quotes, backslashes and non-ASCII
+    # letters included
+    def test_strings_escaped(self, capsys, tmp_path):
+        out_path = tmp_path / "a\tb.csv"
+        code, out = run_cli(capsys, "curves", "--mu", "0.5", "--grid", "3", "--out", str(out_path))
+        assert code == 0 and "\t" not in out
+        assert json.loads(out)["out"] == str(out_path)
+        assert dump_json('q"\\é') == '"q\\"\\\\é"'
+
 
 class TestSolve:
     def test_solve_json(self, capsys):
@@ -267,7 +278,8 @@ class TestUpperBoundCommand:
         payload = json.loads(out)
         assert abs(payload["gap"]) <= 0.03
         mech = json.loads(dump.read_text())
-        assert len(mech["q1"]) == 26
+        assert payload["n"] == 25 and payload["cells"] in (25, 26)
+        assert len(mech["q1"]) == payload["cells"] + 1
         # the dump is a certificate: feasible for every misreport pair, and it
         # earns the reported revenue, the reduced-form LP's optimum
         rebuilt = DiscreteDirectMechanism(**{k: np.array(v) for k, v in mech.items()})
@@ -292,11 +304,11 @@ class TestUpperBoundCommand:
         assert list(payload)[2:] == [
             "mu",
             "n",
+            "cells",
             "lp_optimum",
             "analytic_bound",
             "gap",
             "safe_bound",
-            "rounded_up_bound",
         ]
         assert payload["analytic_bound"] <= payload["safe_bound"]
         code, out = run_cli(
@@ -358,7 +370,7 @@ OVERSIZED = {
     "second-moment grid": ["adversary", "--delta", "0.5", "--grid-k", HUGE],
     "adversary grid past numpy": ["adversary", "--mu", "0.5", "--grid-k", str(10**23)],
     "curves grid": ["curves", "--mu", "0.5", "--grid", HUGE, "--out", "OUT"],
-    "upper-bound grid": ["upper-bound", "--mu", "0.5", "--grid-n", HUGE],
+    "upper-bound mechanism": ["upper-bound", "--mu", "0.5", "--grid-n", HUGE, "--dump-mechanism", "OUT"],
     "simulate samples": ["simulate", "--mu", "0.5", "--samples", str(10**30), "--seed", "1"],
     "verify samples": ["verify", "--mu", "0.5", "--samples", str(10**30), "--seed", "1"],
 }
@@ -413,8 +425,6 @@ class TestVerifyCommand:
             "7",
             "--samples",
             "30000",
-            "--grid-n",
-            "20",
         )
         code1, out1 = run_cli(capsys, *args)
         code2, out2 = run_cli(capsys, *args)
@@ -435,16 +445,18 @@ class TestVerifyCommand:
             "payment_identity",
         } <= names
 
-    # The LP check is relative at every mu, at verify's default grid.  At
-    # 1e-30 and 1e-300 the run still fails on functional_vs_closed_form and
-    # mc_vs_quadrature, which this check does not touch.
+    # The LP check is relative at every mu, and its bound sits within about
+    # 1e-16 relative of g.  At 1e-30 and 1e-300 the run still fails on
+    # functional_vs_closed_form and mc_vs_quadrature, which this check does
+    # not touch.
     @pytest.mark.parametrize("mu", ["0.99999", "0.5", "1e-3", "1e-9", "1e-30", "1e-300"])
     def test_lp_upper_bound_passes_at_every_stratum(self, capsys, mu):
         _, out = run_cli(capsys, "verify", "--mu", mu, "--seed", "7", "--samples", "30000")
         checks = {ch["name"]: ch for ch in json.loads(out)["checks"]}
         lp = checks["lp_upper_bound"]
         assert lp["passed"] is True
-        assert lp["analytic_bound"] <= lp["safe_bound"] <= lp["rounded_up_bound"] * (1.0 + 1e-9)
+        assert lp["safe_bound"] == pytest.approx(lp["analytic_bound"], rel=1e-11, abs=0.0)
+        assert lp["cells"] > 10**13  # the finest grid, ratio 1 - 2**-53
         failing = {name for name, ch in checks.items() if not ch["passed"]}
         if float(mu) <= 1e-30:
             assert failing == {"functional_vs_closed_form", "mc_vs_quadrature"}
@@ -459,8 +471,6 @@ class TestVerifyCommand:
             "1",
             "--samples",
             "30000",
-            "--grid-n",
-            "20",
         )
         assert code == 0
         assert json.loads(out)["all_passed"] is True
@@ -469,7 +479,7 @@ class TestVerifyCommand:
     def test_low_tail_mean(self, capsys, seed):
         # the Monte Carlo leg must reach the signal's atom of mass a ~ 7e-11
         code, out = run_cli(
-            capsys, "verify", "--mu", "1.5e-9", "--seed", seed, "--samples", "30000", "--grid-n", "20"
+            capsys, "verify", "--mu", "1.5e-9", "--seed", seed, "--samples", "30000"
         )
         assert code == 0
         assert json.loads(out)["all_passed"] is True
@@ -486,8 +496,6 @@ class TestVerifyCommand:
             "1",
             "--samples",
             "30000",
-            "--grid-n",
-            "20",
         )
         payload = json.loads(out)
         adversary = {ch["name"]: ch for ch in payload["checks"]}["adversary_minimum"]

@@ -1,10 +1,14 @@
-"""The reduced-form LP bound against its closed form, and the hierarchical
-mechanism that ``--dump-mechanism`` writes against the LP's point and the
-exact discrete optimum."""
+"""The reduced-form LP bound against the explicit LP in exact arithmetic and
+HiGHS, its cell count against exact powers, and the hierarchical mechanism
+that ``--dump-mechanism`` writes against the LP's point and the exact
+discrete optimum."""
 
+import dataclasses
 import json
 import math
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +29,7 @@ from maxmin_auction import (
 from maxmin_auction.cli import main
 
 import oracles
+import reduced_form_reference as ref
 from mechanism_reference import bic_bir_violations, myerson_revenue
 
 
@@ -47,59 +52,160 @@ class TestAnalyticBound:
         assert c05.revenue_guarantee == pytest.approx(0.3385, abs=5e-4)
 
 
-def _log_uniform_mu():
-    lo, hi = math.log(1e-300), math.log1p(-1e-9)
-    return st.floats(lo, hi).map(math.exp)
+def _exact_cells(a: float, rho: float) -> int:
+    """The least m >= 1 with rho^m <= a, by bisection on exact powers."""
+    a, rho = Fraction(a), Fraction(rho)
+    hi = 1
+    while rho**hi > a:
+        hi *= 2
+    lo = hi // 2  # rho^lo > a, or lo = 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if rho**mid > a else (lo, mid)
+    return hi
 
 
-def _ratio(a: float, n: int) -> float:
-    return math.exp(-math.log(a) / n)
+@st.composite
+def _grid(draw, most_cells: float):
+    """(a, rho) with rho in [a, 1) and ln(a)/ln(rho) up to most_cells."""
+    a = math.exp(draw(st.floats(math.log(5e-324), math.log1p(-1e-12))))
+    return a, max(math.exp(math.log(a) / draw(st.floats(1.0, most_cells))), a)
+
+
+class TestCellCount:
+    # Against exact powers, on both sides of the switch to logarithms at
+    # about 1100 cells; rho^m = a holds at (0.25, 0.5), at rho = a and at
+    # rho = 2^-1 or 2^-2 with a = 2^-1074, the most cells an equality allows.
+    @settings(max_examples=80, deadline=None)
+    @given(grid=_grid(2000.0))
+    @example(grid=(0.25, 0.5))
+    @example(grid=(0.3, 0.3))
+    @example(grid=(5e-324, 5e-324))
+    @example(grid=(5e-324, 0.5))
+    @example(grid=(5e-324, 0.25))
+    @example(grid=(2.0**-1000, 0.5))
+    @example(grid=(0.5, 0.5 ** (1 / 1100)))
+    def test_matches_exact_powers(self, grid):
+        a, rho = grid
+        m = ub.cell_count(a, rho)
+        assert m == _exact_cells(a, rho)
+        assert Fraction(rho) ** m <= Fraction(a) < Fraction(rho) ** (m - 1)
+
+    def test_equalities(self):
+        assert ub.cell_count(0.25, 0.5) == 2
+        assert ub.cell_count(0.3, 0.3) == 1
+        assert ub.cell_count(5e-324, 0.5) == 1074
+
+    # mpmath's ceil(ln(a)/ln(rho)) at 60 digits
+    @pytest.mark.parametrize(("a", "cells"), [(0.5, 6243314768165359), (5e-324, 6705320061009595419)])
+    def test_finest_grid_matches_mpmath(self, a, cells):
+        assert ub.cell_count(a, ub.FINEST_RATIO) == cells
+
+    def test_grid_ratio(self):
+        assert ub.grid_ratio(0.5, 1) == 0.5
+        assert ub.grid_ratio(0.5, 10**18) == ub.FINEST_RATIO
+        assert ub.cell_count(5e-324, ub.grid_ratio(5e-324, 1)) == 1
+        for n in (1, 2, 25, 64, 1000, 10**6):
+            assert ub.cell_count(0.5, ub.grid_ratio(0.5, n)) in (n, n + 1)
+        # rho within 2^-54 of a^(1/n) moves the count by up to n^2 2^-54/ln 2
+        n = 10**12
+        assert abs(ub.cell_count(0.5, ub.grid_ratio(0.5, n)) - n) <= n * n * 2.0**-54 / math.log(2.0)
+
+
+def _as_fractions(a: float, rho: float) -> tuple[Fraction, Fraction, int]:
+    return Fraction(a), Fraction(rho), _exact_cells(a, rho)
 
 
 class TestReducedFormBound:
-    # The LP's exact optimum on the rounded-up cells is a r (2 - a r).  The
-    # closed-form point's value was measured within 2.3e-16 of it, and the
-    # safe bound at most 1.25e-11 above it for n <= 1000.
-    @settings(max_examples=60, deadline=None)
-    @given(mu=_log_uniform_mu(), n=st.sampled_from([10, 50, 64, 150]))
-    def test_safe_bound_brackets_and_primal_matches_closed_form(self, mu, n):
-        c = solve_a(ModelParams(mu=mu))
-        bound = reduced_form_bound(c.a, n)
-        a, r = c.a, _ratio(c.a, n)
-        closed = a * r * (2.0 - a * r)
-        assert bound.rounded_up_bound == closed
-        assert c.revenue_guarantee <= bound.safe_bound <= closed * (1.0 + 1e-9)
-        assert abs(bound.lp_optimum - closed) <= 1e-11 * closed
-        assert bound.n == n
-        assert bound.certifies(c.revenue_guarantee, 1e-9)
+    # The explicit LP on the rounded-up law, in exact arithmetic: the
+    # closed-form multipliers price every column at 0 but tau_0, at
+    # 2 - 2 rho^m/a >= 0, their dual value is -(2 - a/rho), and the
+    # hierarchical point meets every row with that value.  reduced_form_bound
+    # reads the same optimum from its per-class check.
+    @settings(max_examples=40, deadline=None)
+    @given(grid=_grid(60.0))
+    @example(grid=(0.5, 0.5))
+    @example(grid=(0.25, 0.5))
+    @example(grid=(0.3, 0.97))
+    @example(grid=(1e-300, 1e-75))
+    def test_matches_the_exact_lp(self, grid):
+        a, rho, m = _as_fractions(*grid)
+        lp = ref.reduced_form_lp(a, rho, m)
+        y_ub, y_eq = ref.closed_form_multipliers(rho, m)
+        d = ref.reduced_costs(lp, y_ub, y_eq)
+        tau_0 = m + 1
+        assert d[tau_0] == 2 - 2 * rho**m / a >= 0
+        assert all(v == 0 for j, v in enumerate(d) if j != tau_0)
+        u = a / rho
+        assert ref.dual_value(lp, y_ub) == -(2 - u)
+        x = ref.hierarchical_point(a, rho, m)
+        assert ref.primal_feasible(lp, x)
+        assert ref.objective(lp, x) == -(2 - u)
+        bound = reduced_form_bound(*grid)
+        assert bound.cells == m
+        assert bound.optimum == u * (2 - u)
+        assert bound.lp_optimum == float(bound.optimum)
+        assert Fraction(bound.safe_bound) >= bound.optimum
+        assert bound.safe_bound in (bound.lp_optimum, math.nextafter(bound.lp_optimum, math.inf))
 
-    # HiGHS, on the LP's own rows, finds the optimum of the closed-form point.
-    # The solver sees only the LP, not the law behind it.  At its default
-    # feasibility tolerances of 1e-7 it can stop that far from the optimum:
-    # 1.28e-7 relative at mu = 1 - 9.2e-8, n = 6, a draw that hypothesis
-    # makes from a literal constant of the package source (it mixes those
-    # into its draws even when derandomized).  At 1e-10, with its presolve
-    # off, it agrees there to 3.3e-13, and within 1.8e-9 on a log-uniform
-    # sweep of 155 mu at n in {6, 10, 25}.  With presolve on, the 1e-10
-    # solve stops with status 4 at 7 of those mu, all below 1e-100 and at
-    # n = 25.
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(mu=_log_uniform_mu(), n=st.sampled_from([6, 10, 25]))
-    @example(mu=0.9999999081422735, n=6)
-    def test_solver_finds_the_closed_form_optimum(self, mu, n):
+    # Each type of the explicit LP against the class that stands for it:
+    # the same row coefficients, multipliers and point; the interior class
+    # carries its least q_k, and the bottom class above 4 cells the upper
+    # bound 1 - rho on w_0, and no q_1.
+    @pytest.mark.parametrize("m_target", [1, 2, 3, 4, 5, 6, 9])
+    @pytest.mark.parametrize("mu", [0.99, 0.5, 1e-9])
+    def test_classes_stand_for_their_types(self, mu, m_target):
+        a_float = solve_a(ModelParams(mu=mu)).a
+        rho_float = ub.grid_ratio(a_float, m_target)
+        a, rho, m = _as_fractions(a_float, rho_float)
+        law = ref.law(a, rho, m)
+        x = ref.hierarchical_point(a, rho, m)
+        types = ub._types(a, rho, m)
+        index = list(range(m + 1)) if m <= 4 else [0] + [1] * (m - 3) + [3, 4, 5]
+        for k, i in enumerate(index):
+            t = types[i]
+            step = law.q[k + 1] / law.q[k] if k < m else 0
+            weight = law.masses[k] * law.values[k] * rho / a
+            assert (t.alloc, t.alloc, t.served) == (x[k], x[m + 1 + k], law.q[k] * x[2 * m + 2 + k])
+            if k < m:
+                assert t.ratio == law.values[k] / law.values[k + 1]
+            if m > 4 and k == 0:
+                assert t.step is None and t.mass is None and t.q == 1 and weight <= t.weight == 1 - rho
+                continue
+            assert (t.step, t.weight) == (step, weight)
+            assert t.q <= law.q[k] and t.mass in (law.masses[k], law.masses[m - 3])
+            if 0 < k < m - 3:
+                assert t.q == law.q[m - 3]
+            else:
+                assert t.q == law.q[k] and t.mass == law.masses[k]
+
+    # HiGHS, on the explicit LP in doubles, finds the same optimum.  The
+    # solver sees only the LP, not the law behind it.  At its default
+    # feasibility tolerances of 1e-7 it can stop that far from the optimum,
+    # so it runs at 1e-10 with its presolve off, which at mu = 1e-100 and
+    # below can stop with status 4.
+    @pytest.mark.parametrize("n", [1, 2, 6, 10, 25])
+    @pytest.mark.parametrize("mu", [0.9999999081422735, 0.99999, 0.5, 1e-3, 1e-9, 1e-30])
+    def test_solver_finds_the_optimum(self, mu, n):
         from scipy import sparse
 
-        a = solve_a(ModelParams(mu=mu)).a
-        t = math.log(a) / n
-        lp = ub._ReducedFormLp.build(t, n)
-        rows = sparse.csr_matrix((lp.vals, (lp.rows, lp.cols)), shape=lp.shape)
-        ineq = lp.b_ub.size
+        a_float = solve_a(ModelParams(mu=mu)).a
+        rho_float = ub.grid_ratio(a_float, n)
+        a, rho, m = _as_fractions(a_float, rho_float)
+        lp = ref.reduced_form_lp(a, rho, m)
+        n_cols = len(lp.cost)
+
+        def matrix(rows):
+            triples = [(i, col, float(val)) for i, row in enumerate(rows) for col, val in row]
+            r, c, v = zip(*triples)
+            return sparse.csr_matrix((v, (r, c)), shape=(len(rows), n_cols))
+
         res = ub.linprog(
-            lp.cost,
-            A_ub=rows[:ineq],
-            b_ub=lp.b_ub,
-            A_eq=rows[ineq:],
-            b_eq=np.zeros(lp.shape[0] - ineq),
+            [float(c) for c in lp.cost],
+            A_ub=matrix(lp.ub),
+            b_ub=[float(b) for b in lp.b_ub],
+            A_eq=matrix(lp.eq),
+            b_eq=np.zeros(len(lp.eq)),
             bounds=(0.0, 1.0),
             method="highs",
             options={
@@ -109,126 +215,100 @@ class TestReducedFormBound:
             },
         )
         assert res.success, res.message
-        point = ub._hierarchical_point(a, t, n)
-        assert res.fun == pytest.approx(float(lp.cost @ point), rel=1e-7, abs=0.0)
+        u = a_float / rho_float
+        assert -res.fun == pytest.approx(2.0 - u, rel=1e-7, abs=0.0)
+        assert -res.fun * u == pytest.approx(reduced_form_bound(a_float, rho_float).lp_optimum, rel=1e-7, abs=0.0)
 
-    # The closed-form multipliers price every column at 0 in exact
-    # arithmetic, so the computed reduced costs are rounding alone: each
-    # within half its allowance, and their negative parts sum to at least
-    # minus the whole allowance that ``dual_bound`` subtracts.
-    @pytest.mark.parametrize("n", [1, 2, 6, 50, 1000])
-    @pytest.mark.parametrize("mu", [1.0 - 1e-9, 0.5, 1e-9, 1e-300])
-    def test_reduced_costs_within_allowance(self, mu, n):
-        t = math.log(solve_a(ModelParams(mu=mu)).a) / n
-        lp = ub._ReducedFormLp.build(t, n)
-        reduced, allowance = lp.reduced_costs(*ub._closed_form_multipliers(t, n))
-        assert np.all(np.abs(reduced) <= allowance / 2.0)
-        assert math.fsum(np.minimum(reduced, 0.0)) >= -math.fsum(allowance)
-
-    # Points where a single solve, or one refinement step, left the bound
-    # 3e-9 to 7e-9 above the closed form; then points where the dual simplex
-    # without presolve fails: the first solve (0.99999999600, 64), the primal
-    # step, where only interior point succeeds and the first solve's primal
-    # is 6.1e-11 off (0.99999998326, 50), and the dual step under every
-    # setting (6.2e-12, 50).
-    @pytest.mark.parametrize(
-        ("mu", "n"),
-        [
-            (2.3338406750613062e-91, 10),
-            (0.9999999965485258, 150),
-            (0.9999999979132144, 150),
-            (0.999999979058869, 64),
-            (0.9999999960044976, 64),
-            (0.9999999832567749, 50),
-            (6.198968986133308e-12, 50),
-        ],
-    )
-    def test_refinement_corners(self, mu, n):
+    # upper-bound --grid-n n reports the stored-LP optimum a r (2 - a r),
+    # r = exp(-ln(a)/n), of the geometric grid from a up, to rounding, and
+    # the gap above g is (r - 1)(2 - a(r + 1))/(2 - a) relative.
+    @pytest.mark.parametrize("n", [1, 25, 50, 64, 1000])
+    @pytest.mark.parametrize("mu", [0.99999, 0.5, 1e-3, 1e-9, 1e-30, 1e-300])
+    def test_grid_n_keeps_its_optimum(self, mu, n):
         c = solve_a(ModelParams(mu=mu))
-        bound = reduced_form_bound(c.a, n)
-        closed = bound.rounded_up_bound
-        assert c.revenue_guarantee <= bound.safe_bound <= closed * (1.0 + 1e-10)
-        assert abs(bound.lp_optimum - closed) <= 1e-11 * closed
-
-    @pytest.mark.parametrize(
-        ("mu", "n"),
-        [(mu, 50) for mu in (0.99999, 0.5, 1e-3, 1e-6, 1e-9, 1e-30, 1e-300)]
-        + [(0.5, 1000), (1e-300, 1000)],
-    )
-    def test_strata(self, mu, n):
-        c = solve_a(ModelParams(mu=mu))
-        bound = reduced_form_bound(c.a, n)
-        closed = bound.rounded_up_bound
-        assert c.revenue_guarantee <= bound.safe_bound <= closed * (1.0 + 1e-9)
-        assert abs(bound.lp_optimum - closed) <= 1e-11 * closed
-        # the relative gap above g is (r - 1)(2 - a(r + 1))/(2 - a)
-        r = _ratio(c.a, n)
+        bound = reduced_form_bound(c.a, ub.grid_ratio(c.a, n))
+        r = math.exp(-math.log(c.a) / n)
+        closed = c.a * r * (2.0 - c.a * r)
+        assert bound.lp_optimum == pytest.approx(closed, rel=1e-12, abs=0.0)
+        assert c.revenue_guarantee <= bound.safe_bound
         gap = (r - 1.0) * (2.0 - c.a * (r + 1.0)) / (2.0 - c.a)
         assert closed / c.revenue_guarantee - 1.0 == pytest.approx(gap, rel=1e-6)
 
-    # 3(n + 1) columns, 5n + 3 rows and about 12n nonzeros: a regression to
-    # the n^2 cells of the quantile-grid LP fails at n = 1000
-    @pytest.mark.parametrize("n", [50, 1000])
-    def test_linear_size(self, c05, n):
-        lp = ub._ReducedFormLp.build(math.log(c05.a) / n, n)
-        assert lp.cost.size == lp.shape[1] == 3 * (n + 1)
-        assert lp.shape[0] == 5 * n + 3
-        assert lp.rows.size == lp.cols.size == lp.vals.size <= 13 * n
-        assert lp.rows.max() < lp.shape[0] and lp.cols.max() < lp.shape[1]
-
-    # The COO triples are written into preallocated arrays, and the products
-    # with the point and the multipliers share one buffer per pass.  With a
-    # list of per-entry arrays and a temporary per product the peak was
-    # 760 bytes per cell at n = 2e5; it is now about 600, of which the triples
-    # are 288
-    def test_peak_traced_memory(self, c05):
-        n = 200_000
-        reduced_form_bound(c05.a, 50)  # imports outside the trace
-        tracemalloc.start()
-        try:
-            reduced_form_bound(c05.a, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 640 * n
+    # verify's grid: the bound is within 1.2e-16 relative of 2a - a^2, and
+    # certifies the double g within g's own rounding, down to subnormal a,
+    # while a g off by 2e-12 relative, either way, fails.
+    # At mu = 0.9 and 0.99 g lies above the exact optimum, by 1.7e-17 and
+    # 2.3e-17 relative, so the check must allow that rounding.
+    @pytest.mark.parametrize("mu", [1.0 - 1e-9, 0.99, 0.9, 0.5, 1e-3, 1e-9, 1e-30, 1e-300, 1e-320, 5e-324])
+    def test_finest_grid_certifies_g(self, mu):
+        c = solve_a(ModelParams(mu=mu))
+        a = Fraction(c.a)
+        exact = 2 * a - a * a
+        bound = reduced_form_bound(c.a, ub.FINEST_RATIO)
+        assert exact <= bound.optimum <= exact * (1 + Fraction(1.2e-16))
+        assert bound.certifies(c.revenue_guarantee, 1e-12)
+        if mu >= 1e-300:  # a subnormal g times 1 +- 2e-12 rounds back to g
+            for off in (1.0 - 2e-12, 1.0 + 2e-12):
+                assert not bound.certifies(c.revenue_guarantee * off, 1e-12)
+        if mu in (0.99, 0.9):
+            assert Fraction(c.revenue_guarantee) > bound.optimum
 
     # The second-moment saddle has the worst-case law of a = 1 - sqrt(1 - delta),
     # whose guarantee 2a - a^2 is delta itself: the same LP bounds it above.
     @pytest.mark.parametrize("delta", [1e-300, 1e-17, 1e-6, 0.1, 0.5, 0.9, 1.0 - 2.0**-52])
     def test_second_moment_upper_half(self, delta):
-        bound = reduced_form_bound(second_moment_solution(delta).a, 50)
-        assert delta <= bound.safe_bound <= bound.rounded_up_bound * (1.0 + 1e-9)
+        bound = reduced_form_bound(second_moment_solution(delta).a, ub.FINEST_RATIO)
+        assert bound.safe_bound == pytest.approx(delta, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        ("a", "rho"),
+        [(0.5, 0.4), (0.5, 1.0), (0.5, 1.5), (0.0, 0.5), (1.0, 0.5), (math.nan, 0.5), (0.5, math.nan)],
+    )
+    def test_domain(self, a, rho):
+        with pytest.raises(DomainError):
+            reduced_form_bound(a, rho)
 
     @pytest.mark.parametrize(("a", "n"), [(0.5, 0), (0.5, -3), (0.0, 50), (1.0, 50), (math.nan, 50)])
-    def test_domain(self, a, n):
+    def test_grid_domain(self, a, n):
         with pytest.raises(DomainError):
-            reduced_form_bound(a, n)
+            ub.grid_ratio(a, n)
 
-    # At a = 1.5e-323 (mu = 1e-320) a r is subnormal, and the products with
-    # it round to the subnormal grid: the bound in revenue reads 1.75e-7
-    # above a r (2 - a r).  In units of a r it is within 1e-9.
-    def test_subnormal_atom_compared_in_units_of_a_r(self):
-        c = solve_a(ModelParams(mu=1e-320))
-        assert c.a == 1.5e-323
-        bound = reduced_form_bound(c.a, 50)
-        assert bound.safe_bound > bound.rounded_up_bound * (1.0 + 1e-7)
-        assert bound.certifies(c.revenue_guarantee, 1e-9)
-        assert 2.0 - bound.unit <= bound.safe_units <= 2.0 * (1.0 + 1e-12)
+    # O(1) at any grid: a trillion cells in under 10 ms and a few kB, where
+    # the stored LP took about 600 bytes per cell
+    def test_cost_does_not_grow_with_the_grid(self, c05):
+        reduced_form_bound(c05.a, 0.5)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            bound = reduced_form_bound(c05.a, ub.grid_ratio(c05.a, 10**12))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bound.cells == pytest.approx(10**12, rel=1e-4)
+        assert peak <= 100_000 and elapsed <= 0.1
 
-    # A point that misses a row by more than rounding is not reported: the
-    # bound raises, and the command line exits 3.
-    def test_primal_residual_above_the_bound_is_a_convergence_error(self, c05, monkeypatch, capsys):
-        real = ub._hierarchical_point
+    # A multiplier, a class coefficient or the point off by 1e-12 fails the
+    # certificate, per type (3 cells) and per class (50): the bound raises,
+    # and the command line exits 3.
+    @pytest.mark.parametrize("n", [3, 50])
+    @pytest.mark.parametrize(
+        ("index", "field"),
+        [(-1, "y_chain"), (-2, "y_border"), (1, "y_ic"), (0, "y_bir"), (1, "ratio"), (-2, "weight"), (-1, "alloc")],
+    )
+    def test_an_inexact_certificate_is_a_convergence_error(self, c05, monkeypatch, capsys, n, index, field):
+        real = ub._types
 
         def off(*args):
-            x = real(*args)
-            x[-1] += 1e-12  # sigma_n, on its Border and chain rows
-            return x
+            types = real(*args)
+            t = types[index]
+            types[index] = dataclasses.replace(t, **{field: getattr(t, field) * (1 + Fraction(1, 10**12))})
+            return types
 
-        monkeypatch.setattr(ub, "_hierarchical_point", off)
-        with pytest.raises(ConvergenceError, match="misses a row"):
-            reduced_form_bound(c05.a, 50)
-        assert main(["upper-bound", "--mu", "0.5", "--grid-n", "50"]) == 3
+        monkeypatch.setattr(ub, "_types", off)
+        with pytest.raises(ConvergenceError, match="certificate fails|is not the dual bound"):
+            reduced_form_bound(c05.a, ub.grid_ratio(c05.a, n))
+        assert main(["upper-bound", "--mu", "0.5", "--grid-n", str(n)]) == 3
         assert capsys.readouterr().out == ""
 
 
@@ -252,11 +332,12 @@ class TestLp:
         c = solve_a(ModelParams(mu=mu))
         a = c.a
         opt, mech = lp_max_revenue(c, n)
-        point = ub._hierarchical_point(a, math.log(a) / n, n)
-        np.testing.assert_allclose(mech.q1 @ mech.masses, point[: n + 1], rtol=0.0, atol=1e-12)
+        rho = ub.grid_ratio(a, n)
+        alloc = ref.hierarchical_allocation(Fraction(a), Fraction(rho), ub.cell_count(a, rho))
+        np.testing.assert_allclose(mech.q1 @ mech.masses, [float(v) for v in alloc], rtol=0.0, atol=1e-12)
         viol = bic_bir_violations(mech)
         assert max(viol.values()) <= 1e-12
-        assert opt == pytest.approx(reduced_form_bound(a, n).lp_optimum, rel=1e-12, abs=0.0)
+        assert opt == pytest.approx(reduced_form_bound(a, rho).lp_optimum, rel=1e-12, abs=0.0)
         assert opt == 2.0 * float(mech.masses @ mech.t1 @ mech.masses)
 
     # Myerson's ironed virtual values give the exact optimum over all BIC,
