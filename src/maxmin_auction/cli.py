@@ -8,9 +8,8 @@ Exit codes: 0 success; 1 a verification check failed; 2 invalid input or
 domain error, a size too large to allocate included; 3 an iterative routine
 failed to converge; 4 file I/O error.
 Only ``verify`` and ``simulate`` draw random numbers, so only they take
-``--seed``; for them the environment variable ``MAXMIN_SEED`` supplies the
-seed when ``--seed`` is absent.  A seed must be an integer in [0, 2**128), or
-the exit code is 2.  The other commands never read ``MAXMIN_SEED``.
+``--seed``, which defaults to 0; no environment variable stands in for it.
+A seed must be an integer in [0, 2**128), or the exit code is 2.
 """
 
 from __future__ import annotations
@@ -454,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     mu_arg = argparse.ArgumentParser(add_help=False)
     mu_arg.add_argument("--mu", type=float, help="mean of the signal distribution")
     seed_arg = argparse.ArgumentParser(add_help=False)
-    seed_arg.add_argument("--seed", type=int, default=None, help="RNG seed (fallback: MAXMIN_SEED)")
+    seed_arg.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
 
     sub.add_parser("solve", parents=[mu_arg], help="solve the reserve parameter and constants")
 
@@ -524,14 +523,6 @@ _HANDLERS = {
 }
 
 
-def _env_seed() -> int:
-    raw = os.environ.get("MAXMIN_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"MAXMIN_SEED must be an integer, got {raw!r}") from None
-
-
 def _report_error(message: object) -> None:
     """Write the one ``error:`` line of a failed command to stderr.
 
@@ -552,8 +543,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "seed" in args and args.seed is None:
-            args.seed = _env_seed()
         mu, delta = getattr(args, "mu", None), getattr(args, "delta", None)
         if mu is not None and delta is not None:
             raise DomainError("give exactly one of --mu and --delta")

@@ -1,9 +1,47 @@
 """CSV rows of doubles, each field as ``%.17g`` prints it, formatted in numpy.
 
-``write_rows`` is ``distributions.write_cdf_csv``'s row writer; the digit
-algorithm, the argument that its digits are exact and the slow path's domain
-are in ``write_cdf_csv``'s docstring.  ``write_cdf_csv`` imports this module
-at its first call, so the commands that write no CSV never load it.
+``write_rows`` is ``distributions.write_cdf_csv``'s row writer.  It writes
+the rows in blocks, so memory stays flat however long the curve is, and
+numpy formats each block's fields.  ``write_cdf_csv`` imports this module at
+its first call, so the commands that write no CSV never load it.
+
+``%.17g`` rounds the exact binary value of ``v`` to 17 significant
+digits, ties to even, and prints fixed notation when the rounded value's
+decimal exponent ``X`` lies in [-4, 16], with trailing zeros and a bare
+point dropped.  The fast path covers ``+0.0`` and ``-0.0`` (``0`` and
+``-0``) and every ``v`` with ``1e-4 <= v < 1e17``.  For those:
+
+* ``X = floor(log10 v)``, clipped to [-4, 16], and ``k = 16 - X``.
+  ``10**k = 5**k * 2**k`` with ``5**k < 2**53`` is an exact double.
+* Dekker's TwoProduct, splitting by ``2**27 + 1`` since numpy has no
+  ``fma``, gives ``p = fl(v * 10**k)`` and ``e`` with ``p + e = T``, the
+  exact product: nothing overflows, and with ``v >= 1e-4`` the error
+  term lies far above the subnormal range.
+* If ``p >= 1e16 > 2**53``, ``p`` is a multiple of its ulp, which is at
+  least 2, so ``p`` is even and ``p + j`` has the parity of ``j``.
+  Rounding ``T`` to an integer, ties to even, therefore gives
+  ``N = p + rint(e)``, as ``rint`` rounds ties to even too.  If
+  ``p < 1e16``, then ``p <= 1e16 - 2`` and ``|e| <= 1``, so ``N < 1e16``
+  whatever ``p``'s fraction.
+* ``N`` holds the 17 digits ``%.17g`` prints, at exponent ``X``, exactly
+  when ``1e16 <= T`` and ``N < 1e17``, and ``1e16 <= N < 1e17`` tests
+  both: ``N >= 1e16 > T`` would need ``T`` in ``[1e16 - 1/2, 1e16)``,
+  and for no ``k`` in [0, 20] does a double ``v`` put ``v * 10**k``
+  there.  The largest double below ``1e16 / 10**k`` gives at most
+  ``1e16 - 0.83`` (the test suite checks every ``k`` in exact
+  fractions).  A field that fails the test, where ``log10`` rounded into
+  the wrong decade or the rounding carried to ``1e17``, takes the slow
+  path.
+* The digits of ``N`` come from a table of the 10,000 four-digit groups,
+  its trailing zeros from a table of each group's trailing-zero count,
+  and each decade's layout, ``d.ddd`` or ``0.000ddd``, from slice
+  copies into a 24-byte field that is NUL past the text.
+
+Every other field -- negative, below ``1e-4`` (``e`` notation), ``1e17``
+and above, subnormal, ``nan`` or ``inf`` -- is formatted by one batched
+``%-24.17g`` per column and block; 24 bytes hold the longest ``%.17g``
+of any double.  Each block's fields, commas and line ends are laid out
+in one byte matrix and written with its NULs compressed away.
 """
 
 from __future__ import annotations
@@ -60,7 +98,7 @@ def _decade_layout(digits: np.ndarray, decade: int, out: np.ndarray) -> None:
 
 def _format_fields(v: np.ndarray, out: np.ndarray) -> None:
     """``%.17g`` of each ``v`` into the rows of ``out`` (n x _FIELD_BYTES),
-    NUL-padded; the algorithm is in ``write_cdf_csv``'s docstring."""
+    NUL-padded; the algorithm is in the module docstring."""
     fast = (v >= 1e-4) & (v < 1e17)
     if fast.any():
         fast &= _fixed_notation(np.where(fast, v, 1.0), out)

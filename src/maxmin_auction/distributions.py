@@ -20,7 +20,6 @@ mandatory header.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -92,14 +91,16 @@ class PiecewiseCdf:
         cls,
         knots: Sequence[float],
         values: Sequence[float],
-        atoms: Sequence[tuple[float, float]] = (),
+        masses: Sequence[float] | None = None,
     ) -> "PiecewiseCdf":
         """Piecewise-linear CDF through ``(knots, values)`` with explicit atoms.
 
-        Values are right limits; every atom location must coincide with a
-        knot.  If the grid does not reach 0 or 1 it is completed with constant
-        extensions: the value left of the first knot becomes an atom at 0, and
-        any deficit below 1 becomes an atom at 1.
+        Values are right limits, and ``masses[i]`` is the atom at
+        ``knots[i]`` (0 for none; no column means no atoms).  If the grid does
+        not reach 0 or 1 it is completed with constant extensions: the value
+        left of the first knot becomes an atom at a new knot 0, and any
+        deficit below 1 becomes an atom at a new knot 1.  A value above 0 at
+        knot 0 is an atom there of that value, since F(0-) = 0.
         """
         x = np.asarray(knots, dtype=float).copy()
         v = np.asarray(values, dtype=float).copy()
@@ -114,51 +115,42 @@ class PiecewiseCdf:
         if np.any(v < -_VAL_TOL) or np.any(v > 1.0 + _VAL_TOL):
             raise DomainError("CDF values must lie in [0, 1]")
         v = np.clip(v, 0.0, 1.0)
-
-        mass = {float(loc): float(m) for loc, m in atoms if m != 0.0}
-        if not all(math.isfinite(m) and m > 0.0 for m in mass.values()):
+        # adding +0.0 copies the column and stores a -0.0 as +0.0
+        m = np.zeros_like(x) if masses is None else np.asarray(masses, dtype=float) + 0.0
+        if m.shape != x.shape:
+            raise DomainError("atom masses must be a 1-d column aligned with the knots")
+        if not (np.isfinite(m).all() and np.all(m >= 0.0)):
             raise DomainError("atom masses must be finite and nonnegative")
 
         # Complete the support to [0, 1].
         if x[0] > 0.0:
-            first_left = v[0] - mass.get(float(x[0]), 0.0)
+            first_left = v[0] - m[0]
             x = np.concatenate(([0.0], x))
             v = np.concatenate(([first_left], v))
-            if first_left > 0.0:
-                mass[0.0] = first_left + mass.get(0.0, 0.0)
+            m = np.concatenate(([first_left if first_left > 0.0 else 0.0], m))
         elif v[0] > 0.0:
-            # F(0-) = 0, so the full value at the origin is an atom there.
-            mass[0.0] = v[0]
+            m[0] = v[0]
         if x[-1] < 1.0:
             deficit = 1.0 - v[-1]
             x = np.concatenate((x, [1.0]))
             v = np.concatenate((v, [1.0]))
-            if deficit > 0.0:
-                mass[1.0] = deficit + mass.get(1.0, 0.0)
+            m = np.concatenate((m, [deficit]))
         if abs(v[-1] - 1.0) > _VAL_TOL:
             raise DomainError(f"CDF must reach 1 at x = 1, got {v[-1]}")
         v[-1] = 1.0
-
-        m = np.zeros_like(v)
-        for loc, mm in mass.items():
-            idx = np.searchsorted(x, loc)
-            if idx >= x.size or x[idx] != loc:
-                raise DomainError(f"atom at {loc} does not coincide with a knot")
-            m[idx] = mm
 
         left = v - m
         if np.any(left[1:] < v[:-1] - _VAL_TOL) or np.any(left < -_VAL_TOL):
             raise DomainError("CDF values (net of atoms) must be nondecreasing")
 
-        atoms = tuple((float(x[i]), float(m[i])) for i in np.nonzero(m)[0])
-        interior = tuple(float(t) for t in x[1:-1])
+        on = np.flatnonzero(m)
         return cls(
             kind="grid",
             knots=x,
             values=v,
             masses=m,
-            atoms=atoms,
-            breakpoints=interior,
+            atoms=tuple(zip(x[on].tolist(), m[on].tolist())),
+            breakpoints=tuple(x[1:-1].tolist()),
         )
 
     @classmethod
@@ -176,7 +168,7 @@ class PiecewiseCdf:
             raise DomainError("masses must sum to 1")
         vals = np.cumsum(ms)
         vals[-1] = 1.0
-        return cls.from_grid(pts, vals, atoms=tuple(zip(pts.tolist(), ms.tolist())))
+        return cls.from_grid(pts, vals, ms)
 
     @classmethod
     def custom(
@@ -387,44 +379,7 @@ def write_cdf_csv(
     columns must be 1-d and of one length, or DomainError is raised.
 
     ``csvrows.write_rows`` writes the rows in blocks, so memory stays flat
-    however long the curve is, and numpy formats each block's fields.
-    ``%.17g`` rounds the exact binary value of ``v`` to 17 significant
-    digits, ties to even, and prints fixed notation when the rounded value's
-    decimal exponent ``X`` lies in [-4, 16], with trailing zeros and a bare
-    point dropped.  The fast path covers ``+0.0`` and ``-0.0`` (``0`` and
-    ``-0``) and every ``v`` with ``1e-4 <= v < 1e17``.  For those:
-
-    * ``X = floor(log10 v)``, clipped to [-4, 16], and ``k = 16 - X``.
-      ``10**k = 5**k * 2**k`` with ``5**k < 2**53`` is an exact double.
-    * Dekker's TwoProduct, splitting by ``2**27 + 1`` since numpy has no
-      ``fma``, gives ``p = fl(v * 10**k)`` and ``e`` with ``p + e = T``, the
-      exact product: nothing overflows, and with ``v >= 1e-4`` the error
-      term lies far above the subnormal range.
-    * If ``p >= 1e16 > 2**53``, ``p`` is a multiple of its ulp, which is at
-      least 2, so ``p`` is even and ``p + j`` has the parity of ``j``.
-      Rounding ``T`` to an integer, ties to even, therefore gives
-      ``N = p + rint(e)``, as ``rint`` rounds ties to even too.  If
-      ``p < 1e16``, then ``p <= 1e16 - 2`` and ``|e| <= 1``, so ``N < 1e16``
-      whatever ``p``'s fraction.
-    * ``N`` holds the 17 digits ``%.17g`` prints, at exponent ``X``, exactly
-      when ``1e16 <= T`` and ``N < 1e17``, and ``1e16 <= N < 1e17`` tests
-      both: ``N >= 1e16 > T`` would need ``T`` in ``[1e16 - 1/2, 1e16)``,
-      and for no ``k`` in [0, 20] does a double ``v`` put ``v * 10**k``
-      there.  The largest double below ``1e16 / 10**k`` gives at most
-      ``1e16 - 0.83`` (the test suite checks every ``k`` in exact
-      fractions).  A field that fails the test, where ``log10`` rounded into
-      the wrong decade or the rounding carried to ``1e17``, takes the slow
-      path.
-    * The digits of ``N`` come from a table of the 10,000 four-digit groups,
-      its trailing zeros from a table of each group's trailing-zero count,
-      and each decade's layout, ``d.ddd`` or ``0.000ddd``, from slice
-      copies into a 24-byte field that is NUL past the text.
-
-    Every other field -- negative, below ``1e-4`` (``e`` notation), ``1e17``
-    and above, subnormal, ``nan`` or ``inf`` -- is formatted by one batched
-    ``%-24.17g`` per column and block; 24 bytes hold the longest ``%.17g``
-    of any double.  Each block's fields, commas and line ends are laid out
-    in one byte matrix and written with its NULs compressed away.
+    however long the curve is; its module docstring has the digit algorithm.
     """
     columns = [np.asarray(col, dtype=float) for col in (x, values, masses) if col is not None]
     if any(col.ndim != 1 for col in columns) or len({col.size for col in columns}) > 1:
@@ -440,31 +395,38 @@ def write_cdf_csv(
 
 
 def read_cdf_csv(path: str | Path) -> PiecewiseCdf:
-    """Read a grid CDF from CSV (header required, optional atom_mass column).
+    """Read a grid CDF from UTF-8 CSV (header required, optional atom_mass
+    column; an empty or absent mass cell is no atom).
 
-    A row that is short or not numeric raises DomainError naming its line.
+    A row that is short or not numeric raises DomainError naming its line,
+    and so does a field past ``csv``'s size limit; a file that is not UTF-8
+    raises DomainError naming the file.
     """
-    xs, vs, atoms = [], [], []
-    with open(path, newline="") as fh:
+    xs, vs, ms = [], [], []
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header or header[0].strip().lower() != "x":
-            raise DomainError(f"{path}: missing CSV header row starting with 'x'")
-        with_mass = len(header) >= 3
-        for row in reader:
-            if not row:
-                continue
-            try:
-                x, v = float(row[0]), float(row[1])
-                mass = float(row[2]) if with_mass and len(row) >= 3 and row[2].strip() else 0.0
-            except (IndexError, ValueError):
-                raise DomainError(
-                    f"{path}, line {reader.line_num}: expected numbers x, F[, atom_mass], got {row}"
-                ) from None
-            xs.append(x)
-            vs.append(v)
-            if mass != 0.0:
-                atoms.append((x, mass))
+        try:
+            header = next(reader, None)
+            if header is None or not header or header[0].strip().lower() != "x":
+                raise DomainError(f"{path}: missing CSV header row starting with 'x'")
+            with_mass = len(header) >= 3
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    x, v = float(row[0]), float(row[1])
+                    mass = float(row[2]) if with_mass and len(row) >= 3 and row[2].strip() else 0.0
+                except (IndexError, ValueError):
+                    raise DomainError(
+                        f"{path}, line {reader.line_num}: expected numbers x, F[, atom_mass], got {row}"
+                    ) from None
+                xs.append(x)
+                vs.append(v)
+                ms.append(mass)
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise DomainError(f"{path}, line {reader.line_num}: {exc}") from None
     if not xs:
         raise DomainError(f"{path}: no data rows")
-    return PiecewiseCdf.from_grid(xs, vs, atoms=atoms)
+    return PiecewiseCdf.from_grid(xs, vs, ms)

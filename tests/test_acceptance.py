@@ -155,7 +155,7 @@ def test_criterion_08_second_moment_variant():
     distributions = [
         PiecewiseCdf.from_discrete([0.0, 1.0], [0.5, 0.5]),
         PiecewiseCdf.from_discrete([float(np.sqrt(0.5))], [1.0]),
-        PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], atoms=[(1.0, 0.25)]),
+        PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], [0.0, 0.25]),
         PiecewiseCdf.from_discrete([0.0, 0.5, 1.0], [0.2, 0.4, 0.4]),
         PiecewiseCdf.from_discrete([0.0, 0.6, 1.0], [0.18, 0.5, 0.32]),
     ]
@@ -179,7 +179,7 @@ def test_criterion_09_mps_examples():
     failing = mps_check(three_point(0.25), c)
     assert not failing.passed
     c75 = solve_a(ModelParams(mu=0.75))
-    prior = PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], atoms=[(1.0, 0.5)])
+    prior = PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], [0.0, 0.5])
     assert mps_check(prior, c75).passed
     announce(9, f"threshold respected (violation at b=0.25: {failing.max_violation:.1e})")
 

@@ -561,7 +561,7 @@ class TestValidation:
 
     def test_interior_atom_rejected(self, c05):
         bad = PiecewiseCdf.from_grid(
-            [0.0, 0.5, 1.0], [0.0, 0.6, 1.0], atoms=[(0.5, 0.2)]
+            [0.0, 0.5, 1.0], [0.0, 0.6, 1.0], [0.0, 0.2, 0.0]
         )
         with pytest.raises(DomainError):
             minimize_revenue(bad, ModelParams(mu=0.5), 500)

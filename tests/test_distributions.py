@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from maxmin_auction import (
 )
 from maxmin_auction import constants, csvrows
 
+import distributions_reference as reference
 import oracles
 
 
@@ -54,20 +56,106 @@ class TestGridConstruction:
         with pytest.raises(DomainError):
             PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.4])
 
-    def test_rejects_atom_off_knot(self):
-        with pytest.raises(DomainError):
-            PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], atoms=[(0.3, 0.1)])
-
     def test_rejects_atom_exceeding_jump(self):
         # left limit would dip below the previous value
         with pytest.raises(DomainError):
             PiecewiseCdf.from_grid(
-                [0.0, 0.5, 1.0], [0.0, 0.4, 1.0], atoms=[(0.5, 0.6)]
+                [0.0, 0.5, 1.0], [0.0, 0.4, 1.0], [0.0, 0.6, 0.0]
             )
 
     def test_value_at_one_must_be_one(self):
         with pytest.raises(DomainError):
-            PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 0.8], atoms=[(1.0, 0.0)])
+            PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 0.8], [0.0, 0.0])
+
+
+def _law_bits(law):
+    return (
+        law.knots.tobytes(),
+        law.values.tobytes(),
+        law.masses.tobytes(),
+        repr(law.atoms),
+        repr(law.breakpoints),
+    )
+
+
+def _both_forms(knots, values, masses):
+    """The pair form's and the column form's law (or DomainError message)."""
+    builds = (
+        lambda: reference.from_grid_pairs(knots, values, list(zip(knots, masses))),
+        lambda: PiecewiseCdf.from_grid(knots, values, masses),
+    )
+    out = []
+    for build in builds:
+        try:
+            out.append(_law_bits(build()))
+        except DomainError as exc:
+            out.append(("DomainError", str(exc)))
+    return out
+
+
+@st.composite
+def grid_inputs(draw):
+    """Distinct knots, with or without 0 and 1, nondecreasing values that may
+    stop below 1, and per knot a mass that is zero, -0.0, the whole jump or
+    part of it, any level, negative or NaN."""
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=5, unique=True))
+    knots = ([0.0] if draw(st.booleans()) else []) + sorted(inner)
+    if not knots or draw(st.booleans()):
+        knots.append(1.0)
+    levels = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(knots), max_size=len(knots))))
+    if draw(st.booleans()):
+        levels[-1] = 1.0
+    masses = []
+    for jump in np.diff([0.0, *levels]).tolist():
+        masses.append(
+            draw(
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, jump, math.nan]),
+                    st.floats(0.0, 1.0).map(lambda t, jump=jump: t * jump),
+                    st.floats(0.0, 1.0),
+                    st.floats(-1.0, -5e-324),
+                )
+            )
+        )
+    return knots, levels, masses
+
+
+class TestColumnFormMatchesPairs:
+    """The atoms as one column on the knots build the laws that (location,
+    mass) pairs on the same knots built, bit for bit, or the same rejection."""
+
+    @pytest.mark.parametrize(
+        ("knots", "values", "masses"),
+        [
+            ([0.2, 0.8], [0.1, 0.6], [0.0, 0.0]),  # starts above 0, stops below 1
+            ([0.2, 0.8], [0.1, 0.6], [0.04, 0.3]),  # an atom at the first knot too
+            ([0.2, 0.8], [0.1, 0.6], [0.1, 0.0]),  # nothing left of the first knot
+            ([0.2, 0.8], [0.1, 0.6], [0.2, 0.0]),  # the atom exceeds the value
+            ([0.2, 0.8], [-0.0, 0.6], [0.0, 0.0]),  # F = -0.0 left of the first knot
+            ([0.0, 0.5, 1.0], [0.3, 0.5, 1.0], [0.0, 0.2, 0.0]),  # F(0) > 0 at knot 0
+            ([0.0, 0.5, 1.0], [0.3, 0.5, 1.0], [0.1, 0.2, 0.0]),  # F(0) is the atom there
+            ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.0]),
+            ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [-0.0, 0.5, -0.0]),
+            ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [0.0, -0.1, 0.0]),
+            ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [0.0, math.nan, 0.0]),
+            ([0.5], [1.0], [1.0]),  # completed at both ends
+            ([0.5], [0.5], [0.5]),
+        ],
+    )
+    def test_edge_cases(self, knots, values, masses):
+        pairs, column = _both_forms(knots, values, masses)
+        assert pairs == column
+
+    @settings(max_examples=500, deadline=None)
+    @given(grid_inputs())
+    def test_random_grids(self, inputs):
+        pairs, column = _both_forms(*inputs)
+        assert pairs == column
+
+    @pytest.mark.parametrize("masses", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]], 0.0])
+    def test_rejects_a_column_off_the_knots(self, masses):
+        with pytest.raises(DomainError, match="aligned with the knots"):
+            PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], masses)
 
 
 class TestDiscrete:
@@ -125,7 +213,7 @@ class TestUniform:
         for dist in (
             PiecewiseCdf.uniform(),
             PiecewiseCdf.from_grid([0.0, 1.0], [0.25, 1.0]),
-            PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], atoms=[(1.0, 0.25)]),
+            PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], [0.0, 0.25]),
         ):
             knots, v, m = dist.knots, dist.values, dist.masses
             idx = np.zeros(x.size, dtype=np.intp)
@@ -196,7 +284,7 @@ class TestMoments:
 
     def test_grid_integral_matches_quadrature(self):
         dist = PiecewiseCdf.from_grid(
-            [0.0, 0.3, 0.7, 1.0], [0.0, 0.2, 0.55, 1.0], atoms=[(0.7, 0.15)]
+            [0.0, 0.3, 0.7, 1.0], [0.0, 0.2, 0.55, 1.0], [0.0, 0.0, 0.15, 0.0]
         )
         for x in (0.15, 0.3, 0.5, 0.7, 0.9, 1.0):
             oracle, err = quad(dist.cdf, 0.0, x, limit=200, points=[0.3, 0.7])
@@ -206,7 +294,7 @@ class TestMoments:
 class TestQuantile:
     def test_grid_quantile_with_atom_and_flat(self):
         dist = PiecewiseCdf.from_grid(
-            [0.0, 0.4, 0.6, 1.0], [0.0, 0.5, 0.5, 1.0], atoms=[(0.4, 0.25)]
+            [0.0, 0.4, 0.6, 1.0], [0.0, 0.5, 0.5, 1.0], [0.0, 0.25, 0.0, 0.0]
         )
         # linear on [0, 0.4) up to 0.25, atom to 0.5 at 0.4, flat to 0.6
         assert dist.quantile(0.125) == pytest.approx(0.2, abs=1e-12)
@@ -223,7 +311,7 @@ class TestQuantile:
             (PiecewiseCdf.uniform(), 0.0),
             (PiecewiseCdf.from_grid([0.0, 0.5, 1.0], [0.0, 0.0, 1.0]), 0.5),
             # flat to 0.5, then a jump there
-            (PiecewiseCdf.from_grid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], atoms=[(0.5, 0.5)]), 0.5),
+            (PiecewiseCdf.from_grid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [0.0, 0.5, 0.0]), 0.5),
             (PiecewiseCdf.from_discrete([0.2, 0.7], [0.5, 0.5]), 0.2),
             # an atom at 0
             (PiecewiseCdf.from_grid([0.0, 1.0], [0.25, 1.0]), 0.0),
@@ -239,7 +327,7 @@ class TestQuantile:
     @given(u=st.floats(min_value=0.0, max_value=1.0))
     def test_inversion_inequality(self, u):
         dist = PiecewiseCdf.from_grid(
-            [0.0, 0.25, 0.5, 1.0], [0.1, 0.3, 0.3, 1.0], atoms=[(0.0, 0.1)]
+            [0.0, 0.25, 0.5, 1.0], [0.1, 0.3, 0.3, 1.0], [0.1, 0.0, 0.0, 0.0]
         )
         x = dist.quantile(u)
         assert dist.cdf(x) >= u - 1e-12
@@ -359,7 +447,7 @@ class TestReserveQuantile:
 class TestCsv:
     def test_round_trip(self, tmp_path):
         dist = PiecewiseCdf.from_grid(
-            [0.0, 0.3, 1.0], [0.0, 0.45, 1.0], atoms=[(0.3, 0.2), (1.0, 0.1)]
+            [0.0, 0.3, 1.0], [0.0, 0.45, 1.0], [0.0, 0.2, 0.1]
         )
         path = tmp_path / "cdf.csv"
         write_cdf_csv(path, dist.knots, dist.values, dist.masses)
@@ -368,6 +456,25 @@ class TestCsv:
         assert np.allclose(back.values, dist.values)
         assert dict(back.atoms) == pytest.approx(dict(dist.atoms))
         assert back.mean() == pytest.approx(dist.mean(), abs=1e-15)
+
+    @pytest.mark.parametrize(
+        ("knots", "values", "masses"),
+        [
+            # atoms at 0 and at 1, and values that need all 17 digits
+            ([0.0, 0.3, 1 / 3, 0.7, 1.0], [0.1, 0.2, 1 / 3, 2 / 3, 1.0], [0.1, 0.05, 0.1, 0.0, 0.2]),
+            # no atom: the 2-column form
+            ([0.0, 0.1, 0.5, 1.0], [0.0, 1 / 7, 0.5, 1.0], None),
+        ],
+        ids=["atoms-at-both-ends", "two-column"],
+    )
+    def test_round_trip_is_bit_exact(self, tmp_path, knots, values, masses):
+        dist = PiecewiseCdf.from_grid(knots, values, masses)
+        path = tmp_path / "cdf.csv"
+        write_cdf_csv(path, dist.knots, dist.values, dist.masses)
+        assert path.read_bytes().startswith(b"x,F\r\n" if masses is None else b"x,F,atom_mass\r\n")
+        back = read_cdf_csv(path)
+        for got, want in ((back.knots, dist.knots), (back.values, dist.values), (back.masses, dist.masses)):
+            assert got.tobytes() == want.tobytes()
 
     def test_two_column_form(self, tmp_path):
         path = tmp_path / "plain.csv"

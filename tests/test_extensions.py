@@ -113,7 +113,7 @@ class TestSecondMomentSolution:
         distributions = [
             PiecewiseCdf.from_discrete([0.0, 1.0], [0.5, 0.5]),
             PiecewiseCdf.from_discrete([float(np.sqrt(delta))], [1.0]),
-            PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], atoms=[(1.0, 0.25)]),
+            PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], [0.0, 0.25]),
             PiecewiseCdf.from_discrete([0.0, 0.5, 1.0], [0.2, 0.4, 0.4]),
             PiecewiseCdf.from_discrete([0.0, 0.6, 1.0], [0.18, 0.5, 0.32]),
         ]
@@ -155,7 +155,7 @@ class TestMpsCheck:
 
     def test_uniform_plus_atom_at_mu_075(self, c075):
         prior = PiecewiseCdf.from_grid(
-            [0.0, 1.0], [0.0, 1.0], atoms=[(1.0, 0.5)]
+            [0.0, 1.0], [0.0, 1.0], [0.0, 0.5]
         )
         assert prior.mean() == pytest.approx(0.75, abs=1e-15)
         report = mps_check(prior, c075)
@@ -181,7 +181,7 @@ class TestMpsCheck:
         # the integrated-CDF gap for the mu = 0.75 worked example falls until
         # 1 - sqrt(1 - 2a) and rises afterwards, so its maximum over [0, 1]
         # sits at the endpoints where it vanishes
-        prior = PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], atoms=[(1.0, 0.5)])
+        prior = PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], [0.0, 0.5])
         signal = PiecewiseCdf.signal(c075)
         pivot = 1.0 - np.sqrt(1.0 - 2.0 * c075.a)
         assert pivot == pytest.approx(oracles.PIVOT_MU_075, abs=1e-12)
@@ -267,7 +267,7 @@ class TestMpsCheck:
             steps[-1] = 1.0
         values = np.cumsum(steps / steps.sum())
         values[-1] = 1.0
-        prior = PiecewiseCdf.from_grid(x, values, atoms=list(zip(x, mass / steps.sum())))
+        prior = PiecewiseCdf.from_grid(x, values, mass / steps.sum())
         mean = prior.mean()
         assume(1e-6 < mean < 1.0 - 1e-6)
         c = solve_a(ModelParams(mu=mean))

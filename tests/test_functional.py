@@ -85,7 +85,7 @@ class TestRevenueFunctional:
 
     def test_rejects_reserve_with_interior_atom(self, c05):
         bad_h = PiecewiseCdf.from_grid(
-            [0.0, 0.5, 1.0], [0.0, 0.6, 1.0], atoms=[(0.5, 0.2)]
+            [0.0, 0.5, 1.0], [0.0, 0.6, 1.0], [0.0, 0.2, 0.0]
         )
         with pytest.raises(DomainError):
             revenue_functional(PiecewiseCdf.signal(c05), bad_h)
