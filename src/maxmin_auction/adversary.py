@@ -56,22 +56,29 @@ with ties the library pools the tied values and can move their last bit,
 which would change a certificate that is already a CDF.  The solver skips
 the pass, and the clip to [0, 1] after it, where G is already a CDF.
 
-Memory.  The search holds seven arrays of K doubles, 56 bytes per grid
-point: x, H, xH', the divisor d, G, the moment terms and ``exact_sum``'s
-buffer (six on an all linear grid, which has no divisor).  H and xH' are
-filled in blocks of ``_GRID_BLOCK`` points, so the temporaries of the
-closed forms stay block-sized, and d is built in the buffer of the
-coefficient H - xH'.  The numerator needs 2H, not H, so H's buffer holds 2H
-during the search and is halved after it; both scalings are exact, and no
-second array of H is kept.  The second moment's weight w = 2x is folded
-into scalars: lam w is computed as x (2 lam) and the terms w (1 - G) dx as
-x (1 - G) (2 dx), which round the same products, so no array of w is kept
-either.  Mixing at an indifferent limit puts its two minimizers in G's and
-the terms' buffers and sums their moments in d's.  After the search d is
-freed, and the Lagrangian and revenue integrands are formed block by block
-in the terms' buffer, so at most six arrays are live.  A cold ``adversary
---mu 0.5 --grid-k 4000000`` peaks at 244 MB of RSS, 339 MB when H, xH' and
-the integrands were formed over the whole grid.
+Memory.  The search holds four arrays of K doubles, 32 bytes per grid
+point: 2H, xH', the divisor d and G, whose buffer the moment terms
+overwrite on every probe and the exact sum then overwrites with its residual
+(``quadrature._exact_sum_in_place``).  Under the second moment x, the
+weight, takes d's place: its uniform reserve has no divisor, and a reserve
+with convex points holds both.  x is not otherwise stored: each block of
+``_GRID_BLOCK`` points rebuilds it as (arange(lo, hi) + 0.5) dx, which has
+the bits of the same slice of the whole grid, and the result's x is built
+last.  H and xH' are filled in blocks, so the temporaries of the closed
+forms stay block-sized, and d is built in the buffer of the coefficient
+H - xH'.  The numerator needs 2H, not H, so H's buffer holds 2H during the
+search and is halved after it; both scalings are exact.  The second
+moment's weight w = 2x is folded into scalars: lam w is computed as
+x (2 lam) and the terms w (1 - G) dx as x (1 - G) (2 dx), which round the
+same products.  The residual at the solved multiplier overwrites G, which
+is recomputed after it.  Mixing at an indifferent limit sums its two
+minimizers' moments in G's buffer, then forms the blend block by block from
+both minimizers on each block.  After the search d and x are freed, and the
+moment, Lagrangian and revenue terms are formed block by block in one array
+of terms, so four arrays are live: H, xH', G and the terms.  A cold
+``adversary --mu 0.5 --grid-k 4000000`` peaks at 157 MB of RSS, 244 MB with
+seven grid arrays, and 339 MB when H, xH' and the integrands were formed
+over the whole grid.
 """
 
 from __future__ import annotations
@@ -91,7 +98,7 @@ from .constants import (
 from .distributions import PiecewiseCdf
 from .errors import ConvergenceError, DegenerateError, DomainError
 from .functional import _h_atom_check, _lagrangian, _revenue_integrand
-from .quadrature import exact_sum
+from .quadrature import _exact_sum_in_place
 
 __all__ = [
     "GridDistribution",
@@ -232,9 +239,10 @@ def _divisor(coef: np.ndarray) -> np.ndarray | None:
 def _pointwise_argmin(h: np.ndarray, coef: np.ndarray, w):
     """Minimizer of coef*g^2 + (lam*w - 2h)*g + const over g in [0, 1].
 
-    Returns ``argmin(lam, out)``, which fills ``out`` with the minimizer at
-    multiplier ``lam`` and returns it; ``w`` is the constraint weight, an
-    array or a scalar.  See ``_argmin_from``.
+    Returns ``argmin(lam, out, s)``, which fills ``out`` with the minimizer
+    at multiplier ``lam`` on the points of the slice ``s`` (all of them by
+    default) and returns it; ``w`` is the constraint weight, an array or a
+    scalar.  See ``_argmin_from``.
     """
     return _argmin_from(2.0 * h, _divisor(np.array(coef, dtype=float)), w)
 
@@ -261,15 +269,15 @@ def _argmin_from(two_h: np.ndarray, d: np.ndarray | None, w):
     positive just when the exact one is, and a NaN gives 0.0 both ways.
     """
 
-    def argmin(lam: float, out: np.ndarray) -> np.ndarray:
+    def argmin(lam: float, out: np.ndarray, s: slice = slice(None)) -> np.ndarray:
         # a scalar weight (the mean constraint's 1.0) folds into lam first,
         # so the numerator is one pass
-        lam_w = w * lam if np.ndim(w) == 0 else np.multiply(w, lam, out=out)
+        lam_w = w * lam if np.ndim(w) == 0 else np.multiply(w[s], lam, out=out)
         if d is None:
-            return np.greater(two_h, lam_w, out=out)
-        np.subtract(two_h, lam_w, out=out)
+            return np.greater(two_h[s], lam_w, out=out)
+        np.subtract(two_h[s], lam_w, out=out)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(out, d, out=out)
+            np.divide(out, d[s], out=out)
         np.fmax(out, -1.0, out=out)
         return np.clip(out, 0.0, 1.0, out=out)
 
@@ -380,11 +388,12 @@ def minimize_revenue(
     _h_atom_check(h_dist)
 
     dx = 1.0 / K
-    x = (np.arange(K) + 0.5) * dx
-    h, xhp = np.empty_like(x), np.empty_like(x)
+    h, xhp = np.empty(K), np.empty(K)
     for s in _blocks(K):
-        h[s] = h_dist.cdf(x[s])
-        np.multiply(x[s], h_dist.pdf(x[s]), out=xhp[s])
+        x = _grid_x(s, dx)
+        h[s] = h_dist.cdf(x)
+        np.multiply(x, h_dist.pdf(x), out=xhp[s])
+    del x
     d = np.subtract(h, xhp)  # H - xH', the quadratic's coefficient
     if np.any(d < -_COEF_TOL):
         worst = float(np.min(d))
@@ -395,18 +404,21 @@ def minimize_revenue(
     d = _divisor(d)
     np.multiply(h, 2.0, out=h)  # 2H for the search, halved after it
     # Constraint weight: the moment is the grid sum of w * (1 - G) * dx, with
-    # w = 1 or 2x; 2x enters as x, its 2 moved onto lam and dx
-    w, scale = (1.0, 1.0) if constraint == "mean" else (x, 2.0)
+    # w = 1 or 2x; 2x enters as x, its 2 moved onto lam and dx, and x is held
+    # during the search only
+    mean = constraint == "mean"
+    w, scale = (1.0, 1.0) if mean else (_grid_x(slice(0, K), dx), 2.0)
     step = scale * dx
     argmin = _argmin_from(h, d, w)
-    g = np.empty_like(x)
-    terms = np.empty_like(x)
+    # the minimizer, overwritten by its moment terms
+    g = np.empty(K)
 
-    def minimizer(lam: float, out: np.ndarray) -> np.ndarray:
-        return argmin(scale * lam, out)
+    def minimizer(lam: float, out: np.ndarray, s: slice = slice(None)) -> np.ndarray:
+        return argmin(scale * lam, out, s)
 
-    def moment(g: np.ndarray, out: np.ndarray = terms) -> float:
-        return exact_sum(_moment_terms(g, w, step, out))
+    def moment(g: np.ndarray) -> float:
+        """The exact moment of the minimizer ``g``, which it overwrites."""
+        return _exact_sum_in_place(_moment_terms(g, w, step, g))
 
     lam_hi = 2.0 * float(h_dist.cdf(1.0))
     m_lo = moment(minimizer(0.0, g))
@@ -422,12 +434,12 @@ def minimize_revenue(
         """P(lam) and the moment minus the target at lam: from the plain sum,
         or from the exact sum where the plain sum cannot decide P."""
         nonlocal exact_sums
-        t = _moment_terms(minimizer(lam, g), w, step, terms)
+        t = _moment_terms(minimizer(lam, g), w, step, g)
         s = float(t.sum())
         below = _sum_below(t, target, s)
         if below is None:
             exact_sums += 1
-            s = exact_sum(t)
+            s = _exact_sum_in_place(t)
             below = s < target
         return below, s - target
 
@@ -435,57 +447,71 @@ def minimize_revenue(
         decide, 0.0, m_lo - target, lam_hi, m_hi - target
     )
     lam_hat = 0.5 * (lam_lo + lam_hi)
-    g_raw = minimizer(lam_hat, g)
-    residual = moment(g_raw) - target
-    if abs(residual) > _TOL_MEAN:
+    residual = moment(minimizer(lam_hat, g)) - target
+    mixed = abs(residual) > _TOL_MEAN
+    if mixed:
         # Indifference at the limiting multiplier: mix the two bracket-end
         # minimizers so the constraint binds exactly.  Both ends minimize the
-        # same limiting integrand wherever they disagree.  The upper end takes
-        # the moment buffer, and their moments the divisor's.
-        g_lo = minimizer(lam_lo, g)
-        g_hi = minimizer(lam_hi, terms)
-        spare = d if d is not None else np.empty_like(x)
-        m0, m1 = moment(g_lo, spare), moment(g_hi, spare)
-        del spare
+        # same limiting integrand wherever they disagree.  Their moments are
+        # summed in G's buffer, and the blend is formed block by block.
+        m0, m1 = moment(minimizer(lam_lo, g)), moment(minimizer(lam_hi, g))
         if abs(m1 - m0) < 1e-30:
             raise ConvergenceError(
                 f"constraint residual {residual:.3e} not reducible by mixing"
             )
         theta = (target - m0) / (m1 - m0)
         theta = min(1.0, max(0.0, theta))
-        g_raw = np.multiply(g_lo, 1.0 - theta, out=g_lo)
-        g_raw += np.multiply(g_hi, theta, out=g_hi)
-        residual = moment(g_raw) - target
-    del argmin, d  # release the divisor before the integrands
+        spare = np.empty(min(K, _GRID_BLOCK))
+        for s in _blocks(K):
+            g_lo = minimizer(lam_lo, g[s], s)
+            g_hi = minimizer(lam_hi, spare[: s.stop - s.start], s)
+            np.multiply(g_lo, 1.0 - theta, out=g_lo)
+            g_lo += np.multiply(g_hi, theta, out=g_hi)
+        del spare, g_lo, g_hi
+    else:
+        # the residual's terms overwrote the minimizer at lam_hat
+        minimizer(lam_hat, g)
+    del argmin, d, w  # release the divisor and x before the integrands
     np.multiply(h, 0.5, out=h)
+    terms = np.empty(K)
 
+    def grid_moment(g: np.ndarray) -> float:
+        """The exact moment of the grid CDF ``g``, which it keeps."""
+        for s in _blocks(K):
+            _moment_terms(g[s], 1.0 if mean else _grid_x(s, dx), step, terms[s])
+        return _exact_sum_in_place(terms)
+
+    if mixed:
+        residual = grid_moment(g) - target
     lam_x = scale * lam_hat  # lam_hat times the weight is lam_x times w, 1.0 or x
     for s in _blocks(K):
-        lam_w = lam_x if np.ndim(w) == 0 else np.multiply(w[s], lam_x)
-        np.multiply(_lagrangian(g_raw[s], h[s], xhp[s], lam_w), dx, out=terms[s])
-    lagrangian_bound = exact_sum(terms) + lam_hat * target
+        lam_w = lam_x if mean else np.multiply(_grid_x(s, dx), lam_x)
+        np.multiply(_lagrangian(g[s], h[s], xhp[s], lam_w), dx, out=terms[s])
+    lagrangian_bound = _exact_sum_in_place(terms) + lam_hat * target
 
-    if _is_cdf(g_raw):
+    if _is_cdf(g):
         # the projection and the clip would copy G and change no bit
-        g_proj, projection_delta = g_raw, 0.0
+        g_proj, projection_delta = g, 0.0
     else:
-        g_proj = np.clip(pav_nondecreasing(g_raw), 0.0, 1.0)
-        projection_delta = float(np.max(np.abs(g_proj - g_raw)))
+        g_proj = np.clip(pav_nondecreasing(g), 0.0, 1.0)
+        projection_delta = float(np.max(np.abs(g_proj - g)))
+    del g
     for s in _blocks(K):
         np.multiply(_revenue_integrand(g_proj[s], h[s], xhp[s]), dx, out=terms[s])
-    value = exact_sum(terms)
+    value = _exact_sum_in_place(terms)
     if not math.isfinite(value):
-        # a reserve density that is not finite on the grid, such as H' where
-        # (x - a)/a overflows at a subnormal a
+        # a reserve density that is not finite on the grid
         raise ConvergenceError(f"the grid revenue is {value}: the reserve's density is not finite")
-    grid = GridDistribution(x=x, values=g_proj)
+    if projection_delta != 0.0:
+        residual = grid_moment(g_proj) - target
+    del h, xhp, terms
     return AdversaryResult(
-        grid=grid,
+        grid=GridDistribution(x=_grid_x(slice(0, K), dx), values=g_proj),
         value=value,
         lambda_hat=lam_hat,
         constraint=constraint,
         target=float(target),
-        constraint_residual=residual if projection_delta == 0.0 else moment(g_proj) - target,
+        constraint_residual=residual,
         projection_delta=projection_delta,
         lagrangian_bound=lagrangian_bound,
         probes=probes,
@@ -495,7 +521,16 @@ def minimize_revenue(
 
 def _blocks(K: int):
     """Slices of ``_GRID_BLOCK`` points that cover a grid of K points."""
-    return (slice(lo, lo + _GRID_BLOCK) for lo in range(0, K, _GRID_BLOCK))
+    return (slice(lo, min(lo + _GRID_BLOCK, K)) for lo in range(0, K, _GRID_BLOCK))
+
+
+def _grid_x(s: slice, dx: float) -> np.ndarray:
+    """The grid points (i + 0.5) dx for i in the bounded slice ``s``, in one
+    fresh array, with the bits of the same slice of the whole grid."""
+    x = np.arange(s.start, s.stop, dtype=float)
+    x += 0.5
+    x *= dx
+    return x
 
 
 def _is_cdf(g: np.ndarray) -> bool:

@@ -24,7 +24,9 @@ antiderivative of H switches to a cancellation-free dilogarithm form on the
 same branch.  H, H' and the antiderivative stay finite and non-negative down
 to the smallest subnormal x.  H and the antiderivative do so for a
 subnormal ``a`` too: where u overflows (x/a > 1.8e308) they also take ln x -
-ln a.  H' does not: its factor h_at_a/a itself overflows for a subnormal a.
+ln a.  H' takes h ((x - a) - a ln(x/a))/(x - a)^2 at a subnormal a, where
+h_at_a/a itself can overflow; it is finite except where its true value
+passes the largest double, near a and below x = h_at_a/1.8e308.
 
 u, ln(x/a) and the masks of these branches are computed in one place,
 ``_log_ratio``, and H, H' and the antiderivative K each build on its
@@ -90,6 +92,9 @@ _LOW_Z = 0.5
 # (ln x - ln a)/(x - a) can overflow below x = a/2 only if a/2 < 745/DBL_MAX,
 # |ln x - ln a| being at most 745 there; H checks for it below this a.
 _QUOTIENT_CUT = 1e-305
+# Binary exponent that lifts a subnormal a to a normal double in the
+# density's factor h/a (``_density_at_subnormal_a``).
+_SUBNORMAL_A_SHIFT = 64
 # Below z = x/a = K_SERIES_CUT the integral of H uses its power series in z;
 # K_SERIES_TERMS terms bring the truncation error under 2**-53 there.
 _K_SERIES_CUT = 1.0 / 16.0
@@ -498,13 +503,39 @@ def reserve_pdf(c: SolvedConstants, x, *, checked: bool = False):
         raise DomainError("reserve density is undefined at x = 0")
     a = c.a
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u, log_z, low, log_low, _ = _log_ratio(arr, a)
+        u, log_z, low, log_low, over = _log_ratio(arr, a)
+        # ln(x/a) where u overflows, which only a subnormal a brings about
+        log_over = None if over is None else log_z[over]
         out = _one_minus_log_ratio_over_u2(u, log_z)
-        out *= c.h_at_a / a
         if low is not None:
             ul = u[low]
-            out[low] = (c.h_at_a / a) * ((ul - log_low) / (ul * ul))
+            out[low] = (ul - log_low) / (ul * ul)
+        if a >= sys.float_info.min:
+            out *= c.h_at_a / a
+        else:
+            _density_at_subnormal_a(c, arr, out, over, log_over)
     return float(out) if scalar else out
+
+
+def _density_at_subnormal_a(c: SolvedConstants, arr, out, over, log_over) -> None:
+    """H' = h ((x - a) - a ln(x/a))/(x - a)^2 at a subnormal a, written over
+    ``out``, which holds (u - ln(x/a))/u^2 on entry; ``over`` is the mask of
+    ``_log_ratio`` where u overflows, and ``log_over`` ln(x/a) there.
+
+    h/a alone overflows once a is below about 7.8e-312, so the factor is
+    applied as (out / (a 2**64)) (h 2**64): both scalings are exact, a 2**64
+    is normal, and the quotient stays below 2**1009.  The product overflows
+    just where H' exceeds the largest double, which it does near a, where
+    H' = h/(2a), and for x below about h/1.8e308, where H' is about h/x.
+    Where u overflows (the mask ``over``), the entry is NaN, and the form
+    h (((x - a) - a ln(x/a))/(x - a))/(x - a) is taken instead: there x - a
+    is at least 8.9e-16 and the quotients are normal.
+    """
+    out /= math.ldexp(c.a, _SUBNORMAL_A_SHIFT)
+    out *= math.ldexp(c.h_at_a, _SUBNORMAL_A_SHIFT)
+    if over is not None:
+        gap = arr[over] - c.a
+        out[over] = c.h_at_a * ((gap - c.a * log_over) / gap) / gap
 
 
 def reserve_cdf_integral(c: SolvedConstants, x):

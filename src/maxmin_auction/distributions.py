@@ -100,7 +100,8 @@ class PiecewiseCdf:
         not reach 0 or 1 it is completed with constant extensions: the value
         left of the first knot becomes an atom at a new knot 0, and any
         deficit below 1 becomes an atom at a new knot 1.  A value above 0 at
-        knot 0 is an atom there of that value, since F(0-) = 0.
+        knot 0 is an atom there of that value, since F(0-) = 0; a nonzero
+        mass given there must agree with it to within 1e-9, or DomainError.
         """
         x = np.asarray(knots, dtype=float).copy()
         v = np.asarray(values, dtype=float).copy()
@@ -124,11 +125,17 @@ class PiecewiseCdf:
 
         # Complete the support to [0, 1].
         if x[0] > 0.0:
-            first_left = v[0] - m[0]
+            # a left value within _VAL_TOL below 0 is stored as 0; the check
+            # of the left limits below still sees the given value and mass
+            first_left = max(v[0] - m[0], 0.0)
             x = np.concatenate(([0.0], x))
             v = np.concatenate(([first_left], v))
             m = np.concatenate(([first_left if first_left > 0.0 else 0.0], m))
         elif v[0] > 0.0:
+            if m[0] != 0.0 and abs(m[0] - v[0]) > _VAL_TOL:
+                raise DomainError(
+                    f"the atom {m[0]} at 0 must equal F(0) = {v[0]}, since F(0-) = 0"
+                )
             m[0] = v[0]
         if x[-1] < 1.0:
             deficit = 1.0 - v[-1]

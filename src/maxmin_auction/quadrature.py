@@ -43,6 +43,9 @@ _PANELS_PER_EFOLD = 400
 # 52 - bitlen(n - 1) bits off the residual, and the early exit usually stops
 # after the first.
 _EXACT_SUM_LEVELS = 40
+# Terms per block of an extraction level in ``exact_sum``: the sums of the
+# blocks are exact, so blocks change no bit and keep the temporary small.
+_SUM_BLOCK = 32768
 
 
 def exact_sum(t: np.ndarray) -> float:
@@ -53,8 +56,8 @@ def exact_sum(t: np.ndarray) -> float:
     floating-point summation, part I", SIAM J. Sci. Comput. 31(1), 2008):
     hi = (r + sigma) - sigma and r - hi are exact, every hi is a multiple of
     2**-53 sigma and the n of them add up to at most sigma / 2 in magnitude,
-    so sum(hi) is exact in any order.  The level sums L and the residual
-    then add up to the exact total.
+    so sum(hi) is exact in any order, and so is every partial sum of it.  The
+    level sums L and the residual then add up to the exact total.
 
     After each level the sum stops early, as AccSum does, once the plain
     numpy sum s of the residual decides the rounding.  Every new residual has
@@ -73,20 +76,36 @@ def exact_sum(t: np.ndarray) -> float:
     the sign, and no summand reaches 2**1023, so fsum cannot overflow; a
     half-gap is exact except 2**-1075, which rounds to 0 and so only shrinks
     the interval.  Otherwise, and always where c is zero or non-finite, the
-    next level is extracted; the residual stays in one buffer.  Once the
-    residual is all zeros the level sums add up to the exact total, which
-    ``math.fsum`` rounds correctly.  Non-finite terms, terms so large that
-    sigma would overflow, and spreads that need more than _EXACT_SUM_LEVELS
-    levels go to ``math.fsum`` itself, which also gives its errors and
-    special values.
+    next level is extracted.  Once the residual is all zeros the level sums
+    add up to the exact total, which ``math.fsum`` rounds correctly.
+    Non-finite terms, terms so large that sigma would overflow, and spreads
+    that need more than _EXACT_SUM_LEVELS levels go to ``math.fsum`` itself,
+    which also gives its errors and special values.
+
+    The terms are copied once, into the residual's buffer, and ``t`` is
+    left as it is; ``_exact_sum_in_place`` sums an array it may overwrite.
     """
-    terms = np.asarray(t, dtype=float).ravel()
-    n = terms.size
+    return _exact_sum_in_place(np.array(t, dtype=float, order="C").ravel())
+
+
+def _exact_sum_in_place(r: np.ndarray) -> float:
+    """``exact_sum`` of the contiguous float array ``r``, which it overwrites
+    with the residual.
+
+    Each level's hi is formed and summed in blocks of ``_SUM_BLOCK`` terms,
+    whose sums are exact and add up exactly, and the residual stays in
+    ``r``, so no second array of the terms is made.  The first level's
+    checks leave ``r`` as it came, so a non-finite term or an overflowing
+    sigma goes to ``math.fsum`` of the terms themselves; after the last
+    level, ``math.fsum`` of the level sums and the residual has the same
+    exact total, and so the same result.
+    """
+    n = r.size
     if n == 0:
         return 0.0
     shift = (n - 1).bit_length() + 1
     levels: list[float] = []
-    r, hi = terms, np.empty_like(terms)
+    hi = np.empty(min(n, _SUM_BLOCK))
     for _ in range(_EXACT_SUM_LEVELS):
         r_max, r_min = float(r.max()), float(r.min())
         if not (math.isfinite(r_max) and math.isfinite(r_min)):
@@ -98,15 +117,14 @@ def exact_sum(t: np.ndarray) -> float:
         if exponent >= sys.float_info.max_exp:  # sigma would overflow
             break
         sigma = math.ldexp(1.0, exponent)
-        np.add(r, sigma, out=hi)
-        np.subtract(hi, sigma, out=hi)
-        levels.append(float(hi.sum()))
-        if r is terms:
-            # the first residual takes hi's buffer, leaving the caller's
-            # terms as they are; later residuals stay in it
-            r, hi = np.subtract(terms, hi, out=hi), None
-        else:
-            np.subtract(r, hi, out=r)
+        level = 0.0
+        for lo in range(0, n, _SUM_BLOCK):
+            r_b = r[lo : lo + _SUM_BLOCK]
+            hi_b = np.add(r_b, sigma, out=hi[: r_b.size])
+            np.subtract(hi_b, sigma, out=hi_b)
+            level += float(hi_b.sum())
+            np.subtract(r_b, hi_b, out=r_b)
+        levels.append(level)
         s = float(r.sum())
         c = math.fsum(levels + [s])
         if c != 0.0 and math.isfinite(c):
@@ -119,9 +137,7 @@ def exact_sum(t: np.ndarray) -> float:
                 and math.fsum(levels + [s, -bound, -c, down]) > 0.0
             ):
                 return c
-        if hi is None:
-            hi = np.empty_like(terms)
-    return math.fsum(terms)
+    return math.fsum(levels + r.tolist())
 
 
 def adaptive_simpson(

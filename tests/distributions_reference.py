@@ -4,8 +4,10 @@ This is the constructor as it stood when it took the atoms as (location,
 mass) pairs: a dict from location to mass, one ``np.searchsorted`` per atom
 onto the completed knots, and an error for an atom that is not on a knot.
 The column form must build the same law bit for bit from pairs on distinct
-knots, or reject the same input.  Not named ``test_*``, so pytest does not
-collect it.
+knots, or reject the same input.  Two rules were added to both forms since:
+a completed left value in (-1e-9, 0) is stored as 0, and a nonzero atom at
+knot 0 that differs from F(0) by more than 1e-9 is rejected.  Not named
+``test_*``, so pytest does not collect it.
 """
 
 import math
@@ -37,12 +39,15 @@ def from_grid_pairs(knots, values, atoms=()):
         raise DomainError("atom masses must be finite and nonnegative")
 
     if x[0] > 0.0:
-        first_left = v[0] - mass.get(float(x[0]), 0.0)
+        first_left = max(v[0] - mass.get(float(x[0]), 0.0), 0.0)
         x = np.concatenate(([0.0], x))
         v = np.concatenate(([first_left], v))
         if first_left > 0.0:
             mass[0.0] = first_left + mass.get(0.0, 0.0)
     elif v[0] > 0.0:
+        given = mass.get(0.0, 0.0)
+        if given != 0.0 and abs(given - v[0]) > _VAL_TOL:
+            raise DomainError(f"the atom {given} at 0 must equal F(0) = {v[0]}, since F(0-) = 0")
         mass[0.0] = v[0]
     if x[-1] < 1.0:
         deficit = 1.0 - v[-1]

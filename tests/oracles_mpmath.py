@@ -44,6 +44,13 @@ NEAR_A_OFFSETS = ("1.1e-3", "2e-3", "1e-2")
 # where u*u overflows a double.
 TINY_MU = "1e-300"
 TINY_MU_X = ("1e-200", "1e-3", "0.5", "1")
+# H' at the two subnormal a that the package's root solve returns at mu =
+# 5e-324 and 1e-320: the doubles themselves, since the roots of
+# a(1 - ln a) = mu lie between points of the subnormal grid.  There h(a)/a
+# overflows a double; x runs from a subnormal point to 1, past x/a = 1.8e308
+# where u = (x-a)/a overflows.
+SUBNORMAL_A = (5e-324, 1.5e-323)
+SUBNORMAL_A_X = ("1e-310", "1e-300", "1e-20", "1e-3", "0.5", "1")
 # Li2(1 - w) at the ends of the dilogarithm's domain w >= 1/2, at w = 1, and
 # on both sides of its branch point w = 2.
 LI2_W = (0.5, 1.0, 2.0, 1.9999999999999998, 2.0000000000000004, 1e8, 1e300)
@@ -138,6 +145,21 @@ def tiny_mu_values(x_text):
     return out[1]
 
 
+def subnormal_a_density(a, x_text):
+    """H' for the double a itself at the double nearest x, which differs
+    from the decimal x by up to 5e-14 relatively at the subnormal 1e-310;
+    stable to 45 digits."""
+    out = []
+    for dps in (70, 90):
+        with mp.workdps(dps):
+            am, x = mp.mpf(a), mp.mpf(float(x_text))
+            scale = -(1 - am) / mp.log(am)
+            out.append(scale * (x - am - am * mp.log(x / am)) / (x - am) ** 2)
+    with mp.workdps(70):
+        assert abs(out[0] - out[1]) <= mp.mpf(10) ** -45 * out[1], (a, x_text)
+    return out[1]
+
+
 def dilog_value(w):
     """Li2(1 - w) at the double w, stable to 45 digits."""
     out = []
@@ -175,6 +197,12 @@ def main():
         for x in TINY_MU_X:
             print(f"    {x}: {mp.nstr(tiny[x][col], 40, min_fixed=1, max_fixed=0)},")
         print("}")
+    print("HPRIME_SUBNORMAL_A = {")
+    for a in SUBNORMAL_A:
+        for x in SUBNORMAL_A_X:
+            value = subnormal_a_density(a, x)
+            print(f"    ({a!r}, {x}): {mp.nstr(value, 40, min_fixed=1, max_fixed=0)},")
+    print("}")
     print("LI2_ONE_MINUS = {")
     for w in LI2_W:
         print(f"    {w!r}: {mp.nstr(dilog_value(w), 40, min_fixed=1, max_fixed=0)},")

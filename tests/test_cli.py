@@ -4,6 +4,7 @@ import csv
 import ctypes
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +36,11 @@ class TestDumpJson:
         s = dump_json({"i": 3, "b": True, "n": None, "l": [1.5, "x"], "nan": float("nan")})
         parsed = json.loads(s)
         assert parsed == {"i": 3, "b": True, "n": None, "l": [1.5, "x"], "nan": None}
+
+    def test_infinities_are_null(self):
+        # JSON has no infinity either
+        s = dump_json({"inf": math.inf, "l": [-math.inf, np.float64(math.inf)]})
+        assert json.loads(s) == {"inf": None, "l": [None, None]}
 
     # strings are JSON-escaped: a control character in an --out path such as
     # a tab is written as \t, not raw, which json.loads would reject; a
@@ -232,6 +238,13 @@ class TestAdversaryCommand:
         assert np.array_equal(back.knots[1:-1].view(np.int64), grid.x.view(np.int64))
         assert np.array_equal(back.values[1:-1].view(np.int64), grid.values.view(np.int64))
 
+    @pytest.mark.parametrize("mu", ["5e-324", "1e-320"])
+    def test_subnormal_a(self, capsys, mu):
+        # H' is finite on the grid at a subnormal a, so the solve completes
+        code, out = run_cli(capsys, "adversary", "--mu", mu, "--grid-k", "1000")
+        assert code == 0
+        assert abs(json.loads(out)["constraint_residual"]) <= 1e-9
+
     def test_mu_and_delta_conflict(self, capsys):
         code, _ = run_cli(capsys, "adversary", "--mu", "0.5", "--delta", "0.5")
         assert code == 2
@@ -323,6 +336,8 @@ BAD_INPUTS = {
     "nan knot": ("mps-check", "x,F\n0,0.5\nnan,1\n", []),
     "nan value": ("simulate", "x,F\n0,nan\n1,1\n", []),
     "nan atom mass": ("simulate", "x,F,atom_mass\n0,0.5,nan\n1,1,0.5\n", []),
+    # F(0) = 0.3 is the atom at 0, so a mass of 0.1 there contradicts it
+    "atom at 0 off F(0)": ("mps-check", "x,F,atom_mass\n0,0.3,0.1\n0.5,0.5,0.2\n1,1,0.5\n", []),
     "not UTF-8": ("mps-check", b"x,F\n0,0\n\xff\xfe,1\n1,1\n", []),
     # csv's default field size limit is 131072 characters
     "over-long field": ("simulate", "x,F\n0,0\n" + "1" * 200_000 + ",1\n", []),
@@ -404,6 +419,17 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: verify needs --samples of at least 2, got {samples}\n"
+
+    # the linear ramp's slope h_at_a/a overflows at a subnormal a, which
+    # warns in the P1/P2 check
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_subnormal_mu_reports_its_checks(self, capsys):
+        # the adversary solves at a = 5e-324, so the report prints, with the
+        # quadrature's infinite value as null; some checks fail there
+        code, out = run_cli(capsys, "verify", "--mu", "5e-324", "--seed", "7", "--samples", "1000")
+        checks = {ch["name"]: ch for ch in json.loads(out)["checks"]}
+        assert code == 1 and checks["adversary_minimum"]["passed"]
+        assert checks["functional_vs_closed_form"]["value"] is None
 
     def test_all_checks_pass_and_deterministic(self, capsys):
         args = (

@@ -356,6 +356,27 @@ class TestSmallX:
             assert np.all(np.diff(v) >= 0.0)
         assert reserve_cdf(c, 1.0) == 1.0
 
+    @pytest.mark.parametrize("mu", [5e-324, 1e-320])
+    def test_density_at_subnormal_a(self, mu):
+        # h_at_a/a overflows at these a.  Away from a, H' is about h_at_a/x,
+        # which passes the largest double below x = h_at_a/1.8e308 = 7.5e-312:
+        # inf there, as the true value is, and finite from 1e-311 up
+        c = solve_a(ModelParams(mu=mu))
+        x = np.geomspace(5e-324, 1.0, 2000)
+        hp = reserve_pdf(c, x)
+        assert not np.isnan(hp).any() and np.all(hp >= 0.0)
+        assert np.all(np.isinf(hp[x <= 5e-312]))
+        finite = hp[x >= 1e-311]
+        assert np.all(np.isfinite(finite)) and np.all(np.diff(finite) <= 0.0)
+
+    @pytest.mark.parametrize("a, x", sorted(oracles.HPRIME_SUBNORMAL_A))
+    def test_density_at_subnormal_a_matches_oracles(self, a, x):
+        c = solve_a(ModelParams(mu={5e-324: 5e-324, 1.5e-323: 1e-320}[a]))
+        assert c.a == a
+        assert reserve_pdf(c, x) == pytest.approx(
+            oracles.HPRIME_SUBNORMAL_A[(a, x)], rel=1e-12, abs=0.0
+        )
+
 
 def _dilog(w: float) -> float:
     """constants._dilog_one_minus at the double w, as K calls it: from ln w and 1/w."""

@@ -63,6 +63,20 @@ class TestGridConstruction:
                 [0.0, 0.5, 1.0], [0.0, 0.4, 1.0], [0.0, 0.6, 0.0]
             )
 
+    def test_left_value_just_below_zero_is_stored_as_zero(self):
+        # the atom at the first knot exceeds its value by less than 1e-9
+        dist = PiecewiseCdf.from_grid([0.2, 1.0], [0.1, 1.0], [0.1 + 5e-10, 0.0])
+        assert dist.values[0] == 0.0 and np.all(dist.values >= 0.0)
+        assert dist.cdf(0.0) == 0.0 and dist.atoms == ((0.2, 0.1 + 5e-10),)
+
+    def test_atom_at_zero_must_match_the_value_there(self):
+        # F(0-) = 0, so the atom at 0 is F(0); a different mass contradicts it
+        with pytest.raises(DomainError, match="atom 0.1 at 0 must equal F"):
+            PiecewiseCdf.from_grid([0.0, 0.5, 1.0], [0.3, 0.5, 1.0], [0.1, 0.2, 0.0])
+        for given in (0.0, 0.3 + 5e-10):
+            dist = PiecewiseCdf.from_grid([0.0, 0.5, 1.0], [0.3, 0.5, 1.0], [given, 0.2, 0.0])
+            assert dist.atoms == ((0.0, 0.3), (0.5, 0.2))
+
     def test_value_at_one_must_be_one(self):
         with pytest.raises(DomainError):
             PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 0.8], [0.0, 0.0])
@@ -133,7 +147,9 @@ class TestColumnFormMatchesPairs:
             ([0.2, 0.8], [0.1, 0.6], [0.2, 0.0]),  # the atom exceeds the value
             ([0.2, 0.8], [-0.0, 0.6], [0.0, 0.0]),  # F = -0.0 left of the first knot
             ([0.0, 0.5, 1.0], [0.3, 0.5, 1.0], [0.0, 0.2, 0.0]),  # F(0) > 0 at knot 0
-            ([0.0, 0.5, 1.0], [0.3, 0.5, 1.0], [0.1, 0.2, 0.0]),  # F(0) is the atom there
+            ([0.0, 0.5, 1.0], [0.3, 0.5, 1.0], [0.1, 0.2, 0.0]),  # an atom at 0 off F(0)
+            ([0.0, 0.5, 1.0], [0.3, 0.5, 1.0], [0.3 + 5e-10, 0.2, 0.0]),  # within 1e-9 of F(0)
+            ([0.2, 1.0], [0.1, 1.0], [0.1 + 5e-10, 0.0]),  # F left of the first knot just below 0
             ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.0]),
             ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [-0.0, 0.5, -0.0]),
             ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [0.0, -0.1, 0.0]),

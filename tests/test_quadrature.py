@@ -1,6 +1,7 @@
 """Quadrature rules: the breadth-first adaptive Simpson and the panel grid."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,14 @@ from hypothesis import strategies as st
 
 from maxmin_auction import ConvergenceError, ModelParams, reserve_pdf, solve_a
 from maxmin_auction.mechanism import uniform_pairs
-from maxmin_auction.quadrature import adaptive_simpson, build_edges, exact_sum, sorted_unique
+from maxmin_auction import quadrature
+from maxmin_auction.quadrature import (
+    _exact_sum_in_place,
+    adaptive_simpson,
+    build_edges,
+    exact_sum,
+    sorted_unique,
+)
 
 
 def recursive_simpson(f, lo, hi, tol=1e-9, max_depth=60):
@@ -262,6 +270,76 @@ class TestExactSum:
     def test_hand_picked(self, t):
         assert sum_outcome(exact_sum, t) == sum_outcome(fsum_of_list, t)
         assert sum_outcome(exact_sum, -t) == sum_outcome(fsum_of_list, -t)
+
+
+def in_place_outcome(t):
+    """``sum_outcome`` of the in-place core on a copy of ``t``."""
+    return sum_outcome(_exact_sum_in_place, np.array(t, dtype=float))
+
+
+class TestExactSumInPlace:
+    """The core that ``exact_sum`` calls on its one copy overwrites the terms
+    with the residual and still gives ``math.fsum``'s bits, in blocks of any
+    size and on each fallback to ``math.fsum``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from(SIZES),
+        seed=st.integers(0, 2**32 - 1),
+        top=st.sampled_from([-1060, 0, 600, 1000]),
+        spread=st.sampled_from([0, 30, 1000, 2100]),
+        block=st.sampled_from([1, 3, 64, quadrature._SUM_BLOCK]),
+    )
+    def test_matches_fsum(self, n, seed, top, spread, block):
+        rng = np.random.default_rng(seed)
+        t = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(top - spread, top + 1, n))
+        t *= rng.choice([-1.0, 1.0], n)
+        with mock.patch.object(quadrature, "_SUM_BLOCK", block):
+            assert in_place_outcome(t) == sum_outcome(fsum_of_list, t)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            # non-finite at the first level
+            [math.inf, 1.0],
+            [math.nan, 1.0],
+            [math.inf, -math.inf, 1.0],
+            # sigma would overflow
+            [1.7976931348623157e308, 2.0**970],
+            [1.7976931348623157e308, -1.7976931348623157e308, 1.7976931348623157e308],
+            # full mantissas about every second binade from 2**1000 down need
+            # 49 levels, 9 past the cap, so the levels and residual are summed
+            np.ldexp(np.full(1024, 2.0 - 2.0**-52), np.linspace(1000, -1020, 1024).astype(int)),
+        ],
+        ids=["inf", "nan", "inf-inf", "sigma-overflow", "max-cancel", "past-level-cap"],
+    )
+    @pytest.mark.parametrize("block", [1, 100, quadrature._SUM_BLOCK])
+    def test_fallbacks_match_fsum(self, t, block):
+        t = np.asarray(t, dtype=float)
+        with mock.patch.object(quadrature, "_SUM_BLOCK", block):
+            assert in_place_outcome(t) == sum_outcome(fsum_of_list, t)
+            assert in_place_outcome(-t) == sum_outcome(fsum_of_list, -t)
+
+    def test_overwrites_with_the_residual(self):
+        # one level suffices here, and what it leaves in the array is r - hi
+        t = np.linspace(0.1, 1.0, 1000)
+        r = t.copy()
+        assert _exact_sum_in_place(r) == math.fsum(t.tolist())
+        sigma = math.ldexp(1.0, math.frexp(1.0)[1] + (999).bit_length() + 1)
+        assert r.tobytes() == (t - ((t + sigma) - sigma)).tobytes()
+
+    @pytest.mark.parametrize("layout", ["list", "strided", "fortran", "int"])
+    def test_public_sum_leaves_its_input(self, layout):
+        base = np.ldexp(np.linspace(0.5, 1.0, 600), np.arange(600) % 90 - 45).reshape(20, 30)
+        t = {
+            "list": base.tolist(),
+            "strided": base[:, ::2],
+            "fortran": np.asfortranarray(base),
+            "int": np.arange(600).reshape(20, 30),
+        }[layout]
+        before = np.array(t).tobytes()
+        assert exact_sum(t) == math.fsum(np.asarray(t, dtype=float).ravel().tolist())
+        assert np.array(t).tobytes() == before
 
 
 def first_level(t):
