@@ -21,7 +21,6 @@ from .adversary import (
     verify_pointwise_saddle,
 )
 from .constants import (
-    ModelParams,
     SolvedConstants,
     constants_from_a,
     reserve_cdf,
@@ -42,7 +41,6 @@ from .errors import (
 from .extensions import MpsReport, mps_check, second_moment_solution
 from .functional import check_ode, revenue_functional
 from .mechanism import (
-    BidProfile,
     Outcome,
     RevenueReport,
     dominated_equilibrium_revenue,

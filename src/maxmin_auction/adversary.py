@@ -89,7 +89,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import (
-    ModelParams,
     SolvedConstants,
     reserve_cdf,
     reserve_pdf,
@@ -358,31 +357,22 @@ def _flip_pair(decide, lo: float, f_lo: float, hi: float, f_hi: float):
 
 def minimize_revenue(
     h_dist: PiecewiseCdf,
-    params: ModelParams | None,
+    target: float,
     K: int = 500,
     *,
     constraint: str = "mean",
-    target: float | None = None,
 ) -> AdversaryResult:
     """Minimize expected revenue over grid CDFs meeting a moment constraint.
 
-    ``constraint`` is ``"mean"`` (target defaults to ``params.mu``) or
-    ``"second-moment"`` (an explicit target is required and ``params`` may be
-    None).  Returns the minimizing grid CDF, the grid value of the
-    functional, and the multiplier at which the constraint binds.  Raises
-    ConvergenceError if that value is not finite.
+    ``constraint`` is ``"mean"`` or ``"second-moment"``, and ``target`` is the
+    value that moment must take.  Returns the minimizing grid CDF, the grid
+    value of the functional, and the multiplier at which the constraint
+    binds.  Raises ConvergenceError if that value is not finite.
     """
     if K < 100:
         raise DomainError(f"grid size must be at least 100, got {K}")
     if constraint not in ("mean", "second-moment"):
         raise DomainError(f"unknown constraint kind: {constraint}")
-    if constraint == "mean":
-        if target is None:
-            if params is None:
-                raise DomainError("mean constraint requires params or a target")
-            target = params.mu
-    elif target is None:
-        raise DomainError("second-moment constraint requires an explicit target")
     if not 0.0 < target < 1.0:
         raise DomainError(f"constraint target must lie in (0, 1), got {target}")
     _h_atom_check(h_dist)

@@ -34,7 +34,6 @@ from . import mechanism as mech
 from . import upper_bound as ub
 from .constants import (
     TOL_ROOT,
-    ModelParams,
     SolvedConstants,
     reserve_cdf,
     reserve_pdf,
@@ -116,10 +115,14 @@ def _emit(command: str, payload: dict) -> None:
     sys.stdout.write(dump_json({**header, **payload}) + "\n")
 
 
-def _constants(args: argparse.Namespace) -> SolvedConstants:
+def _mu(args: argparse.Namespace) -> float:
     if args.mu is None:
         raise DomainError("this command requires --mu")
-    return solve_a(ModelParams(mu=args.mu))
+    return args.mu
+
+
+def _constants(args: argparse.Namespace) -> SolvedConstants:
+    return solve_a(_mu(args))
 
 
 # --------------------------------------------------------------------- #
@@ -206,11 +209,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
         if args.reserve is not None:
             raise DomainError("--reserve applies to --mu only; --delta uses the uniform reserve")
         result = adv.minimize_revenue(
-            PiecewiseCdf.uniform(),
-            None,
-            args.grid_k,
-            constraint="second-moment",
-            target=args.delta,
+            PiecewiseCdf.uniform(), args.delta, args.grid_k, constraint="second-moment"
         )
         payload = {
             "delta": args.delta,
@@ -220,7 +219,7 @@ def cmd_adversary(args: argparse.Namespace) -> int:
         c = _constants(args)
         reserve = args.reserve or "optimal"
         h_dist = _reserve_distribution(reserve, c)
-        result = adv.minimize_revenue(h_dist, ModelParams(mu=c.mu), args.grid_k)
+        result = adv.minimize_revenue(h_dist, c.mu, args.grid_k)
         payload = {
             "mu": c.mu,
             "reserve": reserve,
@@ -308,8 +307,11 @@ def _payment_identity_worst_gap(c: SolvedConstants, seed: int, n_pairs: int) -> 
     return float(np.max(np.abs(closed - oracle)))
 
 
-def run_verification(args: argparse.Namespace) -> dict:
-    """Execute every cross-check and return a JSON-ready report.
+def run_verification(
+    mu: float, seed: int, n_samples: int = 100_000, grid_k: int = 500
+) -> dict:
+    """Execute every cross-check at the signal mean ``mu`` and return a
+    JSON-ready report.
 
     ``lp_upper_bound`` certifies the converse: the reduced-form LP on the
     finest geometric grid of [a, 1], ratio rho = ``upper_bound.FINEST_RATIO``
@@ -322,10 +324,10 @@ def run_verification(args: argparse.Namespace) -> dict:
     (``ReducedFormBound.certifies``), so a claimed g off by more than about
     1e-12 relative, in either direction, fails it.
     """
-    if args.n_samples < 2:
+    if n_samples < 2:
         # one sample has no standard error, so mc_vs_quadrature has no verdict
-        raise DomainError(f"verify needs --samples of at least 2, got {args.n_samples}")
-    c = _constants(args)
+        raise DomainError(f"verify needs --samples of at least 2, got {n_samples}")
+    c = solve_a(mu)
     g_bar = PiecewiseCdf.signal(c)
     h_bar = PiecewiseCdf.reserve(c)
     checks: list[dict] = []
@@ -346,7 +348,7 @@ def run_verification(args: argparse.Namespace) -> dict:
     fd_worst = float(np.max(np.abs(fd - reserve_pdf(c, interior))))
     record("density_vs_finite_difference", fd_worst <= 1e-6, value=fd_worst)
 
-    saddle = adv.verify_pointwise_saddle(c, args.grid_k)
+    saddle = adv.verify_pointwise_saddle(c, grid_k)
     record(
         "pointwise_saddle",
         saddle.max_deviation < 1e-6,
@@ -359,7 +361,7 @@ def run_verification(args: argparse.Namespace) -> dict:
     gap_ok = quad_gap <= 1e-7 * c.revenue_guarantee
     record("functional_vs_closed_form", gap_ok, value=quad_gap)
 
-    report = mech.mc_revenue(c, g_bar, args.n_samples, args.seed, tail_weighted=True)
+    report = mech.mc_revenue(c, g_bar, n_samples, seed, tail_weighted=True)
     mc_gap = abs(report.value - quad)
     record(
         "mc_vs_quadrature",
@@ -368,7 +370,7 @@ def run_verification(args: argparse.Namespace) -> dict:
         std_error=report.std_error,
     )
 
-    result = adv.minimize_revenue(h_bar, ModelParams(mu=c.mu), args.grid_k)
+    result = adv.minimize_revenue(h_bar, c.mu, grid_k)
     adv_gap = abs(result.value - c.revenue_guarantee)
     # The window is empty once a > 0.96; window_points shows when the
     # sup-distance part of the check is vacuous.
@@ -420,20 +422,20 @@ def run_verification(args: argparse.Namespace) -> dict:
         revenue_guarantee=c.revenue_guarantee,
     )
 
-    pay_worst = _payment_identity_worst_gap(c, args.seed, 100)
+    pay_worst = _payment_identity_worst_gap(c, seed, 100)
     record("payment_identity", pay_worst <= 1e-6, value=pay_worst)
 
     return {
         "mu": c.mu,
-        "seed": args.seed,
-        "n_samples": args.n_samples,
+        "seed": seed,
+        "n_samples": n_samples,
         "checks": checks,
         "all_passed": all(ch["passed"] for ch in checks),
     }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = run_verification(args)
+    report = run_verification(_mu(args), args.seed, args.n_samples, args.grid_k)
     _emit("verify", report)
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED
 
@@ -605,9 +607,10 @@ def run() -> NoReturn:
     call ``main``, which returns.
 
     ``run`` leaves through ``os._exit``, so the interpreter skips its
-    teardown of the ~790 modules a cold ``verify`` loads: 39 ms of a 0.38 s
-    ``verify --mu 0.5 --seed 7`` on a 2-vCPU VM (3 ms from ``main``'s return
-    to exit without it).  Nothing that teardown would finish is pending:
+    teardown of the 257 modules a ``verify`` loads: from ``main``'s return
+    to the end of a cold ``verify --mu 0.5 --seed 7`` took 24 ms with it and
+    3 ms without it, median of 21 runs on a 2-vCPU VM.  Nothing that
+    teardown would finish is pending:
 
     - every file is written inside a ``with`` block, closed before ``main``
       returns;
@@ -619,10 +622,11 @@ def run() -> NoReturn:
       ``logging.shutdown``, which its dependencies register, has nothing
       to flush.
 
-    The cyclic collector is off for the whole run.  Its passes cost about
-    20 ms while the scipy imports build their ~50k objects.  Garbage in
-    cycles is not freed without it, and the package leaves none that counts
-    (the table below).
+    The cyclic collector is off for the whole run.  With it on, the
+    package's import and a ``verify --mu 0.5 --seed 7`` in one process took
+    0.2 s, of which its 37 passes over a heap of about 23k objects took
+    about 9 ms.  Garbage in cycles is not freed without it, and the package
+    leaves none that counts (the table below).
 
     The heap is kept: ``_keep_heap`` asks glibc's malloc never to hand freed
     memory back to the kernel before the process exits.  Each Monte Carlo

@@ -58,7 +58,6 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "TOL_ROOT",
-    "ModelParams",
     "SolvedConstants",
     "solve_a",
     "constants_from_a",
@@ -116,17 +115,6 @@ _LI2_BERNOULLI = (
 _PI2_6 = math.pi**2 / 6.0
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Model input: the signal mean."""
-
-    mu: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.mu < 1.0:
-            raise DomainError(f"mu must lie in (0, 1), got {self.mu}")
-
-
 def _residual(t: float, mu: float) -> float:
     """t(1 - ln t) - mu, whose root in (0, 1) is ``a``."""
     return t * (1.0 - math.log(t)) - mu
@@ -148,7 +136,7 @@ class SolvedConstants:
         return abs(_residual(self.a, self.mu))
 
 
-def solve_a(params: ModelParams) -> SolvedConstants:
+def solve_a(mu: float) -> SolvedConstants:
     """Solve a(1 - ln a) = mu for a in (0, 1) and fill the derived constants.
 
     The map a -> a(1 - ln a) is strictly increasing on (0, 1) with limits 0
@@ -157,10 +145,12 @@ def solve_a(params: ModelParams) -> SolvedConstants:
     roots take more halvings than the budget, so there the bisection runs on
     the bit patterns of (0, 1e-12], which order positive doubles as their
     values do, and returns the least double with a(1 - ln a) >= mu.  Raises
-    ConvergenceError if the residual exceeds ``TOL_ROOT`` times mu, or times
-    the smallest normal double for a subnormal mu.
+    DomainError unless 0 < mu < 1, and ConvergenceError if the residual
+    exceeds ``TOL_ROOT`` times mu, or times the smallest normal double for a
+    subnormal mu.
     """
-    mu = params.mu
+    if not 0.0 < mu < 1.0:
+        raise DomainError(f"mu must lie in (0, 1), got {mu}")
     lo, hi = _BRACKET_EPS, 1.0 - _BRACKET_EPS
     if _residual(lo, mu) > 0.0:
         lo_bits, hi_bits = np.int64(0), np.float64(lo).view(np.int64)

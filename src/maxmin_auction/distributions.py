@@ -403,14 +403,15 @@ def write_cdf_csv(
 
 def read_cdf_csv(path: str | Path) -> PiecewiseCdf:
     """Read a grid CDF from UTF-8 CSV (header required, optional atom_mass
-    column; an empty or absent mass cell is no atom).
+    column; an empty or absent mass cell is no atom).  A leading byte-order
+    mark, which spreadsheet "CSV UTF-8" exports write, is skipped.
 
     A row that is short or not numeric raises DomainError naming its line,
     and so does a field past ``csv``'s size limit; a file that is not UTF-8
     raises DomainError naming the file.
     """
     xs, vs, ms = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

@@ -80,7 +80,6 @@ _MC_CHUNKS_PER_WORKER = 8
 _TAIL_LOG_SPAN = 53.0 * math.log(2.0)
 
 __all__ = [
-    "BidProfile",
     "Outcome",
     "RevenueReport",
     "winner_payment",
@@ -89,14 +88,6 @@ __all__ = [
     "mc_revenue",
     "dominated_equilibrium_revenue",
 ]
-
-
-@dataclass(frozen=True)
-class BidProfile:
-    """Reported messages of the two bidders, each in [0, 1]."""
-
-    s1: float
-    s2: float
 
 
 @dataclass(frozen=True)
@@ -134,12 +125,11 @@ def winner_payment(c: SolvedConstants, s_hi, s_lo):
     return _winner_payment(c, s_hi, s_lo)
 
 
-def outcome(c: SolvedConstants, bids: BidProfile) -> Outcome:
-    """Allocation and payments at a reported bid profile.
+def outcome(c: SolvedConstants, s1: float, s2: float) -> Outcome:
+    """Allocation and payments at the reported bids ``s1`` and ``s2``.
 
     The winner pays ``winner_payment``; a tie splits H(x) and x H(x).
     """
-    s1, s2 = bids.s1, bids.s2
     if not (0.0 <= s1 <= 1.0 and 0.0 <= s2 <= 1.0):
         raise DomainError(f"bids must lie in [0, 1], got ({s1}, {s2})")
     if s1 == s2:

@@ -1,18 +1,18 @@
 import pytest
 
-from maxmin_auction import ModelParams, solve_a
+from maxmin_auction import solve_a
 
 
 @pytest.fixture(scope="session")
 def c05():
-    return solve_a(ModelParams(mu=0.5))
+    return solve_a(0.5)
 
 
 @pytest.fixture(scope="session")
 def c03():
-    return solve_a(ModelParams(mu=0.3))
+    return solve_a(0.3)
 
 
 @pytest.fixture(scope="session")
 def c075():
-    return solve_a(ModelParams(mu=0.75))
+    return solve_a(0.75)

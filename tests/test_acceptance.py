@@ -13,8 +13,6 @@ import pytest
 from scipy.integrate import quad
 
 from maxmin_auction import (
-    BidProfile,
-    ModelParams,
     PiecewiseCdf,
     check_ode,
     check_p1_p2,
@@ -44,10 +42,9 @@ def announce(number: int, message: str) -> None:
 
 
 def test_criterion_01_constants_at_half():
-    params = ModelParams(mu=0.5)
-    solve_a(params)  # warm-up outside the timed call
+    solve_a(0.5)  # warm-up outside the timed call
     t0 = time.perf_counter()
-    c = solve_a(params)
+    c = solve_a(0.5)
     elapsed = time.perf_counter() - t0
     residual = abs(c.a * (1.0 - math.log(c.a)) - 0.5)
     assert residual <= 1e-12
@@ -60,7 +57,7 @@ def test_criterion_02_saddle_value_triple_agreement():
     t0 = time.perf_counter()
     rows = []
     for mu in (0.3, 0.5, 0.75):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         closed = c.revenue_guarantee
         fv = revenue_functional(PiecewiseCdf.signal(c), PiecewiseCdf.reserve(c))
         assert abs(fv - closed) <= 1e-6
@@ -75,8 +72,8 @@ def test_criterion_02_saddle_value_triple_agreement():
 
 def test_criterion_03_adversary_optimality():
     t0 = time.perf_counter()
-    c = solve_a(ModelParams(mu=0.5))
-    result = minimize_revenue(PiecewiseCdf.reserve(c), ModelParams(mu=0.5), 500)
+    c = solve_a(0.5)
+    result = minimize_revenue(PiecewiseCdf.reserve(c), 0.5, 500)
     gap = abs(result.value - (2.0 * c.a - c.a * c.a))
     assert gap <= 2e-3
     window = (result.grid.x >= c.a + 0.02) & (result.grid.x <= 0.98)
@@ -94,7 +91,7 @@ def test_criterion_03_adversary_optimality():
 
 def test_criterion_04_lp_upper_bound():
     t0 = time.perf_counter()
-    c = solve_a(ModelParams(mu=0.5))
+    c = solve_a(0.5)
     bound = c.revenue_guarantee
     optima = {n: reduced_form_bound(c.a, grid_ratio(c.a, n)).lp_optimum for n in (25, 50, 100)}
     # the optimum on rounded-up types is a true upper bound
@@ -110,17 +107,17 @@ def test_criterion_04_lp_upper_bound():
 
 
 def test_criterion_05_dominated_equilibrium_numbers():
-    c = solve_a(ModelParams(mu=0.5))
+    c = solve_a(0.5)
     value = dominated_equilibrium_revenue(c)
     assert abs(value - 0.1223) <= 5e-4
     for mu in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-        cm = solve_a(ModelParams(mu=mu))
+        cm = solve_a(mu)
         assert dominated_equilibrium_revenue(cm) < cm.revenue_guarantee
     announce(5, f"value {value:.6f}, below guarantee across the mean grid")
 
 
 def test_criterion_06_ode_and_density_residuals():
-    c = solve_a(ModelParams(mu=0.5))
+    c = solve_a(0.5)
     xs = np.linspace(0.01, 1.0, 100)
     xs = xs[np.abs(xs - c.a) > 1e-9]
     worst_ode = max(check_ode(c, float(x)) for x in xs)
@@ -134,11 +131,11 @@ def test_criterion_06_ode_and_density_residuals():
 
 
 def test_criterion_07_reserve_family():
-    c = solve_a(ModelParams(mu=0.5))
+    c = solve_a(0.5)
     h_star = reserve_with_zero_atom(c)
     verdict = check_p1_p2(h_star, c)
     assert verdict.passed
-    result = minimize_revenue(h_star, ModelParams(mu=0.5), 500)
+    result = minimize_revenue(h_star, 0.5, 500)
     gap = abs(result.value - c.revenue_guarantee)
     assert gap <= 2e-3
     window = (result.grid.x >= c.a + 0.02) & (result.grid.x <= 0.98)
@@ -169,7 +166,7 @@ def test_criterion_08_second_moment_variant():
 
 
 def test_criterion_09_mps_examples():
-    c = solve_a(ModelParams(mu=0.5))
+    c = solve_a(0.5)
 
     def three_point(b):
         return PiecewiseCdf.from_discrete([0.0, 0.5, 1.0], [b, 1.0 - 2.0 * b, b])
@@ -178,19 +175,19 @@ def test_criterion_09_mps_examples():
     assert mps_check(three_point(0.30), c).passed
     failing = mps_check(three_point(0.25), c)
     assert not failing.passed
-    c75 = solve_a(ModelParams(mu=0.75))
+    c75 = solve_a(0.75)
     prior = PiecewiseCdf.from_grid([0.0, 1.0], [0.0, 1.0], [0.0, 0.5])
     assert mps_check(prior, c75).passed
     announce(9, f"threshold respected (violation at b=0.25: {failing.max_violation:.1e})")
 
 
 def test_criterion_10_payment_identity():
-    c = solve_a(ModelParams(mu=0.5))
+    c = solve_a(0.5)
     pairs = uniform_pairs(MC_SEED, 0, 100)
     worst = 0.0
     for s1, s2 in pairs:
         hi, lo = (s1, s2) if s1 >= s2 else (s2, s1)
-        o = outcome(c, BidProfile(hi, lo))
+        o = outcome(c, hi, lo)
         tail, _ = quad(lambda r: r * reserve_pdf(c, r), lo, hi, limit=200)
         oracle_value = lo * reserve_cdf(c, lo) + tail
         worst = max(worst, abs(o.t1 - oracle_value))
@@ -201,7 +198,7 @@ def test_criterion_10_payment_identity():
 def test_documented_comparisons():
     # cited reference guarantees for the deterministic-reserve and the
     # correlation-agnostic benchmarks at mu = 0.5
-    c = solve_a(ModelParams(mu=0.5))
+    c = solve_a(0.5)
     assert c.revenue_guarantee > 0.25
     assert c.revenue_guarantee > 0.317
     announce(0, "documented comparisons 0.25 and 0.317 both cleared")

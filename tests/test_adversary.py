@@ -14,7 +14,6 @@ from maxmin_auction import (
     ConvergenceError,
     DegenerateError,
     DomainError,
-    ModelParams,
     PiecewiseCdf,
     check_p1_p2,
     minimize_revenue,
@@ -54,7 +53,7 @@ def sup_distance_to_signal(result, c, lo_pad=0.02, hi=0.98):
 
 class TestSolvedReserve:
     def test_recovers_saddle(self, c05):
-        res = minimize_revenue(PiecewiseCdf.reserve(c05), ModelParams(mu=0.5), 500)
+        res = minimize_revenue(PiecewiseCdf.reserve(c05), 0.5, 500)
         assert abs(res.value - c05.revenue_guarantee) <= 2e-3
         assert abs(res.lambda_hat - c05.lam) < 1e-4
         assert sup_distance_to_signal(res, c05) <= 0.01
@@ -62,19 +61,17 @@ class TestSolvedReserve:
 
     def test_projection_is_noop(self, c05):
         # the pointwise minimizer is already a CDF here
-        res = minimize_revenue(PiecewiseCdf.reserve(c05), ModelParams(mu=0.5), 500)
+        res = minimize_revenue(PiecewiseCdf.reserve(c05), 0.5, 500)
         assert res.projection_delta == 0.0
 
     def test_weak_duality(self, c05):
-        res = minimize_revenue(PiecewiseCdf.reserve(c05), ModelParams(mu=0.5), 500)
+        res = minimize_revenue(PiecewiseCdf.reserve(c05), 0.5, 500)
         assert res.value >= res.lagrangian_bound - 1e-9
 
     def test_error_decreases_with_grid(self, c05):
         errs = [
             abs(
-                minimize_revenue(
-                    PiecewiseCdf.reserve(c05), ModelParams(mu=0.5), K
-                ).value
+                minimize_revenue(PiecewiseCdf.reserve(c05), 0.5, K).value
                 - c05.revenue_guarantee
             )
             for K in (100, 200, 500)
@@ -83,7 +80,7 @@ class TestSolvedReserve:
         assert errs[2] <= 2e-3
 
     def test_minimizer_is_monotone_cdf(self, c05):
-        res = minimize_revenue(PiecewiseCdf.reserve(c05), ModelParams(mu=0.5), 500)
+        res = minimize_revenue(PiecewiseCdf.reserve(c05), 0.5, 500)
         g = res.grid.values
         assert np.all(np.diff(g) >= 0.0)
         assert np.all((g >= 0.0) & (g <= 1.0))
@@ -110,17 +107,15 @@ class TestMatchesFixedStepReference:
     @pytest.mark.parametrize("mu", [1e-6, 0.5, 0.99])
     @pytest.mark.parametrize("reserve", sorted(RESERVES))
     def test_mean_constraint(self, reserve, mu, K):
-        h_dist = RESERVES[reserve](solve_a(ModelParams(mu=mu)))
-        res = minimize_revenue(h_dist, ModelParams(mu=mu), K)
+        h_dist = RESERVES[reserve](solve_a(mu))
+        res = minimize_revenue(h_dist, mu, K)
         self.assert_bitwise(res, reference.minimize_revenue(h_dist, K, "mean", mu))
 
     @pytest.mark.parametrize("K", [100, 4096, 65537])
     @pytest.mark.parametrize("delta", [1e-6, 0.5, 0.99])
     def test_second_moment_constraint(self, delta, K):
         h_dist = PiecewiseCdf.uniform()
-        res = minimize_revenue(
-            h_dist, None, K, constraint="second-moment", target=delta
-        )
+        res = minimize_revenue(h_dist, delta, K, constraint="second-moment")
         ref = reference.minimize_revenue(h_dist, K, "second-moment", delta)
         self.assert_bitwise(res, ref)
 
@@ -195,11 +190,9 @@ class TestPinnedFineGrid:
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_matches_pinned(self, case, c05):
         if case == "second-moment":
-            res = minimize_revenue(
-                PiecewiseCdf.uniform(), None, self.K, constraint="second-moment", target=0.5
-            )
+            res = minimize_revenue(PiecewiseCdf.uniform(), 0.5, self.K, constraint="second-moment")
         else:
-            res = minimize_revenue(RESERVES[case](c05), ModelParams(mu=0.5), self.K)
+            res = minimize_revenue(RESERVES[case](c05), 0.5, self.K)
         fields, digest = self.PINNED[case]
         assert {name: float(getattr(res, name)).hex() for name in fields} == fields
         assert hashlib.sha256(res.grid.values.tobytes()).hexdigest() == digest
@@ -209,8 +202,8 @@ def solve_case(case, c, K):
     """A solve at mu = 0.5 under the mean for a reserve of RESERVES, or at
     delta = 0.5 under the second moment."""
     if case == "second-moment":
-        return minimize_revenue(PiecewiseCdf.uniform(), None, K, constraint="second-moment", target=0.5)
-    return minimize_revenue(RESERVES[case](c), ModelParams(mu=0.5), K)
+        return minimize_revenue(PiecewiseCdf.uniform(), 0.5, K, constraint="second-moment")
+    return minimize_revenue(RESERVES[case](c), 0.5, K)
 
 
 BLOCK_CASES = sorted(RESERVES) + ["second-moment"]
@@ -272,16 +265,14 @@ class TestConstraintResidual:
     @pytest.mark.parametrize("mu, K", [(0.3, 4096), (0.5, 4096), (0.9, 4096), (0.5, 400_000)])
     @pytest.mark.parametrize("reserve", sorted(RESERVES))
     def test_mean_constraint(self, reserve, mu, K):
-        h_dist = RESERVES[reserve](solve_a(ModelParams(mu=mu)))
-        res = minimize_revenue(h_dist, ModelParams(mu=mu), K)
+        h_dist = RESERVES[reserve](solve_a(mu))
+        res = minimize_revenue(h_dist, mu, K)
         assert res.projection_delta == 0.0
         self.assert_matches_grid(res, K)
 
     @pytest.mark.parametrize("delta, K", [(0.1, 4096), (0.5, 4096), (0.9, 4096), (0.5, 400_000)])
     def test_second_moment(self, delta, K):
-        res = minimize_revenue(
-            PiecewiseCdf.uniform(), None, K, constraint="second-moment", target=delta
-        )
+        res = minimize_revenue(PiecewiseCdf.uniform(), delta, K, constraint="second-moment")
         assert res.projection_delta == 0.0
         self.assert_matches_grid(res, K)
 
@@ -290,14 +281,14 @@ class TestConstraintResidual:
         # a concave kink in the reserve makes the pointwise minimizer jump
         # down there, so the projection moves it
         h_dist = PiecewiseCdf.from_grid([0.0, 0.3, 1.0], [0.0, 0.8, 1.0])
-        res = minimize_revenue(h_dist, ModelParams(mu=mu), 4096)
+        res = minimize_revenue(h_dist, mu, 4096)
         assert res.projection_delta > 0.0
         self.assert_matches_grid(res, 4096)
 
 
 class TestSearchDiagnostics:
     def test_fine_grid_probes(self, c05):
-        res = minimize_revenue(PiecewiseCdf.reserve(c05), ModelParams(mu=0.5), 400_000)
+        res = minimize_revenue(PiecewiseCdf.reserve(c05), 0.5, 400_000)
         # the search ends on adjacent doubles after 11 probes, where bisection
         # takes 55 steps; 16 allows five probes of margin
         assert res.probes <= 16
@@ -320,17 +311,15 @@ class TestSearchDiagnostics:
     def test_pinned_probes(self, reserve):
         got = []
         for mu in self.MUS:
-            h_dist = RESERVES[reserve](solve_a(ModelParams(mu=mu)))
-            res = minimize_revenue(h_dist, ModelParams(mu=mu), self.K)
+            h_dist = RESERVES[reserve](solve_a(mu))
+            res = minimize_revenue(h_dist, mu, self.K)
             got.append((res.probes, res.exact_sums))
         assert got == self.PINNED[reserve]
 
     def test_pinned_probes_second_moment(self):
         got = []
         for delta in self.DELTAS:
-            res = minimize_revenue(
-                PiecewiseCdf.uniform(), None, self.K, constraint="second-moment", target=delta
-            )
+            res = minimize_revenue(PiecewiseCdf.uniform(), delta, self.K, constraint="second-moment")
             got.append((res.probes, res.exact_sums))
         assert got == self.PINNED_SECOND_MOMENT
 
@@ -439,14 +428,14 @@ class TestStepFunctionCases:
     @pytest.mark.parametrize("mu", [0.31, 0.69])
     def test_uniform_reserve_under_the_mean(self, mu):
         h_dist = PiecewiseCdf.uniform()
-        res = minimize_revenue(h_dist, ModelParams(mu=mu), self.K)
+        res = minimize_revenue(h_dist, mu, self.K)
         ref = reference.minimize_revenue(h_dist, self.K, "mean", mu)
         TestMatchesFixedStepReference.assert_bitwise(res, ref)
 
     @pytest.mark.parametrize("delta", [0.1, 0.9])
     def test_second_moment(self, delta):
         h_dist = PiecewiseCdf.uniform()
-        res = minimize_revenue(h_dist, None, self.K, constraint="second-moment", target=delta)
+        res = minimize_revenue(h_dist, delta, self.K, constraint="second-moment")
         ref = reference.minimize_revenue(h_dist, self.K, "second-moment", delta)
         TestMatchesFixedStepReference.assert_bitwise(res, ref)
 
@@ -461,8 +450,8 @@ class TestSearchEdgeCases:
         # the moment is flat at the target next to one end, so the search
         # creeps by about an ulp per probe, most of them exact sums
         mu = 1.0 - 1e-5
-        h_dist = PiecewiseCdf.reserve(solve_a(ModelParams(mu=mu)))
-        res = minimize_revenue(h_dist, ModelParams(mu=mu), self.K)
+        h_dist = PiecewiseCdf.reserve(solve_a(mu))
+        res = minimize_revenue(h_dist, mu, self.K)
         assert (res.probes, res.exact_sums) == (54, 46)
         TestMatchesFixedStepReference.assert_bitwise(
             res, reference.minimize_revenue(h_dist, self.K, "mean", mu)
@@ -471,7 +460,7 @@ class TestSearchEdgeCases:
     def test_second_moment_below_one(self):
         delta = 1.0 - 2.0**-53
         h_dist = PiecewiseCdf.uniform()
-        res = minimize_revenue(h_dist, None, self.K, constraint="second-moment", target=delta)
+        res = minimize_revenue(h_dist, delta, self.K, constraint="second-moment")
         ref = reference.minimize_revenue(h_dist, self.K, "second-moment", delta)
         TestMatchesFixedStepReference.assert_bitwise(res, ref)
 
@@ -508,7 +497,7 @@ class TestUniformReserveMeanConstraint:
     def test_point_mass_minimizer(self, c05):
         # with a uniform reserve the integrand is linear in G; the minimizer
         # collapses to a step (a point mass at the mean) with value mu^2
-        res = minimize_revenue(PiecewiseCdf.uniform(), ModelParams(mu=0.5), 500)
+        res = minimize_revenue(PiecewiseCdf.uniform(), 0.5, 500)
         assert res.value == pytest.approx(0.25, abs=1e-12)
         assert res.value < c05.revenue_guarantee
         assert abs(res.lambda_hat - 1.0) < 5e-3
@@ -520,34 +509,25 @@ class TestUniformReserveMeanConstraint:
 class TestSecondMomentConstraint:
     @pytest.mark.parametrize("delta", [0.3, 0.5, 0.7])
     def test_flat_landscape_value_is_delta(self, delta):
-        res = minimize_revenue(
-            PiecewiseCdf.uniform(),
-            None,
-            500,
-            constraint="second-moment",
-            target=delta,
-        )
+        res = minimize_revenue(PiecewiseCdf.uniform(), delta, 500, constraint="second-moment")
         assert res.value == pytest.approx(delta, abs=1e-12)
         assert res.lambda_hat == pytest.approx(1.0, abs=1e-12)
         assert abs(res.constraint_residual) <= 1e-9
 
     def test_requires_target(self):
-        with pytest.raises(DomainError):
-            minimize_revenue(
-                PiecewiseCdf.uniform(), None, 500, constraint="second-moment"
-            )
+        # the moment's value has no default, under either constraint
+        with pytest.raises(TypeError):
+            minimize_revenue(PiecewiseCdf.uniform(), K=500, constraint="second-moment")
 
 
 class TestReserveFamily:
     def test_zero_atom_variant_keeps_saddle(self, c05):
-        res = minimize_revenue(reserve_with_zero_atom(c05), ModelParams(mu=0.5), 500)
+        res = minimize_revenue(reserve_with_zero_atom(c05), 0.5, 500)
         assert abs(res.value - c05.revenue_guarantee) <= 2e-3
         assert sup_distance_to_signal(res, c05) <= 0.01
 
     def test_linear_ramp_variant_keeps_saddle(self, c05):
-        res = minimize_revenue(
-            reserve_with_linear_ramp(c05), ModelParams(mu=0.5), 500
-        )
+        res = minimize_revenue(reserve_with_linear_ramp(c05), 0.5, 500)
         assert abs(res.value - c05.revenue_guarantee) <= 2e-3
         assert sup_distance_to_signal(res, c05) <= 0.01
 
@@ -555,20 +535,18 @@ class TestReserveFamily:
 class TestValidation:
     def test_grid_too_small(self, c05):
         with pytest.raises(DomainError):
-            minimize_revenue(PiecewiseCdf.reserve(c05), ModelParams(mu=0.5), 50)
+            minimize_revenue(PiecewiseCdf.reserve(c05), 0.5, 50)
 
     def test_unknown_constraint(self, c05):
         with pytest.raises(DomainError):
-            minimize_revenue(
-                PiecewiseCdf.reserve(c05), ModelParams(mu=0.5), 500, constraint="tail"
-            )
+            minimize_revenue(PiecewiseCdf.reserve(c05), 0.5, 500, constraint="tail")
 
     def test_interior_atom_rejected(self, c05):
         bad = PiecewiseCdf.from_grid(
             [0.0, 0.5, 1.0], [0.0, 0.6, 1.0], [0.0, 0.2, 0.0]
         )
         with pytest.raises(DomainError):
-            minimize_revenue(bad, ModelParams(mu=0.5), 500)
+            minimize_revenue(bad, 0.5, 500)
 
     def test_concave_reserve_is_degenerate(self):
         # H(x) = x^2 gives H - xH' = -x^2 < 0
@@ -577,13 +555,11 @@ class TestValidation:
             pdf_fn=lambda x: 2.0 * np.asarray(x),
         )
         with pytest.raises(DegenerateError):
-            minimize_revenue(bad, ModelParams(mu=0.5), 500)
+            minimize_revenue(bad, 0.5, 500)
 
     def test_target_out_of_range(self, c05):
         with pytest.raises(DomainError):
-            minimize_revenue(
-                PiecewiseCdf.reserve(c05), ModelParams(mu=0.5), 500, target=1.0
-            )
+            minimize_revenue(PiecewiseCdf.reserve(c05), 1.0, 500)
 
     def test_non_finite_revenue_raises(self):
         # a density that is NaN on part of the grid passes the coefficient
@@ -592,13 +568,13 @@ class TestValidation:
             cdf_fn=lambda x: x, pdf_fn=lambda x: np.where(x > 0.5, np.nan, 1.0)
         )
         with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="not finite"):
-            minimize_revenue(h_dist, ModelParams(mu=0.5), 500)
+            minimize_revenue(h_dist, 0.5, 500)
 
     @pytest.mark.parametrize("mu", [5e-324, 1e-320])
     def test_subnormal_a_solves(self, mu):
         # H' is finite on the grid at a subnormal a, so the revenue is too
-        c = solve_a(ModelParams(mu=mu))
-        res = minimize_revenue(PiecewiseCdf.reserve(c), ModelParams(mu=c.mu), 1000)
+        c = solve_a(mu)
+        res = minimize_revenue(PiecewiseCdf.reserve(c), c.mu, 1000)
         assert math.isfinite(res.value) and res.value >= 0.0
         assert abs(res.constraint_residual) <= 1e-9
 
@@ -724,7 +700,7 @@ class TestPointwiseArgmin:
 class TestPointwiseSaddle:
     @pytest.mark.parametrize("mu", [0.3, 0.5, 0.75])
     def test_max_deviation_tiny(self, mu):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         report = verify_pointwise_saddle(c, 500)
         assert report.max_deviation < 1e-6
 

@@ -142,9 +142,9 @@ class TestCurves:
         )
         assert code == 0
         back = read_cdf_csv(out_path)
-        from maxmin_auction import ModelParams, signal_cdf, solve_a
+        from maxmin_auction import signal_cdf, solve_a
 
-        c = solve_a(ModelParams(mu=0.5))
+        c = solve_a(0.5)
         xs = np.linspace(c.a + 0.02, 0.98, 200)
         assert np.max(np.abs(back.cdf(xs) - signal_cdf(c, xs))) <= 0.011
 
@@ -224,14 +224,14 @@ class TestAdversaryCommand:
 
     def test_certificate_reads_back_bit_for_bit(self, capsys, tmp_path):
         # more rows than one write block, so the block seams are read back too
-        from maxmin_auction import ModelParams, PiecewiseCdf, minimize_revenue, solve_a
+        from maxmin_auction import PiecewiseCdf, minimize_revenue, solve_a
 
         out_path = tmp_path / "adv.csv"
         k = 65537
         code, _ = run_cli(capsys, "adversary", "--mu", "0.3", "--grid-k", str(k), "--out", str(out_path))
         assert code == 0
-        c = solve_a(ModelParams(mu=0.3))
-        grid = minimize_revenue(PiecewiseCdf.reserve(c), ModelParams(mu=0.3), k).grid
+        c = solve_a(0.3)
+        grid = minimize_revenue(PiecewiseCdf.reserve(c), 0.3, k).grid
         back = read_cdf_csv(out_path)
         # the reader completes the cell midpoints with the knots 0 and 1
         assert back.knots.size == k + 2 and (back.knots[0], back.knots[-1]) == (0.0, 1.0)
@@ -339,6 +339,7 @@ BAD_INPUTS = {
     # F(0) = 0.3 is the atom at 0, so a mass of 0.1 there contradicts it
     "atom at 0 off F(0)": ("mps-check", "x,F,atom_mass\n0,0.3,0.1\n0.5,0.5,0.2\n1,1,0.5\n", []),
     "not UTF-8": ("mps-check", b"x,F\n0,0\n\xff\xfe,1\n1,1\n", []),
+    "not UTF-8 after a byte-order mark": ("simulate", b"\xef\xbb\xbfx,F\n0,0\n\xff\xfe,1\n1,1\n", []),
     # csv's default field size limit is 131072 characters
     "over-long field": ("simulate", "x,F\n0,0\n" + "1" * 200_000 + ",1\n", []),
     "negative curves grid": ("curves", None, ["--grid", "-3"]),

@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from maxmin_auction import (
     ConvergenceError,
     DomainError,
-    ModelParams,
     PiecewiseCdf,
     constants,
     constants_from_a,
@@ -53,7 +52,7 @@ class TestSolveA:
         + [1.0 - 1e-12],
     )
     def test_guarantee_is_definitional(self, mu):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         assert c == constants_from_a(mu, c.a)
         assert c.revenue_guarantee == 2.0 * c.a - c.a * c.a
         assert c.lam == 2.0 * c.h_at_a
@@ -64,10 +63,11 @@ class TestSolveA:
         assert c.lam > 0.0
         assert 0.0 < c.h_at_a < 1.0
 
-    @pytest.mark.parametrize("mu", [0.0, 1.0, -0.3, 1.5])
+    # NaN fails every comparison, so it fails the check 0 < mu < 1 too
+    @pytest.mark.parametrize("mu", [0.0, 1.0, -0.3, 1.5, math.nan, math.inf, -math.inf])
     def test_domain_errors(self, mu):
-        with pytest.raises(DomainError):
-            ModelParams(mu=mu)
+        with pytest.raises(DomainError, match=r"^mu must lie in \(0, 1\), got "):
+            solve_a(mu)
 
     # (mu, a) in hex from the fixed-step bisection on [1e-12, 1 - 1e-12],
     # which must still give every root inside that bracket bit for bit
@@ -96,18 +96,18 @@ class TestSolveA:
 
     @pytest.mark.parametrize("mu, a_hex", PINNED_ROOTS)
     def test_roots_in_bracket_are_pinned(self, mu, a_hex):
-        assert solve_a(ModelParams(mu=float(mu))).a == float.fromhex(a_hex)
+        assert solve_a(float(mu)).a == float.fromhex(a_hex)
 
     @pytest.mark.parametrize("mu", [2.8e-11, 1e-15, 1e-100, 1e-300])
     def test_roots_below_bracket_are_relative(self, mu):
-        a = solve_a(ModelParams(mu=mu)).a
+        a = solve_a(mu).a
         assert 0.0 < a < mu
         assert abs(a * (1.0 - math.log(a)) - mu) <= 1e-15 * mu
 
     @pytest.mark.parametrize("mu", [5e-324, 1e-322, 3.7e-321, 1e-315, 2e-308, 1e-306])
     def test_subnormal_root_stays_in_range(self, mu):
         # mu down to the smallest subnormal, and normal mu whose root is subnormal
-        a = solve_a(ModelParams(mu=mu)).a
+        a = solve_a(mu).a
         assert math.isfinite(a)
         assert 0.0 < a <= mu
 
@@ -116,7 +116,7 @@ class TestSolveA:
         # tolerance must be reported as a convergence failure
         monkeypatch.setattr(constants, "TOL_ROOT", 1e-30)
         with pytest.raises(ConvergenceError):
-            solve_a(ModelParams(mu=0.3))
+            solve_a(0.3)
 
 
 def assert_array_calls_match_scalar_calls(c):
@@ -163,7 +163,7 @@ class TestReserveCdf:
         misses = [
             mu
             for mu in np.geomspace(1e-9, 1.0 - 1e-5, 400).tolist()
-            if reserve_cdf(solve_a(ModelParams(mu=mu)), 1.0) != 1.0
+            if reserve_cdf(solve_a(mu), 1.0) != 1.0
         ]
         assert misses == []
 
@@ -173,7 +173,7 @@ class TestReserveCdf:
         over = [
             mu
             for mu in np.geomspace(1e-9, 1.0 - 1e-5, 400).tolist()
-            if (reserve_cdf(solve_a(ModelParams(mu=mu)), x) > 1.0).any()
+            if (reserve_cdf(solve_a(mu), x) > 1.0).any()
         ]
         assert over == []
 
@@ -189,7 +189,7 @@ class TestReserveCdf:
 
     @pytest.mark.parametrize("mu", [0.3, 0.5, 0.75, 0.9])
     def test_strictly_increasing_on_fine_grid(self, mu):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         x = np.linspace(0.0, 1.0, 10_001)
         h = reserve_cdf(c, x)
         assert np.all(np.diff(h) > 0.0)
@@ -200,7 +200,7 @@ class TestReserveCdf:
 
     def test_vectorised_matches_scalar_below_two_to_minus_512(self):
         # a < 2**-512, so u = (x - a)/a passes H''s 2**511 cut
-        assert_array_calls_match_scalar_calls(solve_a(ModelParams(mu=1e-160)))
+        assert_array_calls_match_scalar_calls(solve_a(1e-160))
 
     def test_domain_error(self, c05):
         with pytest.raises(DomainError):
@@ -231,7 +231,7 @@ class TestReservePdf:
 
     @pytest.mark.parametrize("mu, x", sorted(oracles.HPRIME_NEAR_A))
     def test_near_removable_point_matches_oracles(self, mu, x):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         assert reserve_pdf(c, x) == pytest.approx(
             oracles.HPRIME_NEAR_A[(mu, x)], rel=5e-15, abs=0.0
         )
@@ -292,7 +292,7 @@ class TestSmallX:
     @pytest.mark.parametrize("x", sorted(oracles.HPRIME_MU_1E300))
     def test_tiny_mu_matches_oracles(self, x):
         # at mu = 1e-300, u = (x-a)/a passes 2**512 from x = 1e-3 up
-        c = solve_a(ModelParams(mu=1e-300))
+        c = solve_a(1e-300)
         assert reserve_cdf(c, x) == pytest.approx(
             oracles.H_MU_1E300[x], rel=1e-12, abs=0.0
         )
@@ -318,7 +318,7 @@ class TestSmallX:
 
     @pytest.mark.parametrize("mu", [0.3, 0.5, 0.75, 0.9])
     def test_nondecreasing_from_tiny_to_one(self, mu):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         x = np.geomspace(1e-300, 1.0, 20_001)
         for f in (reserve_cdf, reserve_cdf_integral):
             v = f(c, x)
@@ -332,7 +332,7 @@ class TestSmallX:
         # its dilogarithm turns to the inversion: the two sides must agree to
         # rounding, and a grid of relative step 1e-12 across the seam must
         # stay non-decreasing
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         seam = where * c.a
         if seam >= 1.0:
             pytest.skip("the seam 2a lies past x = 1")
@@ -348,7 +348,7 @@ class TestSmallX:
         # a is subnormal at the first two, so (x - a)/a overflows from
         # x/a = 1.8e308 up, and at the first a/2 rounds to 0; at 1e-304
         # (a = 1.4e-307) (ln x - ln a)/(x - a) overflows at x = 5e-324
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         x = np.concatenate([[0.0], np.geomspace(5e-324, 1.0, 20_001)])
         for f in (reserve_cdf, reserve_cdf_integral):
             v = f(c, x)
@@ -361,7 +361,7 @@ class TestSmallX:
         # h_at_a/a overflows at these a.  Away from a, H' is about h_at_a/x,
         # which passes the largest double below x = h_at_a/1.8e308 = 7.5e-312:
         # inf there, as the true value is, and finite from 1e-311 up
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         x = np.geomspace(5e-324, 1.0, 2000)
         hp = reserve_pdf(c, x)
         assert not np.isnan(hp).any() and np.all(hp >= 0.0)
@@ -371,7 +371,7 @@ class TestSmallX:
 
     @pytest.mark.parametrize("a, x", sorted(oracles.HPRIME_SUBNORMAL_A))
     def test_density_at_subnormal_a_matches_oracles(self, a, x):
-        c = solve_a(ModelParams(mu={5e-324: 5e-324, 1.5e-323: 1e-320}[a]))
+        c = solve_a({5e-324: 5e-324, 1.5e-323: 1e-320}[a])
         assert c.a == a
         assert reserve_pdf(c, x) == pytest.approx(
             oracles.HPRIME_SUBNORMAL_A[(a, x)], rel=1e-12, abs=0.0

@@ -1,5 +1,6 @@
 """PiecewiseCdf container tests: grids, atoms, CSV round trips."""
 
+import codecs
 import csv
 import io
 import math
@@ -14,7 +15,6 @@ from scipy.integrate import quad
 
 from maxmin_auction import (
     DomainError,
-    ModelParams,
     PiecewiseCdf,
     read_cdf_csv,
     reserve_cdf,
@@ -436,7 +436,7 @@ class TestReserveQuantile:
     )
     def test_never_undershoots(self, c05, make):
         u = np.linspace(0.0, 1.0, 1001)
-        for c in (c05, solve_a(ModelParams(mu=1e-9)), solve_a(ModelParams(mu=0.99))):
+        for c in (c05, solve_a(1e-9), solve_a(0.99)):
             dist = make(c)
             assert np.all(dist.cdf(dist.quantile(u)) >= u), c.mu
 
@@ -449,7 +449,7 @@ class TestReserveQuantile:
 
     @pytest.mark.parametrize("mu", [1e-9, 0.5, 0.99])
     def test_least_double_reaching_the_level(self, mu):
-        h = PiecewiseCdf.reserve(solve_a(ModelParams(mu=mu)))
+        h = PiecewiseCdf.reserve(solve_a(mu))
         u = np.array([1e-320, 1e-300, 1e-30, 1e-10, 0.3, 0.9, 1.0])
         q = h.quantile(u)
         assert np.all(h.cdf(q) >= u)
@@ -498,6 +498,20 @@ class TestCsv:
         dist = read_cdf_csv(path)
         assert dist.atoms == ()
         assert dist.cdf(0.25) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"x,F\n0,0\n0.5,0.25\n1,1\n", b"x,F,atom_mass\r\n0,0.1,0.1\r\n0.5,0.5,0\r\n1,1,0.2\r\n"],
+        ids=["two-column", "atoms"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, body):
+        # spreadsheet "CSV UTF-8" exports start with the mark EF BB BF
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(body)
+        marked.write_bytes(codecs.BOM_UTF8 + body)
+        want, got = read_cdf_csv(plain), read_cdf_csv(marked)
+        for name in ("knots", "values", "masses"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "headerless.csv"

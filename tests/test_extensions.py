@@ -15,7 +15,6 @@ from scipy.integrate import quad
 from maxmin_auction import (
     DomainError,
     MeanMismatchError,
-    ModelParams,
     PiecewiseCdf,
     mps_check,
     read_cdf_csv,
@@ -164,7 +163,7 @@ class TestMpsCheck:
 
     @pytest.mark.parametrize("mu", [0.2, 0.5, 0.8])
     def test_bernoulli_prior_always_passes(self, mu):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         prior = PiecewiseCdf.from_discrete([0.0, 1.0], [1.0 - mu, mu])
         assert mps_check(prior, c).passed
 
@@ -198,7 +197,7 @@ class TestMpsCheck:
     def test_point_mass_at_mean_fails_at_small_mu(self, mu):
         # the least spread prior there is: its integrated CDF is 0 up to mu,
         # where the signal's is already about 0.78 mu above it
-        report = mps_check(PiecewiseCdf.from_discrete([mu], [1.0]), solve_a(ModelParams(mu=mu)))
+        report = mps_check(PiecewiseCdf.from_discrete([mu], [1.0]), solve_a(mu))
         assert not report.passed
         assert report.worst_x == mu
         assert report.max_violation > 0.5 * mu
@@ -206,7 +205,7 @@ class TestMpsCheck:
     @pytest.mark.parametrize("mu", [1e-6, 1e-9])
     def test_point_mass_at_zero_is_a_mean_mismatch_at_small_mu(self, mu):
         with pytest.raises(MeanMismatchError):
-            mps_check(PiecewiseCdf.from_discrete([0.0], [1.0]), solve_a(ModelParams(mu=mu)))
+            mps_check(PiecewiseCdf.from_discrete([0.0], [1.0]), solve_a(mu))
 
     # The mean floor comes from the prior's own stored drift, not from its
     # knot count: spreading the point mass at 0 over many zero-mass knots
@@ -221,7 +220,7 @@ class TestMpsCheck:
         prior = read_cdf_csv(path)
         assert prior.knots.size == 10_001 and prior.mean() == 0.0
         with pytest.raises(MeanMismatchError):
-            mps_check(prior, solve_a(ModelParams(mu=mu)))
+            mps_check(prior, solve_a(mu))
 
     # the benchmark's 256-knot prior, written as running sums of its masses
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -235,12 +234,12 @@ class TestMpsCheck:
             Path(path).write_text(text)
         (op,) = [op for op in workload.ops if op.argv[0] == "mps-check"]
         mu, prior = float(workloads.flag(op.argv, "--mu")), read_cdf_csv(workloads.flag(op.argv, "--prior"))
-        assert mps_check(prior, solve_a(ModelParams(mu=mu))).passed
+        assert mps_check(prior, solve_a(mu)).passed
 
     @pytest.mark.parametrize("cells", [256, 10_000, 100_000])
     @pytest.mark.parametrize("mu", [0.5, 1e-3, 1e-6, 1e-9])
     def test_touching_spreads_pass(self, mu, cells):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         report = mps_check(touching_prior(c.a, cells), c)
         assert report.passed
         assert report.grid_size >= cells + 1
@@ -270,7 +269,7 @@ class TestMpsCheck:
         prior = PiecewiseCdf.from_grid(x, values, mass / steps.sum())
         mean = prior.mean()
         assume(1e-6 < mean < 1.0 - 1e-6)
-        c = solve_a(ModelParams(mu=mean))
+        c = solve_a(mean)
         report = mps_check(prior, c)
         dense = np.linspace(0.0, 1.0, 20_001)
         gap = PiecewiseCdf.signal(c).integral_to(dense) - prior.integral_to(dense)

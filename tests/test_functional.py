@@ -6,7 +6,6 @@ from scipy.optimize import minimize_scalar
 
 from maxmin_auction import (
     DomainError,
-    ModelParams,
     PiecewiseCdf,
     check_ode,
     mc_revenue,
@@ -22,14 +21,14 @@ from maxmin_auction.quadrature import build_edges, composite_simpson
 class TestRevenueFunctional:
     @pytest.mark.parametrize("mu", [0.3, 0.5, 0.75])
     def test_saddle_value_matches_closed_form(self, mu):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         fv = revenue_functional(PiecewiseCdf.signal(c), PiecewiseCdf.reserve(c))
         assert abs(fv - c.revenue_guarantee) < 1e-6
 
     @pytest.mark.parametrize("mu", np.geomspace(1e-9, 1.0 - 1e-6, 12).tolist())
     def test_relative_error_across_mu(self, mu):
         # the grid scales with the smallest kink a, so the error stays relative
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         fv = revenue_functional(PiecewiseCdf.signal(c), PiecewiseCdf.reserve(c))
         g = c.revenue_guarantee
         assert abs(fv - g) <= 1e-8 * g
@@ -175,7 +174,7 @@ class TestOde:
 
     @pytest.mark.parametrize("mu", [0.3, 0.5, 0.9])
     def test_hundred_points(self, mu):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         xs = np.linspace(0.01, 1.0, 100)
         xs = xs[np.abs(xs - c.a) > 1e-9]
         assert max(check_ode(c, float(x)) for x in xs) <= 1e-8

@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from maxmin_auction import (
-    BidProfile,
     DomainError,
-    ModelParams,
     PiecewiseCdf,
     dominated_equilibrium_revenue,
     mc_revenue,
@@ -38,11 +36,11 @@ import oracles
 
 class TestOutcome:
     def test_all_zero_at_origin(self, c05):
-        o = outcome(c05, BidProfile(0.0, 0.0))
+        o = outcome(c05, 0.0, 0.0)
         assert (o.q1, o.q2, o.t1, o.t2) == (0.0, 0.0, 0.0, 0.0)
 
     def test_top_versus_bottom_pays_mean_reserve(self, c05):
-        o = outcome(c05, BidProfile(1.0, 0.0))
+        o = outcome(c05, 1.0, 0.0)
         assert o.q1 == pytest.approx(1.0, abs=1e-12)
         assert o.q2 == o.t2 == 0.0
         # winner at 1 against 0 pays exactly the expected reserve
@@ -50,14 +48,14 @@ class TestOutcome:
 
     def test_tie_splits_everything(self, c05):
         for x in (0.3, 0.7, 1.0):
-            o = outcome(c05, BidProfile(x, x))
+            o = outcome(c05, x, x)
             h = reserve_cdf(c05, x)
             assert o.q1 == o.q2 == pytest.approx(h / 2.0)
             assert o.t1 + o.t2 == pytest.approx(x * h, abs=1e-14)
 
     def test_symmetry(self, c05):
-        o12 = outcome(c05, BidProfile(0.8, 0.3))
-        o21 = outcome(c05, BidProfile(0.3, 0.8))
+        o12 = outcome(c05, 0.8, 0.3)
+        o21 = outcome(c05, 0.3, 0.8)
         assert (o12.q1, o12.t1) == (o21.q2, o21.t2)
         assert (o12.q2, o12.t2) == (o21.q1, o21.t1)
 
@@ -65,7 +63,7 @@ class TestOutcome:
         grid = np.linspace(0.0, 1.0, 15)
         for s1 in grid:
             for s2 in grid:
-                o = outcome(c05, BidProfile(float(s1), float(s2)))
+                o = outcome(c05, float(s1), float(s2))
                 assert o.q1 + o.q2 <= 1.0 + 1e-12
                 # truthful utility is never negative
                 assert s1 * o.q1 - o.t1 >= -1e-9
@@ -85,7 +83,7 @@ class TestOutcome:
     @example(s1=1.18e-38, s2=0.0)
     @example(s1=1.0, s2=5e-324)
     def test_feasibility_and_participation_properties(self, c05, s1, s2):
-        o = outcome(c05, BidProfile(s1, s2))
+        o = outcome(c05, s1, s2)
         assert 0.0 <= o.q1 <= 1.0 and 0.0 <= o.q2 <= 1.0
         assert o.q1 + o.q2 <= 1.0 + 1e-12
         assert s1 * o.q1 - o.t1 >= -1e-9
@@ -93,7 +91,7 @@ class TestOutcome:
 
     def test_domain_error(self, c05):
         with pytest.raises(DomainError):
-            outcome(c05, BidProfile(1.2, 0.0))
+            outcome(c05, 1.2, 0.0)
 
     def test_payment_identity_against_reserve_integral(self, c05):
         # closed-form winner payment equals the expected payment
@@ -102,7 +100,7 @@ class TestOutcome:
         worst = 0.0
         for s1, s2 in pairs:
             hi, lo = (s1, s2) if s1 >= s2 else (s2, s1)
-            o = outcome(c05, BidProfile(hi, lo))
+            o = outcome(c05, hi, lo)
             tail, err = quad(
                 lambda r: r * reserve_pdf(c05, r), lo, hi, limit=200
             )
@@ -124,7 +122,7 @@ class TestWinnerPayment:
 
     def test_equal_bids_and_outcome(self, c05):
         assert winner_payment(c05, 0.7, 0.7) == 0.7 * reserve_cdf(c05, 0.7)
-        o = outcome(c05, BidProfile(0.3, 0.8))
+        o = outcome(c05, 0.3, 0.8)
         assert o.t2 == winner_payment(c05, 0.8, 0.3)
 
 
@@ -158,7 +156,7 @@ class TestPaymentBits:
     )
     def test_matches_the_closed_forms(self, log_mu, seed):
         mu = min(max(math.exp(log_mu), 5e-324), 1.0 - 1e-12)
-        c = solve_a(ModelParams(mu))
+        c = solve_a(mu)
         edges = edge_bids(c.a)
         rng = np.random.default_rng(seed)
         draws = np.concatenate(
@@ -188,7 +186,7 @@ class TestExPostIncentiveCompatibility:
     def test_truth_is_a_best_reply(self, mu):
         # for every value s, report r and opponent bid t, reporting s earns
         # at least as much as reporting r; ties split H and the price
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         grid = np.concatenate((np.linspace(0.0, 1.0, 41), c.a * np.geomspace(1e-3, 1e3, 21)))
         bids = np.unique(np.minimum(grid, 1.0))
 
@@ -284,7 +282,7 @@ class TestMcRevenue:
         s = g.quantile(u)
         per_outcome = []
         for s1, s2 in s:
-            o = outcome(c05, BidProfile(float(s1), float(s2)))
+            o = outcome(c05, float(s1), float(s2))
             per_outcome.append(o.t1 + o.t2)
         report = mc_revenue(c05, g, n, seed=5)
         assert report.value == pytest.approx(np.mean(per_outcome), abs=1e-8)
@@ -359,7 +357,7 @@ class TestMcRevenue:
     def test_tail_weighted_reaches_the_atom_at_small_mu(self, seed):
         # at mu = 1.5e-9 the atom of mass a ~ 7e-11 carries the revenue; the
         # plain estimator never samples it and lands more than 3 SE low
-        c = solve_a(ModelParams(mu=1.5e-9))
+        c = solve_a(1.5e-9)
         g = PiecewiseCdf.signal(c)
         target = c.revenue_guarantee
         r = mc_revenue(c, g, 100_000, seed, tail_weighted=True)
@@ -372,7 +370,7 @@ class TestMcRevenue:
     def test_std_error_does_not_underflow_at_tiny_mu(self, mu):
         # the payments are of order a, so their squared deviations underflow
         # unless they are summed on the scale of the top bid
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         g = PiecewiseCdf.signal(c)
         tail = mc_revenue(c, g, 100_000, 3, tail_weighted=True)
         assert 0.0 < tail.std_error < 0.02 * tail.value
@@ -384,7 +382,7 @@ class TestMcRevenue:
     def test_std_error_finite_for_subnormal_a_and_high_bids(self, mu, signal):
         # a subnormal a, and bids near 1 while a is tiny, keep the scaled
         # payments away from both ends of the double range
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         if signal == "worst-case":
             g = PiecewiseCdf.signal(c)
         else:
@@ -476,5 +474,5 @@ class TestDominatedEquilibrium:
 
     @pytest.mark.parametrize("mu", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     def test_always_below_guarantee(self, mu):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         assert dominated_equilibrium_revenue(c) < c.revenue_guarantee

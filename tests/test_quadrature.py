@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxmin_auction import ConvergenceError, ModelParams, reserve_pdf, solve_a
+from maxmin_auction import ConvergenceError, reserve_pdf, solve_a
 from maxmin_auction.mechanism import uniform_pairs
 from maxmin_auction import quadrature
 from maxmin_auction.quadrature import (
@@ -82,7 +82,7 @@ class TestAdaptiveSimpson:
 
     @pytest.mark.parametrize("mu", [0.5, 1e-6, 0.99])
     def test_payment_oracle_matches_recursion(self, mu):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         pairs = uniform_pairs(7, 0, 100)
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
         got = adaptive_simpson(lambda t: t * reserve_pdf(c, t), lo, hi, 1e-9)

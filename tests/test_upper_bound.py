@@ -20,7 +20,6 @@ from maxmin_auction import (
     ConvergenceError,
     DiscreteDirectMechanism,
     DomainError,
-    ModelParams,
     lp_max_revenue,
     reduced_form_bound,
     second_moment_solution,
@@ -39,7 +38,7 @@ class TestAnalyticBound:
 
     @pytest.mark.parametrize("mu", [0.1, 0.3, 0.5, 0.75, 0.9])
     def test_bitwise_equal_to_guarantee(self, capsys, mu):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         assert main(["upper-bound", "--mu", str(mu), "--grid-n", "10"]) == 0
         printed = json.loads(capsys.readouterr().out)["analytic_bound"]
         assert printed == float(format(c.revenue_guarantee, ".12g"))
@@ -155,7 +154,7 @@ class TestReducedFormBound:
     @pytest.mark.parametrize("m_target", [1, 2, 3, 4, 5, 6, 9])
     @pytest.mark.parametrize("mu", [0.99, 0.5, 1e-9])
     def test_classes_stand_for_their_types(self, mu, m_target):
-        a_float = solve_a(ModelParams(mu=mu)).a
+        a_float = solve_a(mu).a
         rho_float = ub.grid_ratio(a_float, m_target)
         a, rho, m = _as_fractions(a_float, rho_float)
         law = ref.law(a, rho, m)
@@ -189,7 +188,7 @@ class TestReducedFormBound:
     def test_solver_finds_the_optimum(self, mu, n):
         from scipy import sparse
 
-        a_float = solve_a(ModelParams(mu=mu)).a
+        a_float = solve_a(mu).a
         rho_float = ub.grid_ratio(a_float, n)
         a, rho, m = _as_fractions(a_float, rho_float)
         lp = ref.reduced_form_lp(a, rho, m)
@@ -225,7 +224,7 @@ class TestReducedFormBound:
     @pytest.mark.parametrize("n", [1, 25, 50, 64, 1000])
     @pytest.mark.parametrize("mu", [0.99999, 0.5, 1e-3, 1e-9, 1e-30, 1e-300])
     def test_grid_n_keeps_its_optimum(self, mu, n):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         bound = reduced_form_bound(c.a, ub.grid_ratio(c.a, n))
         r = math.exp(-math.log(c.a) / n)
         closed = c.a * r * (2.0 - c.a * r)
@@ -241,7 +240,7 @@ class TestReducedFormBound:
     # 2.3e-17 relative, so the check must allow that rounding.
     @pytest.mark.parametrize("mu", [1.0 - 1e-9, 0.99, 0.9, 0.5, 1e-3, 1e-9, 1e-30, 1e-300, 1e-320, 5e-324])
     def test_finest_grid_certifies_g(self, mu):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         a = Fraction(c.a)
         exact = 2 * a - a * a
         bound = reduced_form_bound(c.a, ub.FINEST_RATIO)
@@ -329,7 +328,7 @@ class TestLp:
     @pytest.mark.parametrize("n", [1, 2, 25, 50, 1000])
     @pytest.mark.parametrize("mu", [0.99999, 0.5, 1e-3, 1e-9, 1e-30])
     def test_implements_the_hierarchical_point(self, mu, n):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         a = c.a
         opt, mech = lp_max_revenue(c, n)
         rho = ub.grid_ratio(a, n)
@@ -362,7 +361,7 @@ class TestLp:
         ],
     )
     def test_equals_myerson_optimum(self, mu, n):
-        c = solve_a(ModelParams(mu=mu))
+        c = solve_a(mu)
         opt, mech = lp_max_revenue(c, n)
         exact = myerson_revenue(mech.types, mech.masses)
         assert opt == pytest.approx(exact, rel=max(1e-12, 1e-15 / c.a), abs=0.0)
@@ -370,7 +369,7 @@ class TestLp:
     # Bidder 2's cells are the mirror image of bidder 1's.
     @pytest.mark.parametrize("mu", [1e-9, 0.5, 0.99999])
     def test_mechanism_mirrors_exactly(self, mu):
-        _, mech = lp_max_revenue(solve_a(ModelParams(mu=mu)), 20)
+        _, mech = lp_max_revenue(solve_a(mu), 20)
         assert np.array_equal(mech.q2, mech.q1.T)
         assert np.array_equal(mech.t2, mech.t1.T)
 

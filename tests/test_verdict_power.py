@@ -45,13 +45,13 @@ MUTANTS = {
 
 
 def verdicts(mu: str) -> dict[str, bool]:
-    args = cli.build_parser().parse_args(["verify", "--mu", mu, "--seed", "7", "--samples", "2000"])
-    return {ch["name"]: ch["passed"] for ch in cli.run_verification(args)["checks"]}
+    report = cli.run_verification(float(mu), 7, n_samples=2000)
+    return {ch["name"]: ch["passed"] for ch in report["checks"]}
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 @pytest.mark.parametrize("mu", MUS)
 def test_lp_upper_bound_fails_every_mutant(monkeypatch, mu, mutant):
     solve = cli.solve_a
-    monkeypatch.setattr(cli, "solve_a", lambda params: MUTANTS[mutant](solve(params)))
+    monkeypatch.setattr(cli, "solve_a", lambda m: MUTANTS[mutant](solve(m)))
     assert verdicts(mu)["lp_upper_bound"] is (mutant == "none")
